@@ -9,16 +9,14 @@ one-to-one (no two terms share a code).
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ._stack import STACK_BYTES, call_with_deep_stack
+from ._stack import call_with_deep_stack
 
 from .codec import DEFAULT_FUEL, CodecPlan, decode, encode
 from .errors import FuelExhausted, TermError
-from .sigmodel import Ctor, IndexClass, ValidatedSignature
+from .sigmodel import IndexClass, ValidatedSignature, applies
 from .termrep import (
     EMPTY_COUNTS,
     Con,
@@ -172,13 +170,14 @@ def _terms_at(vsig, type_name, index, size, counts, memo):
     found = memo.get(key)
     if found is not None:
         return found
+    cls = vsig.class_of(type_name, index)
     results: list[Term] = []
     if size == 1:
         for level in range(counts.get(type_name, index)):
             results.append(Var(type_name, index, level))
     decl = vsig.decl(type_name)
     for ctor in decl.ctors:
-        if not _applicable(vsig, ctor, index):
+        if not applies(vsig.pattern(ctor.name), cls):
             continue
         binding = vsig.match_index(ctor, index)
         for pi_values, args in _fill_pis(
@@ -187,19 +186,6 @@ def _terms_at(vsig, type_name, index, size, counts, memo):
             results.append(Con(ctor.name, pi_values, args))
     memo[key] = results
     return results
-
-
-def _applicable(vsig: ValidatedSignature, ctor: Ctor, index: int | None) -> bool:
-    pat = vsig.pattern(ctor.name)
-    if pat[0] == "unit":
-        return index is None
-    if pat[0] == "zero":
-        return index == 0
-    if pat[0] == "succ":
-        return index is not None and index > 0
-    if pat[0] == "const":
-        return index == pat[1]
-    return True  # var pattern
 
 
 def _fill_pis(vsig, ctor, i, budget, binding, counts, memo):
@@ -318,46 +304,24 @@ def verify_onto(
     type_name: str,
     index: int | None,
     budget: EnumBudget,
-    workers: int = 1,
 ) -> Verdict:
     """Every code up to the budget decodes, checks, and round-trips.
 
-    The code range may be partitioned across worker threads; the
-    reported verdict is the same either way (first failing code wins).
-    Runs with deep recursion headroom so a non-terminating decode is
-    reported as fuel exhaustion rather than a stack overflow.
+    The first failing code is reported.  Runs with deep recursion
+    headroom so a non-terminating decode is reported as fuel exhaustion
+    rather than a stack overflow.
     """
-    return call_with_deep_stack(_verify_onto, plan, type_name, index, budget, workers)
+    return call_with_deep_stack(_verify_onto, plan, type_name, index, budget)
 
 
-def _verify_onto(plan, type_name, index, budget, workers):
+def _verify_onto(plan, type_name, index, budget):
     vsig = plan.vsig
     label = vsig.class_of(type_name, index).label
     top = _onto_range(plan, type_name, index, budget.code_for(type_name, label))
-    if workers <= 1:
-        for code in range(top):
-            problem = _check_code(plan, type_name, index, code)
-            if problem is not None:
-                return Verdict(False, code, problem)
-        return Verdict(True, top)
-    chunks = [range(start, min(start + 256, top)) for start in range(0, top, 256)]
-
-    def sweep(chunk):
-        for code in chunk:
-            problem = _check_code(plan, type_name, index, code)
-            if problem is not None:
-                return code, problem
-        return None
-
-    # pool threads also need big stacks: they decode at the raised limit
-    old_size = threading.stack_size(STACK_BYTES)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(sweep, chunks):
-                if outcome is not None:
-                    return Verdict(False, outcome[0], outcome[1])
-    finally:
-        threading.stack_size(old_size)
+    for code in range(top):
+        problem = _check_code(plan, type_name, index, code)
+        if problem is not None:
+            return Verdict(False, code, problem)
     return Verdict(True, top)
 
 
@@ -414,7 +378,6 @@ def verify_class(
     type_name: str,
     cls: IndexClass,
     budget: EnumBudget,
-    workers: int = 1,
 ) -> ClassReport:
     """Run all four verifiers at every representative index of a class."""
     vsig = plan.vsig
@@ -423,14 +386,12 @@ def verify_class(
     for index in reps:
         t, u = verify_total_unique(plan, type_name, index, budget)
         total, unique = _merge(total, t), _merge(unique, u)
-        onto = _merge(onto, verify_onto(plan, type_name, index, budget, workers))
+        onto = _merge(onto, verify_onto(plan, type_name, index, budget))
         one = _merge(one, verify_one_to_one(plan, type_name, index, budget))
     return ClassReport(type_name, cls.label, total, unique, onto, one)
 
 
-def verify_all(
-    plan: CodecPlan, budget: EnumBudget | None = None, workers: int = 1
-) -> AdequacyReport:
+def verify_all(plan: CodecPlan, budget: EnumBudget | None = None) -> AdequacyReport:
     """Verify every class of every type; deterministic given the budget."""
     if budget is None:
         budget = EnumBudget()
@@ -439,5 +400,5 @@ def verify_all(
     rows = []
     for decl in vsig.decls:
         for cls in vsig.classes(decl.name):
-            rows.append(verify_class(plan, decl.name, cls, budget, workers))
+            rows.append(verify_class(plan, decl.name, cls, budget))
     return AdequacyReport(tuple(rows), time.perf_counter() - started)

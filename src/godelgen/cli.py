@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from ._stack import call_with_deep_stack
 from .adequacy import EnumBudget, verify_all
@@ -40,20 +39,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_SEMANTIC = 2
 EXIT_PARSE = 3
 EXIT_FUEL = 4
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One resolved invocation: which command, on what, with what bounds."""
-
-    command: str
-    signature: str
-    type_name: str | None = None
-    index: int | None = None
-    fuel: int = DEFAULT_FUEL
-    max_size: int = 6
-    max_code: int = 10_000
-    as_json: bool = False
 
 
 def _read(path: str) -> str:
@@ -113,19 +98,6 @@ def _target(vsig, args: argparse.Namespace) -> tuple[str, int | None]:
     return type_name, index
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        signature=args.signature,
-        type_name=getattr(args, "type_name", None),
-        index=getattr(args, "index", None),
-        fuel=_resolve_fuel(args),
-        max_size=getattr(args, "max_size", 6),
-        max_code=getattr(args, "max_code", 10_000),
-        as_json=getattr(args, "as_json", False),
-    )
-
-
 # -------------------------------------------------------------- commands
 
 
@@ -150,17 +122,17 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    config = _config(args)
+    fuel = _resolve_fuel(args)
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
     type_name, index = _target(vsig, args)
-    term = decode(plan, type_name, index, EMPTY_COUNTS, args.code, config.fuel)
+    term = decode(plan, type_name, index, EMPTY_COUNTS, args.code, fuel)
     print(print_term(vsig, term, index=index))
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    config = _config(args)
+    fuel = _resolve_fuel(args)
     if args.count < 0:
         raise ValueError("count must be nonnegative")
     vsig = _load(args.signature)
@@ -169,7 +141,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     card = plan.class_plan(type_name, index).cardinality
     top = args.count if card.is_infinite else min(args.count, card.count or 0)
     for code in range(top):
-        term = decode(plan, type_name, index, EMPTY_COUNTS, code, config.fuel)
+        term = decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
         print(f"{code}\t{print_term(vsig, term, index=index)}")
     return EXIT_OK
 
@@ -297,3 +269,7 @@ def _fail(exc: BaseException, code: int) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

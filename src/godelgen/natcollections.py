@@ -117,14 +117,6 @@ def _merge_common(a: Iterator[int], b: Iterator[int], keep_common: bool) -> Iter
         x = next(a, None)
 
 
-def set_from_elements(xs: Iterable[int]) -> GapSet:
-    return GapSet.from_elements(xs)
-
-
-def set_elements(s: GapSet) -> tuple[int, ...]:
-    return s.elements()
-
-
 def set_literal(s: GapSet) -> str:
     """Element form for command-line I/O, e.g. {4,11,96}."""
     return "{" + ",".join(str(e) for e in s.iter_elements()) + "}"
@@ -202,22 +194,6 @@ def _regap_items(items: list[tuple[int, Any]]) -> tuple[tuple[int, Any], ...]:
         out.append((k - prev - 1, v))
         prev = k
     return tuple(out)
-
-
-def map_insert(m: GapMap, k: int, v: Any) -> GapMap:
-    return m.insert(k, v)
-
-
-def map_lookup(m: GapMap, k: int, default: Any = None) -> Any:
-    return m.lookup(k, default)
-
-
-def map_remove(m: GapMap, k: int) -> GapMap:
-    return m.remove(k)
-
-
-def map_keys(m: GapMap) -> GapSet:
-    return m.keys()
 
 
 # ------------------------------------------------------------- term sets
@@ -313,7 +289,3 @@ class TermMap:
 
     def keys(self) -> TermSet:
         return TermSet(self.plan, self.type_name, self.index, self.entries.keys())
-
-
-def term_set_insert(ts: TermSet, term: Term) -> TermSet:
-    return ts.insert(term)

@@ -654,7 +654,7 @@ class Analysis:
     classes: dict[str, tuple[IndexClass, ...]]
     card: dict[tuple[str, IndexClass], Cardinality]
     patterns: dict[str, tuple]
-    finite_blocks: dict[tuple[str, IndexClass], FiniteBlock]
+    nat_shapes: dict[str, NatIndex]  # the types with a zero and a successor
     deferred: list[Diagnostic]
     nat_literal: NatIndex | None
 
@@ -686,12 +686,66 @@ def _nat_shape(decl: TypeDecl) -> NatIndex | None:
     return NatIndex(decl.name, zero, succ)
 
 
+def applies(pattern: tuple, cls: IndexClass) -> bool:
+    """Whether a constructor with this result pattern builds terms of cls."""
+    if pattern[0] == "unit":
+        return cls.kind == "unit"
+    if pattern[0] == "zero":
+        return cls.kind == "z"
+    if pattern[0] == "succ":
+        return cls.kind == "s"
+    if pattern[0] == "var":
+        return cls.kind != "unit"
+    if pattern[0] == "const":
+        return cls.kind == "fin" and cls.value == pattern[1]
+    return False
+
+
+def _index_value(
+    sig: Signature,
+    nat_shapes: dict[str, NatIndex],
+    block_of,
+    ixtype: str,
+    expr: IndexExpr,
+    binding: dict[str, int],
+) -> int | None:
+    """Value of an index expression of type ixtype, or None if it is not
+    a well-formed value under binding.  block_of(t) is the instance block
+    of finite type t, or None while its count is unknown."""
+    if isinstance(expr, IxNum):
+        return expr.value
+    if isinstance(expr, IxVar):
+        return binding.get(expr.name)
+    shape = nat_shapes.get(ixtype)
+    if shape is not None:
+        if expr.name == shape.zero and not expr.args:
+            return 0
+        if expr.name == shape.succ and len(expr.args) == 1:
+            sub = _index_value(sig, nat_shapes, block_of, ixtype, expr.args[0], binding)
+            return None if sub is None else 1 + sub
+        return None
+    block = block_of(ixtype)
+    entry = block.entry_for(expr.name) if block is not None else None
+    if entry is None or len(expr.args) != len(entry.radices):
+        return None
+    offset = 0
+    for sub_expr, radix, arg in zip(expr.args, entry.radices, sig.ctors[expr.name].args):
+        sub = _index_value(sig, nat_shapes, block_of, arg.type_name, sub_expr, binding)
+        if sub is None or sub >= radix:
+            return None
+        offset = offset * radix + sub
+    return entry.base + offset
+
+
 class _Analyzer:
     def __init__(self, sig: Signature):
         self.sig = sig
         self.diags: list[Diagnostic] = []
         self._seen: set[Diagnostic] = set()
         self.collecting = False
+        self.nat_shapes = {
+            d.name: shape for d in sig.decls if (shape := _nat_shape(d)) is not None
+        }
         self.raw_kinds: dict[str, object] = {}
         for d in sig.decls:
             if len(d.index_types) == 0:
@@ -702,7 +756,7 @@ class _Analyzer:
                 if xdecl is None or xdecl.index_types:
                     self.raw_kinds[d.name] = "invalid"
                 else:
-                    shape = _nat_shape(xdecl)
+                    shape = self.nat_shapes.get(xname)
                     self.raw_kinds[d.name] = shape if shape else ("fin?", xname)
             else:
                 self.raw_kinds[d.name] = "multi"
@@ -790,56 +844,34 @@ class _Analyzer:
         # finite index: a concrete value or a bare variable
         if isinstance(expr, IxVar):
             return ("var", expr.name)
-        value = self._ground_value(kind.type_name, expr)
+        value = _index_value(
+            self.sig, self.nat_shapes, self._index_block, kind.type_name, expr, {}
+        )
         if value is None:
             return ("pending",)
         return ("const", value)
 
-    def _ground_value(self, type_name: str, expr: IndexExpr) -> int | None:
-        """Value of a ground index expression, or None if not yet computable."""
-        kind_src = self.raw_kinds.get(type_name)
-        if isinstance(expr, IxNum):
-            return expr.value
-        shape = _nat_shape(self.sig.by_name[type_name]) if type_name in self.sig.by_name else None
-        if shape is not None:
-            if isinstance(expr, IxCon):
-                if expr.name == shape.zero and not expr.args:
-                    return 0
-                if expr.name == shape.succ and len(expr.args) == 1:
-                    sub = self._ground_value(type_name, expr.args[0])
-                    return None if sub is None else 1 + sub
-            return None
-        if not isinstance(expr, IxCon):
-            return None
-        block = self._finite_block_prev(type_name, UNIT_CLASS)
-        if block is None:
-            return None
-        entry = block.entry_for(expr.name)
-        if entry is None or len(expr.args) != len(entry.radices):
-            return None
-        ctor = self.sig.ctors.get(expr.name)
-        offset = 0
-        for sub_expr, radix, arg in zip(expr.args, entry.radices, ctor.args):
-            sub = self._ground_value(arg.type_name, sub_expr)
-            if sub is None or sub >= radix:
-                return None
-            offset = offset * radix + sub
-        return entry.base + offset
-
-    def _finite_block_prev(self, t: str, k: IndexClass) -> FiniteBlock | None:
-        card = self.prev_card.get((t, k))
+    def _index_block(self, t: str) -> FiniteBlock | None:
+        """Instance block of finite type t under the previous round's counts."""
+        card = self.prev_card.get((t, UNIT_CLASS))
         if card is None or not card.is_finite:
             return None
-        return self._build_block(t, k, self.prev_card)
+        return self._build_block(t, UNIT_CLASS, self.prev_card)[0]
 
-    def _build_block(self, t: str, k: IndexClass, card_map) -> FiniteBlock:
+    def _build_block(
+        self, t: str, k: IndexClass, card_map
+    ) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
+        """Finite-instance block of class k and, in declaration order, the
+        constructors outside it: those with an infinite or unknown slot."""
         entries = []
+        infinite: list[Ctor] = []
         base = 0
         decl = self.sig.by_name[t]
         for ctor in decl.ctors:
-            if not self._applicable(ctor, k):
+            if not applies(self.pattern_of(ctor), k):
                 continue
             if ctor.pi_args or any(a.binders for a in ctor.args):
+                infinite.append(ctor)
                 continue
             radices = []
             ok = True
@@ -856,27 +888,14 @@ class _Analyzer:
                     break
                 radices.append(max(counts) if counts else 0)
             if not ok:
+                infinite.append(ctor)
                 continue
             count = 1
             for r in radices:
                 count *= r
             entries.append(FiniteCtorEntry(ctor.name, base, tuple(radices), count))
             base += count
-        return FiniteBlock(tuple(entries), base)
-
-    def _applicable(self, ctor: Ctor, k: IndexClass) -> bool:
-        pat = self.pattern_of(ctor)
-        if pat[0] == "unit":
-            return k.kind == "unit"
-        if pat[0] == "zero":
-            return k.kind == "z"
-        if pat[0] == "succ":
-            return k.kind == "s"
-        if pat[0] == "var":
-            return k.kind in ("z", "s", "fin")
-        if pat[0] == "const":
-            return k.kind == "fin" and k.value == pat[1]
-        return False
+        return FiniteBlock(tuple(entries), base), tuple(infinite)
 
     def _var_ctx(self, ctor: Ctor, k: IndexClass) -> dict[str, tuple]:
         """Map index variables to abstract bindings at class k."""
@@ -970,7 +989,9 @@ class _Analyzer:
                 f"index {expr.value} out of range for type {target_type}",
             )
             return frozenset(), False
-        value = self._ground_value(tkind.type_name, expr)
+        value = _index_value(
+            self.sig, self.nat_shapes, self._index_block, tkind.type_name, expr, {}
+        )
         if value is None:
             if self.collecting:
                 self.defer(
@@ -1009,7 +1030,7 @@ class _Analyzer:
                 if inhab[(t, k)]:
                     continue
                 for ctor in self.sig.by_name[t].ctors:
-                    if self._applicable(ctor, k) and self._ctor_inhabited(
+                    if applies(self.pattern_of(ctor), k) and self._ctor_inhabited(
                         ctor, k, inhab
                     ):
                         inhab[(t, k)] = True
@@ -1059,7 +1080,7 @@ class _Analyzer:
         """Concrete-index containment edges used for cycle detection."""
         out = []
         for ctor in self.sig.by_name[t].ctors:
-            if not self._applicable(ctor, k):
+            if not applies(self.pattern_of(ctor), k):
                 continue
             if not self._ctor_inhabited(ctor, k, inhab):
                 continue
@@ -1104,7 +1125,7 @@ class _Analyzer:
 
     def _class_forced_infinite(self, t, k, inhab, infinite) -> bool:
         for ctor in self.sig.by_name[t].ctors:
-            if not self._applicable(ctor, k):
+            if not applies(self.pattern_of(ctor), k):
                 continue
             if not self._ctor_inhabited(ctor, k, inhab):
                 continue
@@ -1144,7 +1165,7 @@ class _Analyzer:
             for t, k in live:
                 total = 0
                 for ctor in self.sig.by_name[t].ctors:
-                    if not self._applicable(ctor, k):
+                    if not applies(self.pattern_of(ctor), k):
                         continue
                     contrib = 1
                     for _, ptype, _ in ctor.pi_args:
@@ -1184,7 +1205,9 @@ class _Analyzer:
                 break
             prev = card
         if stable is None:
-            raise SigSyntaxError("index analysis did not stabilize")
+            raise SigValidationError(
+                [Diagnostic("analysis", "signature", "index analysis did not stabilize")]
+            )
 
         # one more pass with diagnostics on, against the stable state
         self.collecting = True
@@ -1193,24 +1216,17 @@ class _Analyzer:
         self.collecting = False
 
         patterns = {c: self.pattern_of(self.sig.ctors[c]) for c in self.sig.ctors}
-        blocks = {}
-        for (t, k), c in card.items():
-            if c.is_finite:
-                blocks[(t, k)] = self._build_block(t, k, card)
-
         nat_literal = None
-        nat_decl = self.sig.by_name.get("nat")
-        if nat_decl is not None:
-            shape = _nat_shape(nat_decl)
-            if shape is not None and shape.zero == "z" and shape.succ == "s":
-                nat_literal = shape
+        shape = self.nat_shapes.get("nat")
+        if shape is not None and shape.zero == "z" and shape.succ == "s":
+            nat_literal = shape
 
         return Analysis(
             kinds=dict(self.kinds),
             classes=dict(self.classes),
             card=card,
             patterns=patterns,
-            finite_blocks=blocks,
+            nat_shapes=self.nat_shapes,
             deferred=list(self.diags),
             nat_literal=nat_literal,
         )
@@ -1291,6 +1307,14 @@ class ValidatedSignature:
             return {pat[1]: index}
         raise AssertionError(f"unmatchable pattern for {ctor.name}")
 
+    def index_value(
+        self, ixtype: str, expr: IndexExpr, binding: dict[str, int]
+    ) -> int | None:
+        """Value of an index expression of type ixtype, None if ill-formed."""
+        return _index_value(
+            self.sig, self.analysis.nat_shapes, self._index_block, ixtype, expr, binding
+        )
+
     def eval_index(
         self, type_name: str, index: tuple[IndexExpr, ...], binding: dict[str, int]
     ) -> int | None:
@@ -1298,48 +1322,33 @@ class ValidatedSignature:
         kind = self.analysis.kinds[type_name]
         if kind is None:
             return None
-        return self._eval(kind.type_name, index[0], binding)
+        value = _index_value(
+            self.sig, self.analysis.nat_shapes, self._index_block,
+            kind.type_name, index[0], binding,
+        )
+        if value is None:
+            raise ValueError(f"invalid {kind.type_name} index expression")
+        return value
 
-    def _eval(self, ixtype: str, expr: IndexExpr, binding: dict[str, int]) -> int:
-        if isinstance(expr, IxNum):
-            return expr.value
-        if isinstance(expr, IxVar):
-            return binding[expr.name]
-        shape = _nat_shape(self.sig.by_name[ixtype])
-        if shape is not None:
-            if expr.name == shape.zero:
-                return 0
-            if expr.name == shape.succ:
-                return 1 + self._eval(ixtype, expr.args[0], binding)
-            raise ValueError(f"{expr.name} is not a constructor of {ixtype}")
-        block = self.analysis.finite_blocks[(ixtype, UNIT_CLASS)]
-        entry = block.entry_for(expr.name)
-        if entry is None:
-            raise ValueError(f"{expr.name} is not a constructor of {ixtype}")
-        ctor = self.sig.ctors[expr.name]
-        offset = 0
-        for sub_expr, radix, arg in zip(expr.args, entry.radices, ctor.args):
-            offset = offset * radix + self._eval(arg.type_name, sub_expr, binding)
-        return entry.base + offset
+    def _index_block(self, type_name: str) -> FiniteBlock:
+        return self.partitions[(type_name, UNIT_CLASS)][0]
 
     def ctors_for_class(
         self, type_name: str, cls: IndexClass
     ) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
+        """Finite-instance block and ordered infinite constructors of a class."""
         return self.partitions[(type_name, cls)]
-
-
-def ctors_for_class(
-    vsig: ValidatedSignature, type_name: str, cls: IndexClass
-) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
-    """Finite-instance block and ordered infinite constructors of a class."""
-    return vsig.ctors_for_class(type_name, cls)
 
 
 def validate(sig: Signature) -> ValidatedSignature:
     """Check every well-formedness rule; raise SigValidationError listing
     all violations, or return the signature paired with its analysis."""
+    analyzer = _Analyzer(sig)
     if sig.analysis is None:
-        compute_cardinality(sig)
+        sig.analysis = analyzer.run()
+    else:
+        analyzer._setup_round(sig.analysis.card)
+    analyzer.collecting = True
     ana = sig.analysis
     diags: list[Diagnostic] = list(ana.deferred)
 
@@ -1400,7 +1409,7 @@ def validate(sig: Signature) -> ValidatedSignature:
         if decl.name not in analyzed:
             continue
         for ctor in decl.ctors:
-            _validate_ctor(sig, ana, ctor, add)
+            _validate_ctor(analyzer, ctor, add)
 
     # uniformity: every class of an indexed family has the same cardinality
     for decl in sig.decls:
@@ -1422,7 +1431,7 @@ def validate(sig: Signature) -> ValidatedSignature:
     if not diags:
         for decl in sig.decls:
             for k in ana.classes[decl.name]:
-                block, inf = _partition(sig, ana, decl, k)
+                block, inf = analyzer._build_block(decl.name, k, ana.card)
                 partitions[(decl.name, k)] = (block, inf)
                 card = ana.card[(decl.name, k)]
                 if card.is_infinite and not inf:
@@ -1450,11 +1459,9 @@ def validate(sig: Signature) -> ValidatedSignature:
     return ValidatedSignature(sig, ana, partitions)
 
 
-def _validate_ctor(sig, ana, ctor: Ctor, add) -> None:
-    helper = _Analyzer(sig)
-    helper._setup_round(ana.card)
-    helper.collecting = True
-
+def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:
+    sig, ana = analyzer.sig, analyzer.sig.analysis
+    first_diag = len(analyzer.diags)
     seen_vars = set()
     pat = ana.patterns[ctor.name]
     if pat[0] in ("var", "succ"):
@@ -1467,8 +1474,7 @@ def _validate_ctor(sig, ana, ctor: Ctor, add) -> None:
                 f"abstracted variable {var!r} shadows another index variable",
             )
         seen_vars.add(var)
-        pdecl = sig.by_name.get(ptype)
-        if pix or pdecl is None or _nat_shape(pdecl) is None:
+        if pix or ptype not in ana.nat_shapes:
             add(
                 "abstraction-type",
                 ctor.name,
@@ -1482,13 +1488,13 @@ def _validate_ctor(sig, ana, ctor: Ctor, add) -> None:
                     f"abstracted variable {var!r} cannot appear in the result index",
                 )
 
-    classes = [k for k in ana.classes[ctor.family] if helper._applicable(ctor, k)]
+    classes = [k for k in ana.classes[ctor.family] if applies(pat, k)]
     for k in classes:
         for a in ctor.args:
-            targets, _ = helper.eval_classes(ctor, k, a.type_name, a.index)
+            targets, _ = analyzer.eval_classes(ctor, k, a.type_name, a.index)
             tcards = [ana.card.get((a.type_name, c)) for c in targets]
             for bt, bix in a.binders:
-                bclasses, _ = helper.eval_classes(ctor, k, bt, bix)
+                bclasses, _ = analyzer.eval_classes(ctor, k, bt, bix)
                 bcards = [ana.card.get((bt, c)) for c in bclasses]
                 if not bcards or any(c is None or not c.is_infinite for c in bcards):
                     add(
@@ -1511,15 +1517,15 @@ def _validate_ctor(sig, ana, ctor: Ctor, add) -> None:
             inhab_map = {
                 ck: not c.is_empty for ck, c in ana.card.items()
             }
-            if not helper._ctor_inhabited(ctor, k, inhab_map):
+            if not analyzer._ctor_inhabited(ctor, k, inhab_map):
                 add(
                     "dead-ctor",
                     ctor.name,
                     f"constructor can never be applied at {ctor.family}"
                     f"[{k.label}]: some argument type is uninhabited",
                 )
-    diags_from_helper = helper.diags
-    for d in diags_from_helper:
+    # index diagnostics found while checking this constructor come last
+    for d in analyzer.diags[first_diag:]:
         add(d.rule, d.subject, d.message)
 
 
@@ -1532,34 +1538,3 @@ def _is_infinite_partition(sig, ana, ctor: Ctor) -> bool:
             return True
     return False
 
-
-def _partition(
-    sig, ana, decl: TypeDecl, k: IndexClass
-) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
-    helper = _Analyzer(sig)
-    helper._setup_round(ana.card)
-    entries = []
-    infinite: list[Ctor] = []
-    base = 0
-    for ctor in decl.ctors:
-        if not helper._applicable(ctor, k):
-            continue
-        if _is_infinite_partition(sig, ana, ctor):
-            infinite.append(ctor)
-            continue
-        radices = []
-        for a in ctor.args:
-            targets, _ = helper.eval_classes(ctor, k, a.type_name, a.index)
-            counts = [
-                (ana.card[(a.type_name, c)].count or 0)
-                if ana.card[(a.type_name, c)].is_finite
-                else 0
-                for c in targets
-            ]
-            radices.append(max(counts) if counts else 0)
-        count = 1
-        for r in radices:
-            count *= r
-        entries.append(FiniteCtorEntry(ctor.name, base, tuple(radices), count))
-        base += count
-    return FiniteBlock(tuple(entries), base), tuple(infinite)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import SigSyntaxError, TermError
 from .sigmodel import (
     Ctor,
+    IndexClass,
     SApp,
     SBind,
     SExpr,
@@ -22,7 +23,7 @@ from .sigmodel import (
     ValidatedSignature,
     IxCon,
     IxNum,
-    IxVar,
+    applies,
     parse_term_text,
 )
 
@@ -93,21 +94,6 @@ class CountVector:
 EMPTY_COUNTS = CountVector()
 
 
-def _applicable_at(vsig: ValidatedSignature, ctor: Ctor, index: int | None) -> bool:
-    pat = vsig.pattern(ctor.name)
-    if pat[0] == "unit":
-        return index is None
-    if pat[0] == "zero":
-        return index == 0
-    if pat[0] == "succ":
-        return index is not None and index >= 1
-    if pat[0] == "var":
-        return index is not None
-    if pat[0] == "const":
-        return index == pat[1]
-    return False
-
-
 def _surface_to_index(vsig: ValidatedSignature, e: SExpr):
     if isinstance(e, SNum):
         return IxNum(e.value)
@@ -119,10 +105,10 @@ def _surface_to_index(vsig: ValidatedSignature, e: SExpr):
 
 
 def _index_value(vsig: ValidatedSignature, e: SExpr, ixtype: str) -> int:
-    try:
-        return vsig._eval(ixtype, _surface_to_index(vsig, e), {})
-    except (KeyError, ValueError) as exc:
-        raise TermError(f"invalid {ixtype} index value: {exc}") from None
+    value = vsig.index_value(ixtype, _surface_to_index(vsig, e), {})
+    if value is None:
+        raise TermError(f"invalid {ixtype} index value")
+    return value
 
 
 def parse_term(
@@ -137,11 +123,13 @@ def parse_term(
     return _elab(vsig, surface, type_name, index, {}, EMPTY_COUNTS)
 
 
-def _check_target(vsig: ValidatedSignature, type_name: str, index: int | None) -> None:
+def _check_target(
+    vsig: ValidatedSignature, type_name: str, index: int | None
+) -> IndexClass:
     if not vsig.has_type(type_name):
         raise TermError(f"unknown type {type_name!r}")
     try:
-        vsig.class_of(type_name, index)
+        return vsig.class_of(type_name, index)
     except ValueError as exc:
         raise TermError(str(exc)) from None
 
@@ -228,7 +216,7 @@ def _elab_con(
             f"constructor {ctor.name} constructs {ctor.family},"
             f" expected {_describe(want_type, want_index)}"
         )
-    if not _applicable_at(vsig, ctor, want_index):
+    if not applies(vsig.pattern(ctor.name), vsig.class_of(want_type, want_index)):
         raise TermError(
             f"constructor {ctor.name} cannot construct"
             f" {_describe(want_type, want_index)}"
@@ -332,9 +320,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
         lit = vsig.analysis.nat_literal
         if lit is not None and ixtype == lit.type_name:
             return str(value)
-        from .sigmodel import _nat_shape
-
-        shape = _nat_shape(vsig.sig.by_name[ixtype])
+        shape = vsig.analysis.nat_shapes[ixtype]
         text = shape.zero
         for _ in range(value):
             text = f"{shape.succ} ({text})" if " " in text else f"{shape.succ} {text}"
@@ -415,7 +401,7 @@ def check_term(
     term: Term,
 ) -> None:
     """Raise TermError unless term is well-typed at (type, index) under counts."""
-    _check_target(vsig, type_name, index)
+    cls = _check_target(vsig, type_name, index)
     if isinstance(term, Var):
         if (term.type_name, term.index) != (type_name, index):
             raise TermError(
@@ -436,7 +422,7 @@ def check_term(
             f"constructor {term.ctor} constructs {ctor.family},"
             f" expected {_describe(type_name, index)}"
         )
-    if not _applicable_at(vsig, ctor, index):
+    if not applies(vsig.pattern(ctor.name), cls):
         raise TermError(
             f"constructor {term.ctor} cannot construct {_describe(type_name, index)}"
         )

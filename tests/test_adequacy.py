@@ -4,7 +4,6 @@ import pytest
 
 from godelgen.adequacy import (
     EnumBudget,
-    Verdict,
     enumerate_terms,
     verify_all,
     verify_onto,
@@ -92,6 +91,11 @@ class TestEnumerator:
         rendered = {print_term(vsig, t, index=1) for t in one}
         assert "lam [x0] x0" in rendered
         assert "unit" not in rendered
+
+    @pytest.mark.parametrize("index", [None, -1])
+    def test_bad_index_is_rejected(self, vsigs, index):
+        with pytest.raises(ValueError, match="nonnegative index"):
+            enumerate_terms(vsigs["termfam"], "term", index, 3)
 
 
 class TestBudget:
@@ -197,17 +201,3 @@ class TestFailureDetection:
         rat_row = [r for r in data["classes"] if r["type"] == "rat"][0]
         assert "counterexample" in rat_row
 
-
-class TestWorkers:
-    def test_parallel_matches_sequential(self, plans):
-        budget = EnumBudget.with_overrides(max_code=700)
-        seq = verify_onto(plans["lambda"], "t", None, budget)
-        par = verify_onto(plans["lambda"], "t", None, budget, workers=4)
-        assert seq == par == Verdict(True, 700)
-
-    def test_parallel_reports_first_failure(self, vsigs):
-        plan = build_plan(vsigs["ratflip"])
-        budget = EnumBudget.with_overrides(max_code=600)
-        verdict = verify_onto(plan, "rat", None, budget, workers=4)
-        assert not verdict.passed
-        assert verdict.checked == 0

@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line driver, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import sig_path
-from godelgen import cli
+from godelgen import cli, sigmodel
 from godelgen.adequacy import AdequacyReport, ClassReport, Verdict
 
 LAMBDA = str(sig_path("lambda"))
+NAT = str(sig_path("nat"))
 TERMFAM = str(sig_path("termfam"))
+EXISTS = str(sig_path("exists"))
 BOOL = str(sig_path("bool"))
 RAT = str(sig_path("rat"))
 RATFLIP = str(sig_path("ratflip"))
@@ -68,6 +74,17 @@ class TestCheck:
         assert code == 3
         assert "error:" in err
 
+    def test_unstable_analysis_is_a_semantic_error(self, capsys, monkeypatch):
+        rounds = iter(range(1000))
+        monkeypatch.setattr(
+            sigmodel._Analyzer,
+            "_fixpoint",
+            lambda self: {("nat", sigmodel.UNIT_CLASS): sigmodel.finite(next(rounds))},
+        )
+        code, _, err = run(capsys, ["check", NAT])
+        assert code == 2
+        assert "did not stabilize" in err
+
 
 class TestEncode:
     def test_identity_is_zero(self, capsys):
@@ -95,6 +112,14 @@ class TestEncode:
         code, _, err = run(capsys, ["encode", LAMBDA, "--type", "u", "z"])
         assert code == 3
         assert "unknown type" in err
+
+    def test_malformed_index_argument_is_a_parse_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            ["encode", EXISTS, "--type", "term", "--index", "0", "exists s [x] x"],
+        )
+        assert code == 3
+        assert "invalid nat index value" in err
 
     def test_indexed_family_requires_an_index(self, capsys):
         code, _, err = run(capsys, ["encode", TERMFAM, "--type", "term", "unit"])
@@ -271,6 +296,16 @@ class TestDriver:
         with pytest.raises(SystemExit) as caught:
             cli.run([])
         assert caught.value.code == 2
+
+    def test_module_runs_as_a_script(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "godelgen.cli", "check", NAT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "nat: Infinite\n", "")
 
     def test_repaired_plan_is_used_transparently(self, capsys):
         straight = run(capsys, ["decode", RAT, "--type", "rat", "12"])

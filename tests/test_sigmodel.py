@@ -2,6 +2,7 @@
 
 import pytest
 
+from godelgen import sigmodel
 from godelgen.errors import SigSyntaxError, SigValidationError
 from godelgen.sigmodel import (
     EMPTY,
@@ -13,14 +14,13 @@ from godelgen.sigmodel import (
     UNIT_CLASS,
     Z_CLASS,
     compute_cardinality,
-    ctors_for_class,
     fin_class,
     finite,
     parse_signature,
     validate,
 )
 
-from conftest import sig_text
+from conftest import SIG_NAMES, sig_text
 
 
 def check(text):
@@ -206,25 +206,69 @@ def test_examples_validate(vsigs):
 
 def test_partition_term_family(vsigs):
     v = vsigs["termfam"]
-    block, inf = ctors_for_class(v, "term", Z_CLASS)
+    block, inf = v.ctors_for_class("term", Z_CLASS)
     assert [e.ctor_name for e in block.entries] == ["unit"]
     assert block.total == 1
     assert [c.name for c in inf] == ["app", "rec"]
-    block, inf = ctors_for_class(v, "term", S_CLASS)
+    block, inf = v.ctors_for_class("term", S_CLASS)
     assert block.total == 0
     assert [c.name for c in inf] == ["lam", "app", "rec"]
 
 
 def test_partition_nat(vsigs):
-    block, inf = ctors_for_class(vsigs["nat"], "nat", UNIT_CLASS)
+    block, inf = vsigs["nat"].ctors_for_class("nat", UNIT_CLASS)
     assert [e.ctor_name for e in block.entries] == ["z"]
     assert [c.name for c in inf] == ["s"]
 
 
 def test_partition_mixed(vsigs):
-    block, inf = ctors_for_class(vsigs["mixed"], "tree", UNIT_CLASS)
+    block, inf = vsigs["mixed"].ctors_for_class("tree", UNIT_CLASS)
     assert [e.ctor_name for e in block.entries] == ["leaf"]
     assert [c.name for c in inf] == ["node"]
+
+
+# Per class: finite entries (constructor, base, radices, count), then the
+# infinite constructors in tag-search order.
+NAT_PART = ((("z", 0, (), 1),), ("s",))
+BOOL_PART = ((("true", 0, (), 1), ("false", 1, (), 1)), ())
+PARTITIONS = {
+    "nat": {("nat", "-"): NAT_PART},
+    "natlist": {
+        ("nat", "-"): NAT_PART,
+        ("natlist", "-"): ((("natlist/0", 0, (), 1),), ("natlist/+",)),
+    },
+    "rat": {("nat", "-"): NAT_PART, ("rat", "-"): ((), ("whole", "frac"))},
+    "ratflip": {("nat", "-"): NAT_PART, ("rat", "-"): ((), ("frac", "whole"))},
+    "lambda": {("t", "-"): ((), ("lam", "app"))},
+    "termfam": {
+        ("nat", "-"): NAT_PART,
+        ("term", "z"): ((("unit", 0, (), 1),), ("app", "rec")),
+        ("term", "s"): ((), ("lam", "app", "rec")),
+    },
+    "bool": {("bool", "-"): BOOL_PART},
+    "exists": {
+        ("nat", "-"): NAT_PART,
+        ("term", "z"): ((("unit", 0, (), 1),), ("app", "rec", "exists")),
+        ("term", "s"): ((), ("lam", "app", "rec", "exists")),
+    },
+    "mixed": {
+        ("bool", "-"): BOOL_PART,
+        ("tree", "-"): ((("leaf", 0, (), 1),), ("node",)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", SIG_NAMES)
+def test_partition_every_class(vsigs, name):
+    v = vsigs[name]
+    got = {}
+    for decl in v.decls:
+        for k in v.classes(decl.name):
+            block, inf = v.ctors_for_class(decl.name, k)
+            entries = tuple((e.ctor_name, e.base, e.radices, e.count) for e in block.entries)
+            got[(decl.name, k.label)] = (entries, tuple(c.name for c in inf))
+            assert block.total == sum(e.count for e in block.entries)
+    assert got == PARTITIONS[name]
 
 
 def test_reject_nonuniform():
@@ -339,9 +383,21 @@ def test_reject_count_overflow_without_infinite_ctor():
 def test_dead_finite_ctor_allowed():
     # a finite constructor over an empty type simply has no instances
     v = check("e : type. t : type. a : t. c : e -> t.")
-    block, inf = ctors_for_class(v, "t", UNIT_CLASS)
+    block, inf = v.ctors_for_class("t", UNIT_CLASS)
     assert block.total == 1
     assert not inf
+
+
+def test_unstable_analysis_is_a_validation_error(monkeypatch):
+    rounds = iter(range(1000))
+    monkeypatch.setattr(
+        sigmodel._Analyzer,
+        "_fixpoint",
+        lambda self: {("nat", UNIT_CLASS): finite(next(rounds))},
+    )
+    diags = rejection(sig_text("nat"))
+    assert [d.rule for d in diags] == ["analysis"]
+    assert "did not stabilize" in diags[0].message
 
 
 def test_multiple_diagnostics_reported_together():

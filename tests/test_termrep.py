@@ -164,6 +164,10 @@ def test_parse_errors(vsigs):
         parse_term(v, "term", -1, "unit")
     with pytest.raises(TermError, match="unknown type"):
         parse_term(v, "nosuch", None, "unit")
+    ex = vsigs["exists"]
+    for bad_index in ("s", "(z z)", "(s z z)"):
+        with pytest.raises(TermError, match="invalid nat index value"):
+            parse_term(ex, "term", 0, f"exists {bad_index} [x] x")
 
 
 def test_out_of_scope_variable_type(vsigs):
