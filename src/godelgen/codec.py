@@ -134,55 +134,51 @@ def _first_failing_class(
     return None
 
 
-def _next_permutation(seq: list[str], pos: dict[str, int]) -> bool:
-    # step to the next permutation in declaration order; False on wrap
-    i = len(seq) - 2
-    while i >= 0 and pos[seq[i]] >= pos[seq[i + 1]]:
-        i -= 1
-    if i < 0:
-        seq.reverse()
-        return False
-    j = len(seq) - 1
-    while pos[seq[j]] <= pos[seq[i]]:
-        j -= 1
-    seq[i], seq[j] = seq[j], seq[i]
-    seq[i + 1 :] = reversed(seq[i + 1 :])
-    return True
+def _tag_candidates(names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    # lexicographic in declaration positions, so the first is declaration order
+    if len(names) < 2:
+        return [names]
+    return [
+        (a, b) + tuple(n for n in names if n not in (a, b))
+        for a in names
+        for b in names
+        if a != b
+    ]
 
 
 def assign_tags(vsig: ValidatedSignature, trial_fuel: int = _TRIAL_FUEL) -> CodecPlan:
     """Choose a tag order whose decode terminates on codes 0 and 1.
 
-    Starts from declaration order; whenever the trial decode of a class
-    runs out of fuel, that class's tags advance to the next permutation
-    and the trials restart.  A class that fails under every permutation
-    makes the whole signature unencodable under this schema.
+    Those trial codes reach only payloads, digits and subterm codes of at
+    most 1, so only tags 0 and 1 of each class matter.  A class's
+    candidates are its ordered pairs of infinite constructors at tags 0
+    and 1, the rest in declaration order; the first is declaration order.
+    A class whose trial runs out of fuel moves to its next candidate; one
+    that exhausts them fails.  A class may also fail through a later
+    class's loop, so failures start another round, keeping the other
+    classes' orders, until a round fails no fewer classes than the last.
     """
-    base: dict[tuple[str, IndexClass], tuple[str, ...]] = {}
-    order: dict[tuple[str, IndexClass], tuple[str, ...]] = {}
-    pos: dict[tuple[str, IndexClass], dict[str, int]] = {}
+    candidates: dict[tuple[str, IndexClass], list[tuple[str, ...]]] = {}
     for decl in vsig.decls:
         for cls in vsig.classes(decl.name):
             _, infinite = vsig.ctors_for_class(decl.name, cls)
-            names = tuple(c.name for c in infinite)
-            key = (decl.name, cls)
-            base[key] = names
-            order[key] = names
-            pos[key] = {name: k for k, name in enumerate(names)}
+            candidates[(decl.name, cls)] = _tag_candidates(tuple(c.name for c in infinite))
+    choice = dict.fromkeys(candidates, 0)
     failed: list[tuple[str, IndexClass]] = []
+    last_failed = len(candidates) + 1  # more than any round can fail
     while True:
-        plan = build_plan(vsig, order)
+        plan = build_plan(vsig, {key: candidates[key][i] for key, i in choice.items()})
         offender = _first_failing_class(plan, trial_fuel, set(failed))
-        if offender is None:
-            if failed:
-                raise NoWellFoundedPlan([class_label(t, c) for t, c in failed])
+        if offender is not None:
+            choice[offender] = (choice[offender] + 1) % len(candidates[offender])
+            if choice[offender] == 0:
+                failed.append(offender)
+        elif not failed:
             return plan
-        current = list(order[offender])
-        if _next_permutation(current, pos[offender]):
-            order[offender] = tuple(current)
+        elif len(failed) >= last_failed:
+            raise NoWellFoundedPlan([class_label(t, c) for t, c in failed])
         else:
-            failed.append(offender)
-            order[offender] = base[offender]
+            last_failed, failed = len(failed), []
 
 
 # ------------------------------------------------------------------ encode

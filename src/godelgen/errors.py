@@ -56,7 +56,7 @@ class FuelExhausted(GodelgenError):
 
 
 class NoWellFoundedPlan(GodelgenError):
-    """Every tag permutation left some class without a terminating decode."""
+    """Every candidate tag order left some class without a terminating decode."""
 
     def __init__(self, failed_classes: list[str]):
         self.failed_classes = list(failed_classes)

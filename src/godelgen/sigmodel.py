@@ -797,6 +797,7 @@ class _Analyzer:
                 self.classes[d.name] = ()
         self.prev_card = prev_card
         self._pattern_cache: dict[str, tuple] = {}
+        self._building: set[str] = set()  # index types whose block is being built
 
     def pattern_of(self, ctor: Ctor) -> tuple:
         if ctor.name in self._pattern_cache:
@@ -848,7 +849,18 @@ class _Analyzer:
             self.sig, self.nat_shapes, self._index_block, kind.type_name, expr, {}
         )
         if value is None:
+            self.defer(
+                "index-expr",
+                ctor.name,
+                f"invalid index expression for type {ctor.family}",
+            )
             return ("pending",)
+        if value >= kind.count:
+            self.defer(
+                "index-out-of-range",
+                ctor.name,
+                f"index {value} out of range for type {ctor.family}",
+            )
         return ("const", value)
 
     def _index_block(self, t: str) -> FiniteBlock | None:
@@ -856,7 +868,18 @@ class _Analyzer:
         card = self.prev_card.get((t, UNIT_CLASS))
         if card is None or not card.is_finite:
             return None
-        return self._build_block(t, UNIT_CLASS, self.prev_card)[0]
+        if t in self._building:
+            # t's block would need the value of an index of type t
+            self.defer(
+                "index-type",
+                t,
+                f"the instances of index type {t} depend on index values of type {t}",
+            )
+            return None
+        self._building.add(t)
+        block = self._build_block(t, UNIT_CLASS, self.prev_card)[0]
+        self._building.remove(t)
+        return block
 
     def _build_block(
         self, t: str, k: IndexClass, card_map
@@ -1213,9 +1236,9 @@ class _Analyzer:
         self.collecting = True
         self._setup_round(stable)
         card = self._fixpoint()
+        patterns = {c: self.pattern_of(self.sig.ctors[c]) for c in self.sig.ctors}
         self.collecting = False
 
-        patterns = {c: self.pattern_of(self.sig.ctors[c]) for c in self.sig.ctors}
         nat_literal = None
         shape = self.nat_shapes.get("nat")
         if shape is not None and shape.zero == "z" and shape.succ == "s":

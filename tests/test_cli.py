@@ -74,6 +74,13 @@ class TestCheck:
         assert code == 3
         assert "error:" in err
 
+    def test_self_indexed_index_type_is_a_semantic_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sig"
+        bad.write_text("p : type. a : p. q : p -> type. qa : q a. mk : q a -> p.\n")
+        code, _, err = run(capsys, ["check", str(bad)])
+        assert code == 2
+        assert "[index-type]" in err
+
     def test_unstable_analysis_is_a_semantic_error(self, capsys, monkeypatch):
         rounds = iter(range(1000))
         monkeypatch.setattr(

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from godelgen import codec
+from godelgen.adequacy import EnumBudget, verify_all
 from godelgen.bignat import unmingle_fold
 from godelgen.codec import (
     DEFAULT_FUEL,
+    _first_failing_class,
     assign_tags,
     build_plan,
     compare,
@@ -21,9 +24,17 @@ from godelgen.errors import (
     CodeOutOfRange,
     FuelExhausted,
     NoWellFoundedPlan,
+    SigValidationError,
     TermError,
 )
-from godelgen.sigmodel import S_CLASS, UNIT_CLASS, Z_CLASS, fin_class
+from godelgen.sigmodel import (
+    S_CLASS,
+    UNIT_CLASS,
+    Z_CLASS,
+    fin_class,
+    parse_signature,
+    validate,
+)
 from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
@@ -32,6 +43,8 @@ from godelgen.termrep import (
     parse_term,
     print_term,
 )
+
+from conftest import SIG_NAMES, sig_text
 
 
 def enc(vsigs, plans, sig, type_name, index, text):
@@ -80,6 +93,167 @@ def test_no_plan_when_trials_cannot_pass(vsigs):
     with pytest.raises(NoWellFoundedPlan) as e:
         assign_tags(vsigs["lambda"], trial_fuel=0)
     assert e.value.failed_classes == ["t"]
+
+
+def test_class_failing_only_through_a_later_loop_is_retried():
+    # a is trialled first and loops only through b's declaration order;
+    # once b is repaired, a's declaration order decodes
+    vsig = validate(parse_signature(
+        sig_text("nat")
+        + "a : type. b : type. ma : b -> a. ma2 : a -> a. bs : b -> b. bl : nat -> b."
+    ))
+    plan = assign_tags(vsig)
+    assert plan.classes[("a", UNIT_CLASS)].tags == ("ma", "ma2")
+    assert plan.classes[("b", UNIT_CLASS)].tags == ("bl", "bs")
+    budget = EnumBudget.with_overrides(max_size=4, max_code=100)
+    report = verify_all(plan, budget)
+    assert report.passed, report.json_dict("ab")
+
+
+# ------------------------------------------------------ tag search oracle
+
+
+def _next_permutation(seq: list[str], pos: dict[str, int]) -> bool:
+    # step to the next permutation in declaration order; False on wrap
+    i = len(seq) - 2
+    while i >= 0 and pos[seq[i]] >= pos[seq[i + 1]]:
+        i -= 1
+    if i < 0:
+        seq.reverse()
+        return False
+    j = len(seq) - 1
+    while pos[seq[j]] <= pos[seq[i]]:
+        j -= 1
+    seq[i], seq[j] = seq[j], seq[i]
+    seq[i + 1 :] = reversed(seq[i + 1 :])
+    return True
+
+
+def permutation_search(vsig, trial_fuel=600):
+    """Reference tag search: a failing class steps through every
+    permutation of its infinite constructors in lexicographic order."""
+    base, order, pos = {}, {}, {}
+    for decl in vsig.decls:
+        for cls in vsig.classes(decl.name):
+            _, infinite = vsig.ctors_for_class(decl.name, cls)
+            names = tuple(c.name for c in infinite)
+            key = (decl.name, cls)
+            base[key] = order[key] = names
+            pos[key] = {name: k for k, name in enumerate(names)}
+    failed = []
+    while True:
+        plan = build_plan(vsig, order)
+        offender = _first_failing_class(plan, trial_fuel, set(failed))
+        if offender is None:
+            if failed:
+                raise NoWellFoundedPlan([str(key) for key in failed])
+            return plan
+        current = list(order[offender])
+        if _next_permutation(current, pos[offender]):
+            order[offender] = tuple(current)
+        else:
+            failed.append(offender)
+            order[offender] = base[offender]
+
+
+def tags_of(plan):
+    return {key: cp.tags for key, cp in plan.classes.items()}
+
+
+def chain_signature(k):
+    # one base constructor declared after k - 1 recursive ones
+    return "\n".join(
+        [sig_text("nat"), "t : type."]
+        + [f"r{i} : t -> t -> t." for i in range(k - 1)]
+        + ["b : nat -> t."]
+    )
+
+
+def random_signature(rng):
+    # up to five infinite constructors per class, the base one anywhere
+    types = [f"t{i}" for i in range(rng.randint(1, 3))]
+    lines = [sig_text("nat")] + [f"{t} : type." for t in types]
+    for t in types:
+        ctors = []
+        for _ in range(rng.randint(1, 4)):
+            args = [rng.choice(types + [t]) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.2:
+                args[0] = f"({rng.choice(types)} -> {t})"
+            ctors.append(args)
+        if rng.random() < 0.8:
+            ctors.insert(rng.randint(0, len(ctors)), ["nat"])
+        for j, args in enumerate(ctors):
+            lines.append(f"{t}c{j} : " + "".join(a + " -> " for a in args) + t + ".")
+    return "\n".join(lines)
+
+
+WIDE = """
+nat : type. z : nat. s : nat -> nat.
+exp : type.
+add : exp -> exp -> exp.
+mul : exp -> exp -> exp.
+let : exp -> (exp -> exp) -> exp.
+lam : (exp -> exp) -> exp.
+app : exp -> exp -> exp.
+lit : nat -> exp.
+"""
+
+
+def plans_tried(monkeypatch, vsig):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_plan(*args)
+
+    monkeypatch.setattr(codec, "build_plan", counting)
+    plan = assign_tags(vsig)
+    monkeypatch.undo()
+    return plan, len(calls)
+
+
+@pytest.mark.parametrize("name", SIG_NAMES + ["chain5"])
+def test_tags_match_permutation_search(vsigs, plans, name):
+    if name == "chain5":
+        vsig = validate(parse_signature(chain_signature(5)))
+        plan = assign_tags(vsig)
+    else:
+        vsig, plan = vsigs[name], plans[name]
+    assert tags_of(plan) == tags_of(permutation_search(vsig))
+
+
+def test_tags_match_permutation_search_on_generated_signatures():
+    rng = random.Random(0)
+    compared = 0
+    for _ in range(60):
+        try:
+            vsig = validate(parse_signature(random_signature(rng)))
+        except SigValidationError:
+            continue
+        # a small trial fuel keeps the oracle's full sweeps cheap
+        try:
+            expected = tags_of(permutation_search(vsig, trial_fuel=100))
+        except NoWellFoundedPlan:
+            continue
+        assert tags_of(assign_tags(vsig, trial_fuel=100)) == expected
+        compared += 1
+    assert compared >= 40
+
+
+def test_wide_tags_and_plan_count(monkeypatch):
+    # the permutation search stepped through 361 plans to reach this order
+    plan, tried = plans_tried(monkeypatch, validate(parse_signature(WIDE)))
+    assert plan.classes[("exp", UNIT_CLASS)].tags == (
+        "lam", "add", "mul", "let", "app", "lit"
+    )
+    assert tried == 16
+
+
+@pytest.mark.parametrize("k", [2, 5, 7, 12])
+def test_plan_count_is_quadratic_in_constructors(monkeypatch, k):
+    plan, tried = plans_tried(monkeypatch, validate(parse_signature(chain_signature(k))))
+    assert plan.classes[("t", UNIT_CLASS)].tags[0] == "b"
+    assert tried == (k - 1) ** 2 + 1 <= k * (k - 1) + 1
 
 
 # --------------------------------------------------------- encode anchors

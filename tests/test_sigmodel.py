@@ -388,6 +388,38 @@ def test_dead_finite_ctor_allowed():
     assert not inf
 
 
+def test_reject_index_type_indexed_through_itself():
+    # p's block needs the value of `a`, which needs p's block
+    diags = rejection("p : type. a : p. q : p -> type. qa : q a. mk : q a -> p.")
+    assert any(d.rule == "index-type" and d.subject == "p" for d in diags)
+
+
+def test_reject_unresolved_result_index():
+    # mk is given one argument too few, so q0 would have no instances
+    diags = rejection(
+        "b : type. b0 : b. b1 : b. p : type. mk : b -> b -> p."
+        " q : p -> type. q0 : q (mk b0). qs : q X -> q X."
+    )
+    assert any(d.rule == "index-expr" and d.subject == "q0" for d in diags)
+
+
+def test_reject_constant_result_index_out_of_range():
+    diags = rejection(
+        "b : type. b0 : b. b1 : b. k : b -> type."
+        " k0 : k b0. k1 : k b1. kk : k 5. ks : k X -> k X."
+    )
+    assert [(d.rule, d.subject) for d in diags] == [("index-out-of-range", "kk")]
+
+
+def test_constant_result_indices_in_range_are_kept():
+    v = check(
+        "b : type. b0 : b. b1 : b. k : b -> type."
+        " k0 : k b0. k1 : k 1. ks : k X -> k X."
+    )
+    assert v.pattern("k0") == ("const", 0)
+    assert v.pattern("k1") == ("const", 1)
+
+
 def test_unstable_analysis_is_a_validation_error(monkeypatch):
     rounds = iter(range(1000))
     monkeypatch.setattr(
