@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ._stack import call_with_deep_stack
-
 from .codec import DEFAULT_FUEL, CodecPlan, decode, encode
 from .errors import FuelExhausted, TermError
 from .sigmodel import IndexClass, ValidatedSignature, applies
@@ -287,7 +285,7 @@ def _onto_range(plan: CodecPlan, type_name: str, index: int | None, top: int) ->
 def _check_code(plan, type_name, index, code):
     try:
         term = decode(plan, type_name, index, EMPTY_COUNTS, code, DEFAULT_FUEL)
-    except (FuelExhausted, RecursionError) as exc:
+    except FuelExhausted as exc:
         return f"code {code} did not decode: {type(exc).__name__}: {exc}"
     try:
         check_term(plan.vsig, type_name, index, EMPTY_COUNTS, term)
@@ -307,14 +305,10 @@ def verify_onto(
 ) -> Verdict:
     """Every code up to the budget decodes, checks, and round-trips.
 
-    The first failing code is reported.  Runs with deep recursion
-    headroom so a non-terminating decode is reported as fuel exhaustion
-    rather than a stack overflow.
+    The first failing code is reported.  Terms of any depth are checked
+    on the calling thread; a decode that does not terminate is reported
+    when it runs out of fuel.
     """
-    return call_with_deep_stack(_verify_onto, plan, type_name, index, budget)
-
-
-def _verify_onto(plan, type_name, index, budget):
     vsig = plan.vsig
     label = vsig.class_of(type_name, index).label
     top = _onto_range(plan, type_name, index, budget.code_for(type_name, label))
@@ -332,10 +326,6 @@ def verify_one_to_one(
     budget: EnumBudget,
 ) -> Verdict:
     """Distinct terms take distinct codes, and decode inverts encode."""
-    return call_with_deep_stack(_verify_one_to_one, plan, type_name, index, budget)
-
-
-def _verify_one_to_one(plan, type_name, index, budget):
     vsig = plan.vsig
     label = vsig.class_of(type_name, index).label
     terms = enumerate_terms(vsig, type_name, index, budget.size_for(type_name, label))
@@ -351,7 +341,7 @@ def _verify_one_to_one(plan, type_name, index, budget):
         seen[code] = term
         try:
             back = decode(plan, type_name, index, EMPTY_COUNTS, code, DEFAULT_FUEL)
-        except (FuelExhausted, RecursionError) as exc:
+        except FuelExhausted as exc:
             shown = print_term(vsig, term, index=index)
             return Verdict(
                 False, checked,

@@ -20,13 +20,9 @@ for _i in range(256):
             _s |= 1 << (2 * _k)
     _SPREAD[_i] = _s
 
-_COMPACT = [0] * 65536
-for _i in range(65536):
-    _c = 0
-    for _k in range(8):
-        if _i >> (2 * _k) & 1:
-            _c |= 1 << _k
-    _COMPACT[_i] = _c
+# the even bits of a byte, gathered into a nibble; _COMPACT joins two
+_NIBBLE = [_i & 1 | _i >> 1 & 2 | _i >> 2 & 4 | _i >> 3 & 8 for _i in range(256)]
+_COMPACT = [_hi << 4 | _lo for _hi in _NIBBLE for _lo in _NIBBLE]
 
 
 def _check_nat(n: int, what: str) -> None:
@@ -73,10 +69,11 @@ def mingle_fold(codes: Sequence[int]) -> int:
     """Left-fold ``mingle`` over a nonempty sequence of naturals."""
     if not codes:
         raise ValueError("mingle_fold requires at least one code")
+    for i, c in enumerate(codes):
+        _check_nat(c, f"codes[{i}]")
     acc = codes[0]
-    _check_nat(acc, "codes[0]")
     for c in codes[1:]:
-        acc = mingle(acc, c)
+        acc = (_spread(acc) << 1) | _spread(c)
     return acc
 
 
@@ -87,8 +84,8 @@ def unmingle_fold(n: int, k: int) -> list[int]:
         raise ValueError(f"k must be a positive int, got {k!r}")
     out = []
     for _ in range(k - 1):
-        n, last = unmingle(n)
-        out.append(last)
+        out.append(_compact(n))
+        n = _compact(n >> 1)
     out.append(n)
     out.reverse()
     return out

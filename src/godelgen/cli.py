@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from ._stack import call_with_deep_stack
 from .adequacy import EnumBudget, verify_all
 from .codec import DEFAULT_FUEL, assign_tags, class_label, compare, decode, encode
 from .errors import (
@@ -249,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return call_with_deep_stack(args.handler, args)
+        return args.handler(args)
     except SigSyntaxError as exc:
         return _fail(exc, EXIT_PARSE)
     except TermError as exc:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._walk import run_walk
 from .bignat import mingle_fold, unmingle_fold
 from .errors import CodeOutOfRange, FuelExhausted, NoWellFoundedPlan, TermError
 from .sigmodel import (
     Cardinality,
-    Ctor,
     FiniteBlock,
     IndexClass,
     UNIT_CLASS,
@@ -31,6 +31,7 @@ from .termrep import (
     Term,
     TermArg,
     Var,
+    check_shape,
     check_term,
 )
 
@@ -129,7 +130,7 @@ def _first_failing_class(
                 for code in _trial_codes(card):
                     try:
                         decode(plan, decl.name, index, EMPTY_COUNTS, code, trial_fuel)
-                    except (FuelExhausted, RecursionError):
+                    except FuelExhausted:
                         return key
     return None
 
@@ -184,11 +185,6 @@ def assign_tags(vsig: ValidatedSignature, trial_fuel: int = _TRIAL_FUEL) -> Code
 # ------------------------------------------------------------------ encode
 
 
-def _slot_cardinality(vsig: ValidatedSignature, type_name: str) -> Cardinality:
-    # uniformity: every class of a family shares one cardinality
-    return vsig.cardinality(type_name, vsig.classes(type_name)[0])
-
-
 def encode(
     plan: CodecPlan,
     type_name: str,
@@ -197,6 +193,10 @@ def encode(
     term: Term,
 ) -> int:
     """Code of a well-typed term under the given free-variable counts."""
+    return run_walk(_encode(plan, type_name, index, counts, term))
+
+
+def _encode(plan, type_name, index, counts, term):
     vsig = plan.vsig
     if isinstance(term, Var):
         if (term.type_name, term.index) != (type_name, index):
@@ -212,6 +212,7 @@ def encode(
     ctor = vsig.sig.ctors.get(term.ctor)
     if ctor is None or ctor.family != type_name:
         raise TermError(f"constructor {term.ctor!r} does not construct {type_name}")
+    check_shape(ctor, term)
     cp = plan.class_plan(type_name, index)
     v = counts.get(type_name, index)
     entry = cp.finite.entry_for(term.ctor)
@@ -220,23 +221,20 @@ def encode(
         offset = 0
         for (arg, ta), radix in zip(zip(ctor.args, term.args), entry.radices):
             sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-            offset = offset * radix + encode(
-                plan, arg.type_name, sub_ix, counts, ta.body
+            offset = offset * radix + (
+                yield _encode(plan, arg.type_name, sub_ix, counts, ta.body)
             )
         return v + entry.base + offset
     if term.ctor not in cp.tags:
         raise TermError(f"constructor {term.ctor} cannot construct {cp.label}")
     tag = cp.tags.index(term.ctor)
     binding = vsig.match_index(ctor, index)
-    if len(term.index_args) != len(ctor.pi_args):
-        raise TermError(f"constructor {term.ctor} index argument count mismatch")
-    if len(term.args) != len(ctor.args):
-        raise TermError(f"constructor {term.ctor} argument count mismatch")
     slots: list[int] = []
     for (var, _ty, _ix), value in zip(ctor.pi_args, term.index_args):
         binding[var] = value
         slots.append(value)
     fin_digits: list[tuple[int, int]] = []
+    family_card = vsig.family_card
     for arg, ta in zip(ctor.args, term.args):
         sub_counts = counts
         for btype, bix in arg.binders:
@@ -244,8 +242,8 @@ def encode(
                 btype, vsig.eval_index(btype, bix, binding)
             )
         sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-        code = encode(plan, arg.type_name, sub_ix, sub_counts, ta.body)
-        card = _slot_cardinality(vsig, arg.type_name)
+        code = yield _encode(plan, arg.type_name, sub_ix, sub_counts, ta.body)
+        card = family_card[arg.type_name]
         if card.is_infinite:
             slots.append(code)
         else:
@@ -278,18 +276,10 @@ def decode(
     Fuel is debited once per decode step; running out signals a plan
     whose decode is not well founded at this code.
     """
-    cell = [fuel]
-    return _decode(plan, type_name, index, counts, code, cell)
+    return run_walk(_decode(plan, type_name, index, counts, code, [fuel]))
 
 
-def _decode(
-    plan: CodecPlan,
-    type_name: str,
-    index: int | None,
-    counts: CountVector,
-    code: int,
-    cell: list[int],
-) -> Term:
+def _decode(plan, type_name, index, counts, code, cell):
     if cell[0] <= 0:
         raise FuelExhausted(
             f"decode ran out of fuel at {type_name} code {code};"
@@ -317,7 +307,7 @@ def _decode(
         for arg, d in zip(ctor.args, digits):
             sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
             args.append(
-                TermArg(0, _decode(plan, arg.type_name, sub_ix, counts, d, cell))
+                TermArg(0, (yield _decode(plan, arg.type_name, sub_ix, counts, d, cell)))
             )
         return Con(entry.ctor_name, (), tuple(args))
     if not cp.tags:
@@ -330,8 +320,9 @@ def _decode(
     q, tag = divmod(c - cp.finite.total, len(cp.tags))
     ctor = vsig.sig.ctors[cp.tags[tag]]
     slot_kinds: list[int] = []  # finite radix, or 0 for an infinite slot
+    family_card = vsig.family_card
     for arg in ctor.args:
-        card = _slot_cardinality(vsig, arg.type_name)
+        card = family_card[arg.type_name]
         slot_kinds.append(0 if card.is_infinite else card.count)
     fin_rev: list[int] = []
     for radix in reversed(slot_kinds):
@@ -355,12 +346,8 @@ def _decode(
                 btype, vsig.eval_index(btype, bix, binding)
             )
         sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-        args.append(
-            TermArg(
-                len(arg.binders),
-                _decode(plan, arg.type_name, sub_ix, sub_counts, sub_code, cell),
-            )
-        )
+        body = yield _decode(plan, arg.type_name, sub_ix, sub_counts, sub_code, cell)
+        args.append(TermArg(len(arg.binders), body))
     return Con(ctor.name, tuple(values[:n_pi]), tuple(args))
 
 

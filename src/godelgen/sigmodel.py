@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._walk import run_walk
 from .errors import Diagnostic, SigSyntaxError, SigValidationError
 
 # Counts above this are treated as infinite.  Classes whose true count
@@ -156,18 +157,6 @@ class SType:
 SExpr = SName | SNum | SApp | SArrow | SBind | SPi | SType
 
 
-def _pos(e: SExpr) -> tuple[int, int]:
-    if isinstance(e, (SName, SNum, SType)):
-        return e.line, e.col
-    if isinstance(e, SApp):
-        return _pos(e.fn)
-    if isinstance(e, SArrow):
-        return _pos(e.arg)
-    if isinstance(e, (SBind, SPi)):
-        return _pos(e.body)
-    return 0, 0
-
-
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
@@ -197,38 +186,42 @@ class _Parser:
         return tok.kind in ("ident", "num") or tok.text in ("(", "[")
 
     def expr(self) -> SExpr:
+        """One expression; _expr, _pi, _app and _atom are walks (run_walk)."""
+        return run_walk(self._expr())
+
+    def _expr(self):
         if self.peek().text == "{":
-            return self._pi()
-        parts: list[tuple[str | None, SExpr]] = [(None, self.app())]
+            return (yield from self._pi())
+        parts: list[tuple[str | None, SExpr]] = [(None, (yield from self._app()))]
         while self.peek().kind == "op" and self.peek().text in ("->", "<-"):
             op = self.advance().text
             if self.peek().text == "{":
-                parts.append((op, self._pi()))
+                parts.append((op, (yield from self._pi())))
             else:
-                parts.append((op, self.app()))
+                parts.append((op, (yield from self._app())))
         return _build_arrows(parts)
 
-    def _pi(self) -> SPi:
+    def _pi(self):
         self.expect("{")
         var_tok = self.peek()
         if var_tok.kind not in ("ident", "num"):
             self.fail("expected a variable name after '{'")
         self.advance()
         self.expect(":")
-        var_type = self.expr()
+        var_type = yield self._expr()
         self.expect("}")
-        body = self.expr()
+        body = yield self._expr()
         return SPi(var_tok.text, var_type, body)
 
-    def app(self) -> SExpr:
-        atoms = [self.atom()]
+    def _app(self):
+        atoms = [(yield from self._atom())]
         while self._starts_atom():
-            atoms.append(self.atom())
+            atoms.append((yield from self._atom()))
         if len(atoms) == 1:
             return atoms[0]
         return SApp(atoms[0], tuple(atoms[1:]))
 
-    def atom(self) -> SExpr:
+    def _atom(self):
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
@@ -240,7 +233,7 @@ class _Parser:
             return SNum(int(tok.text), tok.line, tok.col)
         if tok.text == "(":
             self.advance()
-            inner = self.expr()
+            inner = yield self._expr()
             self.expect(")")
             return inner
         if tok.text == "[":
@@ -252,7 +245,7 @@ class _Parser:
             self.expect("]")
             # a binder extends as far right as possible; parenthesize it
             # when it is not the last argument
-            body = self.expr()
+            body = yield self._expr()
             return SBind(var_tok.text, body)
         self.fail(f"unexpected {tok.text or 'end of input'!r}")
 
@@ -718,12 +711,14 @@ def _index_value(
         return binding.get(expr.name)
     shape = nat_shapes.get(ixtype)
     if shape is not None:
-        if expr.name == shape.zero and not expr.args:
-            return 0
-        if expr.name == shape.succ and len(expr.args) == 1:
-            sub = _index_value(sig, nat_shapes, block_of, ixtype, expr.args[0], binding)
-            return None if sub is None else 1 + sub
-        return None
+        succs = 0  # a successor chain is counted in a loop, at any depth
+        while expr.name == shape.succ and len(expr.args) == 1:
+            succs += 1
+            expr = expr.args[0]
+            if not isinstance(expr, IxCon):
+                sub = _index_value(sig, nat_shapes, block_of, ixtype, expr, binding)
+                return None if sub is None else sub + succs
+        return succs if expr.name == shape.zero and not expr.args else None
     block = block_of(ixtype)
     entry = block.entry_for(expr.name) if block is not None else None
     if entry is None or len(expr.args) != len(entry.radices):
@@ -740,9 +735,6 @@ def _index_value(
 class _Analyzer:
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.diags: list[Diagnostic] = []
-        self._seen: set[Diagnostic] = set()
-        self.collecting = False
         self.nat_shapes = {
             d.name: shape for d in sig.decls if (shape := _nat_shape(d)) is not None
         }
@@ -762,8 +754,6 @@ class _Analyzer:
                 self.raw_kinds[d.name] = "multi"
 
     def defer(self, rule: str, subject: str, message: str) -> None:
-        if not self.collecting:
-            return
         d = Diagnostic(rule, subject, message)
         if d not in self._seen:
             self._seen.add(d)
@@ -772,6 +762,9 @@ class _Analyzer:
     # ---- per-round state
 
     def _setup_round(self, prev_card) -> None:
+        # each round reports afresh; the stable round's list is the result
+        self.diags: list[Diagnostic] = []
+        self._seen: set[Diagnostic] = set()
         self.kinds = {}
         self.classes = {}
         for d in self.sig.decls:
@@ -1016,12 +1009,11 @@ class _Analyzer:
             self.sig, self.nat_shapes, self._index_block, tkind.type_name, expr, {}
         )
         if value is None:
-            if self.collecting:
-                self.defer(
-                    "index-expr",
-                    ctor.name,
-                    f"invalid index expression for type {target_type}",
-                )
+            self.defer(
+                "index-expr",
+                ctor.name,
+                f"invalid index expression for type {target_type}",
+            )
             return frozenset(), False
         if value >= tkind.count:
             self.defer(
@@ -1231,13 +1223,7 @@ class _Analyzer:
             raise SigValidationError(
                 [Diagnostic("analysis", "signature", "index analysis did not stabilize")]
             )
-
-        # one more pass with diagnostics on, against the stable state
-        self.collecting = True
-        self._setup_round(stable)
-        card = self._fixpoint()
         patterns = {c: self.pattern_of(self.sig.ctors[c]) for c in self.sig.ctors}
-        self.collecting = False
 
         nat_literal = None
         shape = self.nat_shapes.get("nat")
@@ -1247,7 +1233,7 @@ class _Analyzer:
         return Analysis(
             kinds=dict(self.kinds),
             classes=dict(self.classes),
-            card=card,
+            card=stable,
             patterns=patterns,
             nat_shapes=self.nat_shapes,
             deferred=list(self.diags),
@@ -1270,6 +1256,7 @@ class ValidatedSignature:
     sig: Signature
     analysis: Analysis
     partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]]
+    family_card: dict[str, Cardinality]  # uniformity: one per family
 
     @property
     def decls(self) -> list[TypeDecl]:
@@ -1371,9 +1358,13 @@ def validate(sig: Signature) -> ValidatedSignature:
         sig.analysis = analyzer.run()
     else:
         analyzer._setup_round(sig.analysis.card)
-    analyzer.collecting = True
     ana = sig.analysis
     diags: list[Diagnostic] = list(ana.deferred)
+    # an index type whose instances need its own index values has no
+    # instance block; the checks that evaluate its indices only restate that
+    self_indexed = [d for d in diags if d.rule == "index-type"]
+    if self_indexed:
+        raise SigValidationError(self_indexed)
 
     def add(rule: str, subject: str, message: str) -> None:
         d = Diagnostic(rule, subject, message)
@@ -1479,7 +1470,8 @@ def validate(sig: Signature) -> ValidatedSignature:
 
     if diags:
         raise SigValidationError(diags)
-    return ValidatedSignature(sig, ana, partitions)
+    family_card = {t: ana.card[(t, classes[0])] for t, classes in ana.classes.items()}
+    return ValidatedSignature(sig, ana, partitions, family_card)
 
 
 def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:

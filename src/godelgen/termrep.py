@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._walk import run_walk
 from .errors import SigSyntaxError, TermError
 from .sigmodel import (
     Ctor,
@@ -43,11 +44,31 @@ class TermArg:
     body: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Con:
     ctor: str
     index_args: tuple[int, ...] = ()
     args: tuple[TermArg, ...] = ()
+
+    # == and hash use the pre-order list of nodes and their binder counts,
+    # which determines the term; it is built in a loop, so any depth works
+
+    def _flat(self) -> list:
+        flat, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Con):
+                flat.append((t.ctor, t.index_args, tuple(ta.binder_count for ta in t.args)))
+                todo.extend(ta.body for ta in t.args)
+            else:
+                flat.append(t)
+        return flat
+
+    def __eq__(self, other) -> bool:
+        return self._flat() == other._flat() if isinstance(other, Con) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._flat()))
 
 
 Term = Var | Con
@@ -60,16 +81,16 @@ class CountVector:
 
     def __init__(self, counts: dict | None = None):
         self._counts = dict(counts) if counts else {}
-        self._hash = hash(frozenset(self._counts.items()))
+        self._hash = None  # computed on first use; extend builds many
 
     def get(self, type_name: str, index: int | None) -> int:
         return self._counts.get((type_name, index), 0)
 
     def extend(self, type_name: str, index: int | None) -> "CountVector":
-        new = dict(self._counts)
+        new = CountVector(self._counts)
         key = (type_name, index)
-        new[key] = new.get(key, 0) + 1
-        return CountVector(new)
+        new._counts[key] = new._counts.get(key, 0) + 1
+        return new
 
     def items(self):
         return self._counts.items()
@@ -78,6 +99,8 @@ class CountVector:
         return isinstance(other, CountVector) and self._counts == other._counts
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -94,18 +117,22 @@ class CountVector:
 EMPTY_COUNTS = CountVector()
 
 
-def _surface_to_index(vsig: ValidatedSignature, e: SExpr):
+def _surface_to_index(e: SExpr):
+    """Walk: the index expression that surface e spells."""
     if isinstance(e, SNum):
         return IxNum(e.value)
     if isinstance(e, SName):
         return IxCon(e.name)
     if isinstance(e, SApp) and isinstance(e.fn, SName):
-        return IxCon(e.fn.name, tuple(_surface_to_index(vsig, a) for a in e.args))
+        args = []
+        for a in e.args:
+            args.append((yield _surface_to_index(a)))
+        return IxCon(e.fn.name, tuple(args))
     raise TermError("invalid index value")
 
 
 def _index_value(vsig: ValidatedSignature, e: SExpr, ixtype: str) -> int:
-    value = vsig.index_value(ixtype, _surface_to_index(vsig, e), {})
+    value = vsig.index_value(ixtype, run_walk(_surface_to_index(e)), {})
     if value is None:
         raise TermError(f"invalid {ixtype} index value")
     return value
@@ -120,7 +147,7 @@ def parse_term(
         surface = parse_term_text(text)
     except SigSyntaxError as exc:
         raise TermError(f"term syntax error: {exc}") from None
-    return _elab(vsig, surface, type_name, index, {}, EMPTY_COUNTS)
+    return run_walk(_elab(vsig, surface, type_name, index, {}, EMPTY_COUNTS))
 
 
 def _check_target(
@@ -145,7 +172,8 @@ def _elab(
     want_index: int | None,
     scope: dict[str, tuple[str, int | None, int]],
     counts: CountVector,
-) -> Term:
+):
+    """Walk: the term that surface e elaborates to at the wanted type."""
     if isinstance(e, SName):
         if e.name in scope:
             t, ix, level = scope[e.name]
@@ -165,15 +193,17 @@ def _elab(
                 )
             # abbreviations expand where they occur; their bodies are
             # closed, so the current scope never leaks in
-            return _elab(vsig, ab.body, want_type, want_index, {}, counts)
+            return (yield from _elab(vsig, ab.body, want_type, want_index, {}, counts))
         if e.name in vsig.sig.ctors:
-            return _elab_con(vsig, vsig.sig.ctors[e.name], (), want_type, want_index, scope, counts)
+            return (yield from _elab_con(
+                vsig, vsig.sig.ctors[e.name], (), want_type, want_index, scope, counts
+            ))
         raise TermError(f"unbound name {e.name!r}")
     if isinstance(e, SNum):
         if str(e.value) in vsig.sig.ctors:
-            return _elab_con(
+            return (yield from _elab_con(
                 vsig, vsig.sig.ctors[str(e.value)], (), want_type, want_index, scope, counts
-            )
+            ))
         lit = vsig.analysis.nat_literal
         if lit is not None and want_type == lit.type_name:
             term: Term = Con("z")
@@ -194,9 +224,9 @@ def _elab(
             raise TermError(f"abbreviation {fname} cannot be applied")
         if fname not in vsig.sig.ctors:
             raise TermError(f"unbound name {fname!r}")
-        return _elab_con(
+        return (yield from _elab_con(
             vsig, vsig.sig.ctors[fname], e.args, want_type, want_index, scope, counts
-        )
+        ))
     if isinstance(e, SBind):
         raise TermError(f"binder [{e.var}] is only allowed in constructor arguments")
     raise TermError("invalid term")
@@ -210,7 +240,7 @@ def _elab_con(
     want_index: int | None,
     scope: dict,
     counts: CountVector,
-) -> Term:
+):
     if ctor.family != want_type:
         raise TermError(
             f"constructor {ctor.name} constructs {ctor.family},"
@@ -236,8 +266,9 @@ def _elab_con(
 
     args = []
     for arg, se in zip(ctor.args, surface_args[n_pi:]):
-        inner_scope = dict(scope)
-        inner_counts = counts
+        inner_scope, inner_counts = scope, counts
+        if arg.binders:
+            inner_scope = dict(scope)
         for bt, bix in arg.binders:
             if not isinstance(se, SBind):
                 raise TermError(
@@ -253,7 +284,7 @@ def _elab_con(
             raise TermError(
                 f"argument of {ctor.name} binds only {len(arg.binders)} variable(s)"
             )
-        body = _elab(
+        body = yield _elab(
             vsig,
             se,
             arg.type_name,
@@ -326,7 +357,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
             text = f"{shape.succ} ({text})" if " " in text else f"{shape.succ} {text}"
         return f"({text})" if " " in text else text
 
-    def render(t: Term, index, env: dict, counts: CountVector) -> str:
+    def render(t: Term, index, env: dict, counts: CountVector):
         if isinstance(t, Var):
             name = env.get((t.type_name, t.index, t.level))
             if name is None:
@@ -342,9 +373,9 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
             binding[var] = value
             parts.append((index_value_text(ptype, value), False))
         for arg, ta in zip(ctor.args, t.args):
-            inner_env = dict(env)
-            inner_counts = counts
-            names = []
+            inner_env, inner_counts, names = env, counts, []
+            if arg.binders:
+                inner_env = dict(env)
             for bt, bix in arg.binders:
                 b_index = vsig.eval_index(bt, bix, binding)
                 level = inner_counts.get(bt, b_index)
@@ -353,7 +384,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 inner_counts = inner_counts.extend(bt, b_index)
                 names.append(name)
             body_index = vsig.eval_index(arg.type_name, arg.index, binding)
-            body = render(ta.body, body_index, inner_env, inner_counts)
+            body = yield render(ta.body, body_index, inner_env, inner_counts)
             if names:
                 parts.append(("".join(f"[{n}] " for n in names) + body, True))
             else:
@@ -374,7 +405,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 rendered.append(text)
         return " ".join(rendered)
 
-    return render(term, index, {}, EMPTY_COUNTS)
+    return run_walk(render(term, index, {}, EMPTY_COUNTS))
 
 
 def _infer_index(vsig: ValidatedSignature, term: Term) -> int | None:
@@ -401,7 +432,11 @@ def check_term(
     term: Term,
 ) -> None:
     """Raise TermError unless term is well-typed at (type, index) under counts."""
-    cls = _check_target(vsig, type_name, index)
+    _check_target(vsig, type_name, index)
+    run_walk(_check(vsig, type_name, index, counts, term))
+
+
+def _check(vsig, type_name, index, counts, term):
     if isinstance(term, Var):
         if (term.type_name, term.index) != (type_name, index):
             raise TermError(
@@ -422,10 +457,31 @@ def check_term(
             f"constructor {term.ctor} constructs {ctor.family},"
             f" expected {_describe(type_name, index)}"
         )
-    if not applies(vsig.pattern(ctor.name), cls):
+    if not applies(vsig.pattern(ctor.name), vsig.class_of(type_name, index)):
         raise TermError(
             f"constructor {term.ctor} cannot construct {_describe(type_name, index)}"
         )
+    check_shape(ctor, term)
+    binding = vsig.match_index(ctor, index)
+    for (var, ptype, _), value in zip(ctor.pi_args, term.index_args):
+        binding[var] = value
+    for arg, ta in zip(ctor.args, term.args):
+        inner = counts
+        for bt, bix in arg.binders:
+            inner = inner.extend(bt, vsig.eval_index(bt, bix, binding))
+        yield _check(
+            vsig,
+            arg.type_name,
+            vsig.eval_index(arg.type_name, arg.index, binding),
+            inner,
+            ta.body,
+        )
+
+
+def check_shape(ctor: Ctor, term: Con) -> None:
+    """Raise TermError unless term has ctor's argument and index-argument
+    counts, binds as many variables in each argument, and its index
+    arguments are naturals."""
     if len(term.index_args) != len(ctor.pi_args):
         raise TermError(
             f"constructor {term.ctor} takes {len(ctor.pi_args)} index"
@@ -436,36 +492,25 @@ def check_term(
             f"constructor {term.ctor} takes {len(ctor.args)} argument(s),"
             f" got {len(term.args)}"
         )
-    binding = vsig.match_index(ctor, index)
-    for (var, ptype, _), value in zip(ctor.pi_args, term.index_args):
-        if value < 0:
-            raise TermError(f"negative index argument on {term.ctor}")
-        binding[var] = value
+    for value in term.index_args:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise TermError(f"index argument {value!r} of {term.ctor} is not a natural")
     for pos, (arg, ta) in enumerate(zip(ctor.args, term.args)):
         if ta.binder_count != len(arg.binders):
             raise TermError(
                 f"argument {pos} of {term.ctor} binds {len(arg.binders)}"
                 f" variable(s), term has {ta.binder_count}"
             )
-        inner = counts
-        for bt, bix in arg.binders:
-            inner = inner.extend(bt, vsig.eval_index(bt, bix, binding))
-        check_term(
-            vsig,
-            arg.type_name,
-            vsig.eval_index(arg.type_name, arg.index, binding),
-            inner,
-            ta.body,
-        )
 
 
 def term_size(term: Term) -> int:
     """Number of nodes; explicit index values of magnitude v count v + 1."""
-    if isinstance(term, Var):
-        return 1
-    total = 1
-    for v in term.index_args:
-        total += v + 1
-    for ta in term.args:
-        total += term_size(ta.body)
+    total = 0
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        total += 1
+        if isinstance(t, Con):
+            total += sum(t.index_args) + len(t.index_args)
+            todo.extend(ta.body for ta in t.args)
     return total

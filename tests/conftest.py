@@ -1,13 +1,8 @@
-import sys
 from pathlib import Path
 
 import pytest
 
 from godelgen import sigmodel
-
-# iterated-successor terms get deep; the default limit cuts off around
-# code 300 on the nat signature
-sys.setrecursionlimit(10000)
 
 DATA = Path(__file__).parent / "data"
 

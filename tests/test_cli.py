@@ -80,6 +80,10 @@ class TestCheck:
         code, _, err = run(capsys, ["check", str(bad)])
         assert code == 2
         assert "[index-type]" in err
+        assert err.splitlines() == [
+            "error: p: the instances of index type p depend on index values"
+            " of type p [index-type]"
+        ]
 
     def test_unstable_analysis_is_a_semantic_error(self, capsys, monkeypatch):
         rounds = iter(range(1000))

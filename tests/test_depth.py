@@ -1,0 +1,118 @@
+"""Deep terms, threads and Ctrl-C.
+
+Every check runs in a fresh interpreter at the default recursion limit,
+so no setting made by the test session can hide a depth failure.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+from conftest import sig_path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DEPTH = 50_000
+NAT_TEXT = "s (" * (DEPTH - 1) + "s z" + ")" * (DEPTH - 1)
+
+
+def fresh_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(code: str, *args: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        env=fresh_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_deep_nat_round_trips_at_the_default_limit():
+    out = run_fresh(
+        """
+        import sys
+        from godelgen import (Con, TermArg, assign_tags, check_term, decode_closed,
+                              encode_closed, parse_signature, parse_term, print_term,
+                              term_size, validate)
+        from godelgen.termrep import EMPTY_COUNTS
+
+        assert sys.getrecursionlimit() == 1000
+        depth = int(sys.argv[2])
+        vsig = validate(parse_signature(open(sys.argv[1]).read()))
+        plan = assign_tags(vsig)
+        term = Con("z")
+        for _ in range(depth):
+            term = Con("s", (), (TermArg(0, term),))
+        decoded = decode_closed(plan, "nat", None, depth, fuel=60_000)
+        assert decoded == term and decoded is not term
+        assert hash(decoded) == hash(term)
+        assert encode_closed(plan, "nat", None, term) == depth
+        check_term(vsig, "nat", None, EMPTY_COUNTS, term)
+        text = print_term(vsig, term)
+        assert text == "s (" * (depth - 1) + "s z" + ")" * (depth - 1)
+        assert parse_term(vsig, "nat", None, text) == term
+        assert term_size(term) == depth + 1
+        print("ok")
+        """,
+        str(sig_path("nat")), str(DEPTH),
+    )
+    assert out == "ok\n"
+
+
+def test_cli_decodes_a_deep_nat():
+    done = subprocess.run(
+        [sys.executable, "-m", "godelgen.cli", "decode", str(sig_path("nat")),
+         "--type", "nat", "--fuel", "60000", str(DEPTH)],
+        env=fresh_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == NAT_TEXT + "\n"
+
+
+def test_sigint_ends_verify():
+    # verify on nat at the default budget runs for minutes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "godelgen.cli", "verify", str(sig_path("nat"))],
+        env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        time.sleep(2)
+        assert proc.poll() is None, "verify finished before it was interrupted"
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+            raise AssertionError("verify still running 10 s after SIGINT")
+
+
+def test_verify_and_cli_start_no_thread_and_keep_the_limit():
+    out = run_fresh(
+        """
+        import sys
+        import threading
+
+        from godelgen import EnumBudget, assign_tags, cli, parse_signature, validate, verify_all
+
+        started, limits = [], []
+        real_start, real_limit = threading.Thread.start, sys.setrecursionlimit
+        threading.Thread.start = lambda self: started.append(self.name) or real_start(self)
+        sys.setrecursionlimit = lambda n: limits.append(n) or real_limit(n)
+        before = sys.getrecursionlimit()
+        plan = assign_tags(validate(parse_signature(open(sys.argv[1]).read())))
+        verify_all(plan, EnumBudget(max_size=3, max_code=50))
+        assert cli.run(["verify", sys.argv[1], "--max-size", "3", "--max-code", "50"]) == 0
+        assert cli.run(["decode", sys.argv[1], "--type", "nat", "7"]) == 0
+        print(started, limits, sys.getrecursionlimit() == before)
+        """,
+        str(sig_path("nat")),
+    )
+    assert out.splitlines()[-1] == "[] [] True"

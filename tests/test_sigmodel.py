@@ -392,6 +392,8 @@ def test_reject_index_type_indexed_through_itself():
     # p's block needs the value of `a`, which needs p's block
     diags = rejection("p : type. a : p. q : p -> type. qa : q a. mk : q a -> p.")
     assert any(d.rule == "index-type" and d.subject == "p" for d in diags)
+    # and nothing that only restates it (mk's index, q's uniformity)
+    assert [(d.rule, d.subject) for d in diags] == [("index-type", "p")]
 
 
 def test_reject_unresolved_result_index():
