@@ -31,6 +31,7 @@ from .termrep import (
     Term,
     TermArg,
     Var,
+    binder_mismatch,
     check_shape,
     check_term,
 )
@@ -220,6 +221,8 @@ def _encode(plan, type_name, index, counts, term):
         binding = vsig.match_index(ctor, index)
         offset = 0
         for (arg, ta), radix in zip(zip(ctor.args, term.args), entry.radices):
+            if ta.binder_count:  # a finite block's constructors bind nothing
+                raise binder_mismatch(term, arg, ta)
             sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
             offset = offset * radix + (
                 yield _encode(plan, arg.type_name, sub_ix, counts, ta.body)
@@ -236,6 +239,8 @@ def _encode(plan, type_name, index, counts, term):
     fin_digits: list[tuple[int, int]] = []
     family_card = vsig.family_card
     for arg, ta in zip(ctor.args, term.args):
+        if ta.binder_count != len(arg.binders):
+            raise binder_mismatch(term, arg, ta)
         sub_counts = counts
         for btype, bix in arg.binders:
             sub_counts = sub_counts.extend(

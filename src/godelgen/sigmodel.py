@@ -37,7 +37,7 @@ _OPERATORS = {"->", "<-", "="}
 _IDENT_EXTRA = set("_'/+*<>=&^?!#@~|-")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 4x per token
 class Token:
     kind: str  # 'ident' | 'num' | 'punct' | 'op' | 'abbrev' | 'eof'
     text: str
@@ -1211,15 +1211,13 @@ class _Analyzer:
 
     def run(self) -> Analysis:
         prev: dict[tuple[str, IndexClass], Cardinality] = {}
-        stable = None
         for _ in range(10):
             self._setup_round(prev)
             card = self._fixpoint()
             if card == prev:
-                stable = card
                 break
             prev = card
-        if stable is None:
+        else:
             raise SigValidationError(
                 [Diagnostic("analysis", "signature", "index analysis did not stabilize")]
             )
@@ -1233,7 +1231,7 @@ class _Analyzer:
         return Analysis(
             kinds=dict(self.kinds),
             classes=dict(self.classes),
-            card=stable,
+            card=card,
             patterns=patterns,
             nat_shapes=self.nat_shapes,
             deferred=list(self.diags),

@@ -266,9 +266,8 @@ def _elab_con(
 
     args = []
     for arg, se in zip(ctor.args, surface_args[n_pi:]):
-        inner_scope, inner_counts = scope, counts
-        if arg.binders:
-            inner_scope = dict(scope)
+        inner_scope = dict(scope) if arg.binders else scope
+        inner_counts = counts
         for bt, bix in arg.binders:
             if not isinstance(se, SBind):
                 raise TermError(
@@ -373,9 +372,8 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
             binding[var] = value
             parts.append((index_value_text(ptype, value), False))
         for arg, ta in zip(ctor.args, t.args):
-            inner_env, inner_counts, names = env, counts, []
-            if arg.binders:
-                inner_env = dict(env)
+            inner_env = dict(env) if arg.binders else env
+            inner_counts, names = counts, []
             for bt, bix in arg.binders:
                 b_index = vsig.eval_index(bt, bix, binding)
                 level = inner_counts.get(bt, b_index)
@@ -466,6 +464,8 @@ def _check(vsig, type_name, index, counts, term):
     for (var, ptype, _), value in zip(ctor.pi_args, term.index_args):
         binding[var] = value
     for arg, ta in zip(ctor.args, term.args):
+        if ta.binder_count != len(arg.binders):
+            raise binder_mismatch(term, arg, ta)
         inner = counts
         for bt, bix in arg.binders:
             inner = inner.extend(bt, vsig.eval_index(bt, bix, binding))
@@ -480,8 +480,8 @@ def _check(vsig, type_name, index, counts, term):
 
 def check_shape(ctor: Ctor, term: Con) -> None:
     """Raise TermError unless term has ctor's argument and index-argument
-    counts, binds as many variables in each argument, and its index
-    arguments are naturals."""
+    counts and its index arguments are naturals.  The loops over the
+    arguments check each one's binder count (see binder_mismatch)."""
     if len(term.index_args) != len(ctor.pi_args):
         raise TermError(
             f"constructor {term.ctor} takes {len(ctor.pi_args)} index"
@@ -495,12 +495,15 @@ def check_shape(ctor: Ctor, term: Con) -> None:
     for value in term.index_args:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise TermError(f"index argument {value!r} of {term.ctor} is not a natural")
-    for pos, (arg, ta) in enumerate(zip(ctor.args, term.args)):
-        if ta.binder_count != len(arg.binders):
-            raise TermError(
-                f"argument {pos} of {term.ctor} binds {len(arg.binders)}"
-                f" variable(s), term has {ta.binder_count}"
-            )
+
+
+def binder_mismatch(term: Con, arg, ta: TermArg) -> TermError:
+    """The error for an argument that binds other than its slot's count."""
+    pos = next(i for i, t in enumerate(term.args) if t is ta)
+    return TermError(
+        f"argument {pos} of {term.ctor} binds {len(arg.binders)}"
+        f" variable(s), term has {ta.binder_count}"
+    )
 
 
 def term_size(term: Term) -> int:

@@ -39,6 +39,7 @@ from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
     TermArg,
+    Var,
     check_term,
     parse_term,
     print_term,
@@ -314,6 +315,27 @@ def test_encode_rejects_ill_fitting_terms(vsigs, plans):
     lam0 = parse_term(vsigs["lambda"], "t", None, "lam [x] x")
     with pytest.raises(TermError):
         encode_closed(plans["termfam"], "term", 0, lam0)
+    # wrong argument, index-argument and binder counts, and index
+    # arguments that are not naturals; the finite ones once got codes
+    pair = assign_tags(validate(parse_signature(
+        "bool : type. true : bool. false : bool. pair : type. mk : bool -> bool -> pair."
+    )))
+    true, false, ident = Con("true"), Con("false"), Con("lam", (), (TermArg(1, Var("t", None, 0)),))
+    cases = [
+        (pair, "pair", None, Con("mk", (), (TermArg(0, false),))),  # coded as mk true false
+        (pair, "pair", None, Con("mk")),
+        (pair, "pair", None, Con("mk", (), (TermArg(0, true), TermArg(0, false), TermArg(0, true)))),
+        (pair, "pair", None, Con("mk", (5,), (TermArg(0, true), TermArg(0, false)))),
+        (pair, "bool", None, Con("true", (), (TermArg(0, false),))),
+        (plans["lambda"], "t", None, Con("lam", (), (TermArg(0, ident),))),
+        (plans["lambda"], "t", None, Con("app", (), (TermArg(1, ident), TermArg(0, ident)))),
+    ] + [
+        (plans["exists"], "term", 0, Con("exists", (value,), (TermArg(1, Con("unit")),)))
+        for value in (-1, True, "1", 1.0)
+    ]
+    for plan, type_name, index, term in cases:
+        with pytest.raises(TermError):
+            encode_closed(plan, type_name, index, term)
 
 
 # --------------------------------------------------------- decode anchors
