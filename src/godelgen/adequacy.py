@@ -177,49 +177,40 @@ def _terms_at(vsig, type_name, index, size, counts, memo):
     for ctor in decl.ctors:
         if not applies(vsig.pattern(ctor.name), cls):
             continue
-        binding = vsig.match_index(ctor, index)
-        for pi_values, args in _fill_pis(
-            vsig, ctor, 0, size - 1, binding, counts, memo
-        ):
-            results.append(Con(ctor.name, pi_values, args))
+        for pi_values, left in _pi_values(len(ctor.pi_args), size - 1, len(ctor.args)):
+            targets = vsig.arg_targets(ctor.name, index, pi_values)
+            for args in _fill_args(vsig, targets, 0, left, counts, memo):
+                results.append(Con(ctor.name, pi_values, args))
     memo[key] = results
     return results
 
 
-def _fill_pis(vsig, ctor, i, budget, binding, counts, memo):
-    if i == len(ctor.pi_args):
-        for args in _fill_args(vsig, ctor, 0, budget, binding, counts, memo):
-            yield (), args
+def _pi_values(n, budget, reserve):
+    """Each tuple of n explicit index values, a value v taking v + 1 of
+    budget and reserve left for the arguments, with the budget left."""
+    if n == 0:
+        yield (), budget
         return
-    var = ctor.pi_args[i][0]
-    min_rest = (len(ctor.pi_args) - i - 1) + len(ctor.args)
-    for value in range(budget - min_rest):  # a value v occupies v + 1
-        binding[var] = value
-        for pis, args in _fill_pis(
-            vsig, ctor, i + 1, budget - value - 1, binding, counts, memo
-        ):
-            yield (value,) + pis, args
-    binding.pop(var, None)
+    for value in range(budget - reserve - (n - 1)):
+        for rest, left in _pi_values(n - 1, budget - value - 1, reserve):
+            yield (value,) + rest, left
 
 
-def _fill_args(vsig, ctor, j, budget, binding, counts, memo):
-    if j == len(ctor.args):
+def _fill_args(vsig, targets, j, budget, counts, memo):
+    if j == len(targets):
         if budget == 0:
             yield ()
         return
-    arg = ctor.args[j]
-    sub_counts = counts
-    for btype, bix in arg.binders:
-        sub_counts = sub_counts.extend(btype, vsig.eval_index(btype, bix, binding))
-    sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-    min_rest = len(ctor.args) - j - 1
+    arg_type, arg_index, keys = targets[j]
+    sub_counts = counts.bind(keys) if keys else counts
+    min_rest = len(targets) - j - 1
     for size in range(1, budget - min_rest + 1):
-        subs = _terms_at(vsig, arg.type_name, sub_ix, size, sub_counts, memo)
+        subs = _terms_at(vsig, arg_type, arg_index, size, sub_counts, memo)
         if not subs:
             continue
-        for rest in _fill_args(vsig, ctor, j + 1, budget - size, binding, counts, memo):
+        for rest in _fill_args(vsig, targets, j + 1, budget - size, counts, memo):
             for sub in subs:
-                yield (TermArg(len(arg.binders), sub),) + rest
+                yield (TermArg(len(keys), sub),) + rest
 
 
 # -------------------------------------------------------------- verifiers

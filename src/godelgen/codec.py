@@ -31,9 +31,9 @@ from .termrep import (
     Term,
     TermArg,
     Var,
+    _check_target,
     binder_mismatch,
     check_shape,
-    check_term,
 )
 
 DEFAULT_FUEL = 100_000
@@ -216,39 +216,28 @@ def _encode(plan, type_name, index, counts, term):
     check_shape(ctor, term)
     cp = plan.class_plan(type_name, index)
     v = counts.get(type_name, index)
+    targets = vsig.arg_targets(term.ctor, index, term.index_args)
     entry = cp.finite.entry_for(term.ctor)
     if entry is not None:
-        binding = vsig.match_index(ctor, index)
         offset = 0
-        for (arg, ta), radix in zip(zip(ctor.args, term.args), entry.radices):
+        for (arg_type, arg_index, _), ta, radix in zip(targets, term.args, entry.radices):
             if ta.binder_count:  # a finite block's constructors bind nothing
-                raise binder_mismatch(term, arg, ta)
-            sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-            offset = offset * radix + (
-                yield _encode(plan, arg.type_name, sub_ix, counts, ta.body)
-            )
+                raise binder_mismatch(term, 0, ta)
+            code = yield _encode(plan, arg_type, arg_index, counts, ta.body)
+            offset = offset * radix + code
         return v + entry.base + offset
     if term.ctor not in cp.tags:
         raise TermError(f"constructor {term.ctor} cannot construct {cp.label}")
     tag = cp.tags.index(term.ctor)
-    binding = vsig.match_index(ctor, index)
-    slots: list[int] = []
-    for (var, _ty, _ix), value in zip(ctor.pi_args, term.index_args):
-        binding[var] = value
-        slots.append(value)
+    slots = list(term.index_args)
     fin_digits: list[tuple[int, int]] = []
     family_card = vsig.family_card
-    for arg, ta in zip(ctor.args, term.args):
-        if ta.binder_count != len(arg.binders):
-            raise binder_mismatch(term, arg, ta)
-        sub_counts = counts
-        for btype, bix in arg.binders:
-            sub_counts = sub_counts.extend(
-                btype, vsig.eval_index(btype, bix, binding)
-            )
-        sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-        code = yield _encode(plan, arg.type_name, sub_ix, sub_counts, ta.body)
-        card = family_card[arg.type_name]
+    for (arg_type, arg_index, keys), ta in zip(targets, term.args):
+        if ta.binder_count != len(keys):
+            raise binder_mismatch(term, len(keys), ta)
+        sub_counts = counts.bind(keys) if keys else counts
+        code = yield _encode(plan, arg_type, arg_index, sub_counts, ta.body)
+        card = family_card[arg_type]
         if card.is_infinite:
             slots.append(code)
         else:
@@ -301,59 +290,46 @@ def _decode(plan, type_name, index, counts, code, cell):
     c = code - v
     if c < cp.finite.total:
         entry, offset = cp.finite.entry_at(c)
-        ctor = vsig.sig.ctors[entry.ctor_name]
-        digits: list[int] = []
+        name, index_args, sub_codes = entry.ctor_name, (), []
         for radix in reversed(entry.radices):
             offset, d = divmod(offset, radix)
-            digits.append(d)
-        digits.reverse()
-        binding = vsig.match_index(ctor, index)
-        args = []
-        for arg, d in zip(ctor.args, digits):
-            sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-            args.append(
-                TermArg(0, (yield _decode(plan, arg.type_name, sub_ix, counts, d, cell)))
-            )
-        return Con(entry.ctor_name, (), tuple(args))
-    if not cp.tags:
+            sub_codes.append(d)
+        sub_codes.reverse()
+    elif not cp.tags:
         limit = v + cp.finite.total
         raise CodeOutOfRange(
             f"code {code} out of range for {cp.label} (codes 0..{limit - 1})"
             if limit
             else f"code {code} out of range for empty class {cp.label}"
         )
-    q, tag = divmod(c - cp.finite.total, len(cp.tags))
-    ctor = vsig.sig.ctors[cp.tags[tag]]
-    slot_kinds: list[int] = []  # finite radix, or 0 for an infinite slot
-    family_card = vsig.family_card
-    for arg in ctor.args:
-        card = family_card[arg.type_name]
-        slot_kinds.append(0 if card.is_infinite else card.count)
-    fin_rev: list[int] = []
-    for radix in reversed(slot_kinds):
-        if radix:
-            q, e = divmod(q, radix)
-            fin_rev.append(e)
-    n_pi = len(ctor.pi_args)
-    n_slots = n_pi + slot_kinds.count(0)
-    values = unmingle_fold(q, n_slots)
-    binding = vsig.match_index(ctor, index)
-    for (var, _ty, _ix), value in zip(ctor.pi_args, values):
-        binding[var] = value
-    inf_vals = iter(values[n_pi:])
-    fin_vals = iter(reversed(fin_rev))
+    else:
+        q, tag = divmod(c - cp.finite.total, len(cp.tags))
+        name = cp.tags[tag]
+        ctor = vsig.sig.ctors[name]
+        slot_kinds: list[int] = []  # finite radix, or 0 for an infinite slot
+        family_card = vsig.family_card
+        for arg in ctor.args:
+            card = family_card[arg.type_name]
+            slot_kinds.append(0 if card.is_infinite else card.count)
+        fin_rev: list[int] = []
+        for radix in reversed(slot_kinds):
+            if radix:
+                q, e = divmod(q, radix)
+                fin_rev.append(e)
+        n_pi = len(ctor.pi_args)
+        values = unmingle_fold(q, n_pi + slot_kinds.count(0))
+        index_args, sub_codes = tuple(values[:n_pi]), values[n_pi:]
+        if fin_rev:
+            inf_vals, fin_vals = iter(sub_codes), iter(reversed(fin_rev))
+            sub_codes = [next(fin_vals) if radix else next(inf_vals) for radix in slot_kinds]
     args = []
-    for arg, radix in zip(ctor.args, slot_kinds):
-        sub_code = next(fin_vals) if radix else next(inf_vals)
-        sub_counts = counts
-        for btype, bix in arg.binders:
-            sub_counts = sub_counts.extend(
-                btype, vsig.eval_index(btype, bix, binding)
-            )
-        sub_ix = vsig.eval_index(arg.type_name, arg.index, binding)
-        body = yield _decode(plan, arg.type_name, sub_ix, sub_counts, sub_code, cell)
-        args.append(TermArg(len(arg.binders), body))
-    return Con(ctor.name, tuple(values[:n_pi]), tuple(args))
+    for (arg_type, arg_index, keys), sub_code in zip(
+        vsig.arg_targets(name, index, index_args), sub_codes
+    ):
+        sub_counts = counts.bind(keys) if keys else counts
+        body = yield _decode(plan, arg_type, arg_index, sub_counts, sub_code, cell)
+        args.append(TermArg(len(keys), body))
+    return Con(name, index_args, tuple(args))
 
 
 def decode_closed(
@@ -376,8 +352,7 @@ def compare(
 
     Zero exactly when the terms are alpha-equivalent.
     """
-    check_term(plan.vsig, type_name, index, EMPTY_COUNTS, t1)
-    check_term(plan.vsig, type_name, index, EMPTY_COUNTS, t2)
+    _check_target(plan.vsig, type_name, index)  # encode checks the rest
     a = encode_closed(plan, type_name, index, t1)
     b = encode_closed(plan, type_name, index, t2)
     return (a > b) - (a < b)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .codec import CodecPlan, decode_closed, encode_closed
-from .termrep import EMPTY_COUNTS, Term, check_term
+from .termrep import Term, _check_target
 
 
 def _regap(elements: Iterable[int]) -> tuple[int, ...]:
@@ -199,6 +199,12 @@ def _regap_items(items: list[tuple[int, Any]]) -> tuple[tuple[int, Any], ...]:
 # ------------------------------------------------------------- term sets
 
 
+def _code(keyed, term: Term) -> int:
+    """A TermSet's or TermMap's key for term; TermError unless it fits."""
+    _check_target(keyed.plan.vsig, keyed.type_name, keyed.index)
+    return encode_closed(keyed.plan, keyed.type_name, keyed.index, term)
+
+
 @dataclass(frozen=True)
 class TermSet:
     """Set of closed terms of one (type, index), keyed by their codes.
@@ -212,10 +218,6 @@ class TermSet:
     index: int | None = None
     codes: GapSet = GapSet()
 
-    def _code(self, term: Term) -> int:
-        check_term(self.plan.vsig, self.type_name, self.index, EMPTY_COUNTS, term)
-        return encode_closed(self.plan, self.type_name, self.index, term)
-
     def _like(self, codes: GapSet) -> "TermSet":
         return TermSet(self.plan, self.type_name, self.index, codes)
 
@@ -228,13 +230,13 @@ class TermSet:
             raise ValueError("term sets belong to different classes")
 
     def insert(self, term: Term) -> "TermSet":
-        return self._like(self.codes.insert(self._code(term)))
+        return self._like(self.codes.insert(_code(self, term)))
 
     def remove(self, term: Term) -> "TermSet":
-        return self._like(self.codes.remove(self._code(term)))
+        return self._like(self.codes.remove(_code(self, term)))
 
     def member(self, term: Term) -> bool:
-        return self.codes.member(self._code(term))
+        return self.codes.member(_code(self, term))
 
     def union(self, other: "TermSet") -> "TermSet":
         self._compatible(other)
@@ -267,21 +269,17 @@ class TermMap:
     index: int | None = None
     entries: GapMap = GapMap()
 
-    def _code(self, term: Term) -> int:
-        check_term(self.plan.vsig, self.type_name, self.index, EMPTY_COUNTS, term)
-        return encode_closed(self.plan, self.type_name, self.index, term)
-
     def insert(self, term: Term, value: Any) -> "TermMap":
         return TermMap(
-            self.plan, self.type_name, self.index, self.entries.insert(self._code(term), value)
+            self.plan, self.type_name, self.index, self.entries.insert(_code(self, term), value)
         )
 
     def lookup(self, term: Term, default: Any = None) -> Any:
-        return self.entries.lookup(self._code(term), default)
+        return self.entries.lookup(_code(self, term), default)
 
     def remove(self, term: Term) -> "TermMap":
         return TermMap(
-            self.plan, self.type_name, self.index, self.entries.remove(self._code(term))
+            self.plan, self.type_name, self.index, self.entries.remove(_code(self, term))
         )
 
     def size(self) -> int:

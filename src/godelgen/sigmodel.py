@@ -420,29 +420,18 @@ def _parse_decl(p: _Parser, sig: Signature) -> None:
         sig.by_name[name] = decl
         return
 
-    pi_args = []
+    pis = []
     while isinstance(e, SPi):
-        pt_name, pt_index = _to_typeapp(p, sig, e.var_type, name_tok)
-        pi_args.append((e.var, pt_name, pt_index))
+        pis.append(e)
         e = e.body
+    # abstraction names are variables wherever they occur in the declaration
+    pivars = {pi.var for pi in pis}
+    pi_args = [(x.var, *_to_typeapp(p, sig, x.var_type, name_tok, pivars)) for x in pis]
     premises, result = _split_arrows(e)
     if any(isinstance(x, SPi) for x in premises) or isinstance(result, SPi):
         p.fail("explicit abstraction must precede all arguments", name_tok)
-    family, result_index = _to_typeapp(p, sig, result, name_tok)
-    args = tuple(_to_arg(p, sig, prem, name_tok) for prem in premises)
-
-    pivars = {v for v, _, _ in pi_args}
-    if pivars:
-        result_index = tuple(_promote_vars(e, pivars) for e in result_index)
-        pi_args = [
-            (v, t, tuple(_promote_vars(x, pivars) for x in ix)) for v, t, ix in pi_args
-        ]
-        for a in args:
-            a.index = tuple(_promote_vars(x, pivars) for x in a.index)
-            a.binders = tuple(
-                (bt, tuple(_promote_vars(x, pivars) for x in bix))
-                for bt, bix in a.binders
-            )
+    family, result_index = _to_typeapp(p, sig, result, name_tok, pivars)
+    args = tuple(_to_arg(p, sig, prem, name_tok, pivars) for prem in premises)
 
     ctor = Ctor(
         name, family, result_index, tuple(pi_args), args, name_tok.line, name_tok.col
@@ -459,23 +448,23 @@ def _split_arrows(e: SExpr) -> tuple[list[SExpr], SExpr]:
     return premises, e
 
 
-def _to_arg(p: _Parser, sig: Signature, e: SExpr, tok: Token) -> Arg:
+def _to_arg(p: _Parser, sig: Signature, e: SExpr, tok: Token, pivars) -> Arg:
     if isinstance(e, SArrow):
         parts, target = _split_arrows(e)
         binders = []
         for part in parts:
             if isinstance(part, SArrow):
                 p.fail("binder arguments must be first-order", tok)
-            bt, bix = _to_typeapp(p, sig, part, tok)
+            bt, bix = _to_typeapp(p, sig, part, tok, pivars)
             binders.append((bt, bix))
-        t, ix = _to_typeapp(p, sig, target, tok)
+        t, ix = _to_typeapp(p, sig, target, tok, pivars)
         return Arg(tuple(binders), t, ix)
-    t, ix = _to_typeapp(p, sig, e, tok)
+    t, ix = _to_typeapp(p, sig, e, tok, pivars)
     return Arg((), t, ix)
 
 
 def _to_typeapp(
-    p: _Parser, sig: Signature, e: SExpr, tok: Token
+    p: _Parser, sig: Signature, e: SExpr, tok: Token, pivars=frozenset()
 ) -> tuple[str, tuple[IndexExpr, ...]]:
     if isinstance(e, SName):
         head, atoms = e, ()
@@ -492,53 +481,52 @@ def _to_typeapp(
             f" argument(s), got {len(atoms)}",
             head if head.line else tok,
         )
-    return head.name, tuple(_to_index_expr(p, sig, a, tok) for a in atoms)
+    return head.name, tuple(
+        run_walk(_to_index_expr(p, sig, a, tok, pivars, ())) for a in atoms
+    )
 
 
-def _to_index_expr(p: _Parser, sig: Signature, e: SExpr, tok: Token) -> IndexExpr:
+def _to_index_expr(p: _Parser, sig: Signature, e: SExpr, tok: Token, pivars, expanding):
+    """Walk: the index expression e spells.  Upper-case names and the
+    abstraction names pivars are variables; abbreviations expand in place,
+    expanding holding those whose bodies are being expanded."""
     if isinstance(e, SNum):
         return IxNum(e.value)
     if isinstance(e, SName):
         if e.name[0].isupper():
             return IxVar(e.name)
         if e.name in sig.abbrevs:
-            return _abbrev_index(p, sig, e.name, tok)
-        return IxCon(e.name)
+            # in index position the body must itself be an index expression
+            body = sig.abbrevs[e.name].body
+            if isinstance(body, (SBind, SPi, SArrow, SType)):
+                p.fail(
+                    f"abbreviation {e.name!r} cannot be used in an index expression", tok
+                )
+            if e.name in expanding:
+                p.fail(f"abbreviation {e.name!r} is defined in terms of itself", tok)
+            expanding += (e.name,)
+            return (yield _to_index_expr(p, sig, body, tok, pivars, expanding))
+        return IxVar(e.name) if e.name in pivars else IxCon(e.name)
     if isinstance(e, SApp) and isinstance(e.fn, SName):
         if e.fn.name[0].isupper():
             p.fail(f"index variable {e.fn.name!r} cannot be applied", tok)
-        return IxCon(e.fn.name, tuple(_to_index_expr(p, sig, a, tok) for a in e.args))
+        args = []
+        for a in e.args:
+            args.append((yield _to_index_expr(p, sig, a, tok, pivars, expanding)))
+        return IxCon(e.fn.name, tuple(args))
     p.fail("invalid index expression", tok)
 
 
-def _abbrev_index(p: _Parser, sig: Signature, name: str, tok: Token) -> IndexExpr:
-    # abbreviations are expanded where they occur; in index position the
-    # body must itself be an index expression
-    body = sig.abbrevs[name].body
-    if isinstance(body, (SBind, SPi, SArrow, SType)):
-        p.fail(f"abbreviation {name!r} cannot be used in an index expression", tok)
-    return _to_index_expr(p, sig, body, tok)
-
-
-def _promote_vars(e: IndexExpr, names: set[str]) -> IndexExpr:
-    # lowercase abstraction variables parse as constructor references;
-    # rewrite them to variables once the binding is known
-    if isinstance(e, IxCon):
-        if not e.args and e.name in names:
-            return IxVar(e.name)
-        return IxCon(e.name, tuple(_promote_vars(a, names) for a in e.args))
-    return e
-
-
 def _expr_vars(e: IndexExpr) -> list[str]:
-    if isinstance(e, IxVar):
-        return [e.name]
-    if isinstance(e, IxCon):
-        out = []
-        for a in e.args:
-            out.extend(_expr_vars(a))
-        return out
-    return []
+    """The variables of e, left to right."""
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, IxVar):
+            out.append(e.name)
+        elif isinstance(e, IxCon):
+            todo.extend(reversed(e.args))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -694,6 +682,16 @@ def applies(pattern: tuple, cls: IndexClass) -> bool:
     return False
 
 
+def _succ_chain(expr: IndexExpr, shape: NatIndex) -> tuple[IndexExpr, int]:
+    """expr without its outer successors, and how many there were; a loop,
+    so a chain of any depth is fine."""
+    succs = 0
+    while isinstance(expr, IxCon) and expr.name == shape.succ and len(expr.args) == 1:
+        succs += 1
+        expr = expr.args[0]
+    return expr, succs
+
+
 def _index_value(
     sig: Signature,
     nat_shapes: dict[str, NatIndex],
@@ -705,19 +703,16 @@ def _index_value(
     """Value of an index expression of type ixtype, or None if it is not
     a well-formed value under binding.  block_of(t) is the instance block
     of finite type t, or None while its count is unknown."""
-    if isinstance(expr, IxNum):
-        return expr.value
-    if isinstance(expr, IxVar):
-        return binding.get(expr.name)
     shape = nat_shapes.get(ixtype)
+    succs = 0
     if shape is not None:
-        succs = 0  # a successor chain is counted in a loop, at any depth
-        while expr.name == shape.succ and len(expr.args) == 1:
-            succs += 1
-            expr = expr.args[0]
-            if not isinstance(expr, IxCon):
-                sub = _index_value(sig, nat_shapes, block_of, ixtype, expr, binding)
-                return None if sub is None else sub + succs
+        expr, succs = _succ_chain(expr, shape)
+    if isinstance(expr, IxNum):
+        return expr.value + succs
+    if isinstance(expr, IxVar):
+        value = binding.get(expr.name)
+        return None if value is None else value + succs
+    if shape is not None:
         return succs if expr.name == shape.zero and not expr.args else None
     block = block_of(ixtype)
     entry = block.entry_for(expr.name) if block is not None else None
@@ -981,13 +976,12 @@ class _Analyzer:
             if isinstance(expr, IxCon):
                 if expr.name == tkind.zero and not expr.args:
                     return frozenset((Z_CLASS,)), True
-                if expr.name == tkind.succ and len(expr.args) == 1:
-                    _, concrete = self._eval_expr(
-                        ctor, target_type, tkind, expr.args[0], ctx
-                    )
-                    # s e is pinned only when e is a constant; 'identity'
-                    # under s shifts the value, which unpins it
-                    pinned = concrete and not self._mentions_current(expr.args[0], ctx)
+                inner, succs = _succ_chain(expr, tkind)
+                if succs:
+                    _, concrete = self._eval_expr(ctor, target_type, tkind, inner, ctx)
+                    # s e is pinned only when e is a constant; the source's
+                    # index under s shifts the value, which unpins it
+                    pinned = concrete and not isinstance(inner, IxVar)
                     return frozenset((S_CLASS,)), pinned
             self.defer(
                 "index-expr",
@@ -1023,13 +1017,6 @@ class _Analyzer:
             )
             return frozenset(), False
         return frozenset((fin_class(value),)), True
-
-    def _mentions_current(self, expr: IndexExpr, ctx) -> bool:
-        for v in _expr_vars(expr):
-            b = ctx.get(v)
-            if b is not None and b[0] in ("cur", "pred", "any"):
-                return True
-        return False
 
     # ---- fixed point
 
@@ -1255,6 +1242,7 @@ class ValidatedSignature:
     analysis: Analysis
     partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]]
     family_card: dict[str, Cardinality]  # uniformity: one per family
+    layouts: dict[str, tuple]  # per constructor; see _compile_layout
 
     @property
     def decls(self) -> list[TypeDecl]:
@@ -1304,17 +1292,6 @@ class ValidatedSignature:
             return [(Z_CLASS, [0]), (S_CLASS, [1, 2])]
         return [(fin_class(v), [v]) for v in range(kind.count)]
 
-    def match_index(self, ctor: Ctor, index: int | None) -> dict[str, int]:
-        """Bind the result pattern's variable against a concrete index."""
-        pat = self.analysis.patterns[ctor.name]
-        if pat[0] in ("unit", "zero", "const"):
-            return {}
-        if pat[0] == "succ":
-            return {pat[1]: index - 1}
-        if pat[0] == "var":
-            return {pat[1]: index}
-        raise AssertionError(f"unmatchable pattern for {ctor.name}")
-
     def index_value(
         self, ixtype: str, expr: IndexExpr, binding: dict[str, int]
     ) -> int | None:
@@ -1323,20 +1300,16 @@ class ValidatedSignature:
             self.sig, self.analysis.nat_shapes, self._index_block, ixtype, expr, binding
         )
 
-    def eval_index(
-        self, type_name: str, index: tuple[IndexExpr, ...], binding: dict[str, int]
-    ) -> int | None:
-        """Concrete index value of an argument occurrence, None if unindexed."""
-        kind = self.analysis.kinds[type_name]
-        if kind is None:
-            return None
-        value = _index_value(
-            self.sig, self.analysis.nat_shapes, self._index_block,
-            kind.type_name, index[0], binding,
-        )
-        if value is None:
-            raise ValueError(f"invalid {kind.type_name} index expression")
-        return value
+    def arg_targets(
+        self, ctor_name: str, index: int | None, index_args: tuple[int, ...] = ()
+    ) -> tuple[tuple[str, int | None, tuple[tuple[str, int | None], ...]], ...]:
+        """(type, index, binder keys) of each argument of a constructor at
+        this index with these explicit index values; a binder key is the
+        (type, index) of one variable that the argument binds."""
+        applied, rules = self.layouts[ctor_name]
+        if applied is not None:
+            return applied
+        return _apply_layout(rules, (index, *index_args))
 
     def _index_block(self, type_name: str) -> FiniteBlock:
         return self.partitions[(type_name, UNIT_CLASS)][0]
@@ -1469,7 +1442,60 @@ def validate(sig: Signature) -> ValidatedSignature:
     if diags:
         raise SigValidationError(diags)
     family_card = {t: ana.card[(t, classes[0])] for t, classes in ana.classes.items()}
-    return ValidatedSignature(sig, ana, partitions, family_card)
+    vsig = ValidatedSignature(sig, ana, partitions, family_card, {})
+    vsig.layouts.update((c.name, _compile_layout(vsig, c)) for c in sig.ctors.values())
+    return vsig
+
+
+def _compile_layout(vsig: ValidatedSignature, ctor: Ctor) -> tuple:
+    """ctor's argument layout, (applied, rules), read by arg_targets.
+
+    rules holds (type, slot, offset, binders) per argument and binders
+    (type, slot, offset) per bound variable.  The index is offset itself
+    when slot is None (None for an unindexed type), else the value in
+    slot plus offset.  Slot 0 holds the parent's index and slot 1 + i
+    explicit index value i; under a successor pattern s N, N is slot 0
+    with offset -1.  When no rule reads a slot, applied is the targets.
+    """
+    ana = vsig.analysis
+    pat = ana.patterns[ctor.name]
+    slots = {var: 1 + i for i, (var, _, _) in enumerate(ctor.pi_args)}
+    if pat[0] in ("var", "succ"):
+        slots[pat[1]] = 0
+    read = []  # the slots that some rule reads
+
+    def rule(type_name: str, index: tuple[IndexExpr, ...]) -> tuple:
+        kind = ana.kinds[type_name]
+        if kind is None:
+            return type_name, None, None
+        expr, succs = index[0], 0
+        if isinstance(kind, NatIndex):
+            expr, succs = _succ_chain(expr, kind)
+        if isinstance(expr, IxVar) and expr.name in slots:
+            slot = slots[expr.name]
+            read.append(slot)
+            return type_name, slot, succs - 1 if slot == 0 and pat[0] == "succ" else succs
+        value = vsig.index_value(kind.type_name, index[0], {})
+        if value is None:  # the validator rejects every other form
+            raise AssertionError(f"irreducible index expression in {ctor.name}")
+        return type_name, None, value
+
+    rules = tuple([
+        (*rule(a.type_name, a.index), tuple([rule(bt, bix) for bt, bix in a.binders]))
+        for a in ctor.args
+    ])
+    return (None, rules) if read else (_apply_layout(rules, ()), None)
+
+
+def _apply_layout(rules: tuple, slots: tuple) -> tuple:
+    """The targets of _compile_layout's rules at these slot values."""
+    targets = []
+    for type_name, slot, offset, binders in rules:
+        keys = ()
+        if binders:
+            keys = tuple([(bt, bo if bs is None else slots[bs] + bo) for bt, bs, bo in binders])
+        targets.append((type_name, offset if slot is None else slots[slot] + offset, keys))
+    return tuple(targets)
 
 
 def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:

@@ -9,6 +9,7 @@ structurally identical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ._walk import run_walk
@@ -87,9 +88,14 @@ class CountVector:
         return self._counts.get((type_name, index), 0)
 
     def extend(self, type_name: str, index: int | None) -> "CountVector":
+        return self.bind(((type_name, index),))
+
+    def bind(self, keys) -> "CountVector":
+        """A copy with one more variable at each (type, index) key."""
         new = CountVector(self._counts)
-        key = (type_name, index)
-        new._counts[key] = new._counts.get(key, 0) + 1
+        counts = new._counts
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
         return new
 
     def items(self):
@@ -185,7 +191,11 @@ def _elab(
             return Var(t, ix, level)
         if e.name in vsig.sig.abbrevs:
             ab = vsig.sig.abbrevs[e.name]
-            ab_index = vsig.eval_index(ab.type_name, ab.index, {})
+            kind, ab_index = vsig.index_kind(ab.type_name), None
+            if kind is not None:
+                ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
+                if ab_index is None:
+                    raise ValueError(f"invalid {kind.type_name} index expression")
             if (ab.type_name, ab_index) != (want_type, want_index):
                 raise TermError(
                     f"abbreviation {e.name} has type {_describe(ab.type_name, ab_index)},"
@@ -257,42 +267,30 @@ def _elab_con(
             f"constructor {ctor.name} expects {n_pi + len(ctor.args)}"
             f" argument(s), got {len(surface_args)}"
         )
-    binding = vsig.match_index(ctor, want_index)
-    index_values = []
-    for (var, ptype, _), se in zip(ctor.pi_args, surface_args[:n_pi]):
-        value = _index_value(vsig, se, ptype)
-        binding[var] = value
-        index_values.append(value)
-
+    index_values = ()
+    if n_pi:
+        pairs = zip(ctor.pi_args, surface_args)
+        index_values = tuple([_index_value(vsig, se, ptype) for (_, ptype, _), se in pairs])
+    targets = vsig.arg_targets(ctor.name, want_index, index_values)
     args = []
-    for arg, se in zip(ctor.args, surface_args[n_pi:]):
-        inner_scope = dict(scope) if arg.binders else scope
-        inner_counts = counts
-        for bt, bix in arg.binders:
-            if not isinstance(se, SBind):
-                raise TermError(
-                    f"argument of {ctor.name} must bind {len(arg.binders)}"
-                    f" variable(s) with [name]"
-                )
-            b_index = vsig.eval_index(bt, bix, binding)
-            level = inner_counts.get(bt, b_index)
-            inner_scope[se.var] = (bt, b_index, level)
-            inner_counts = inner_counts.extend(bt, b_index)
-            se = se.body
+    for (arg_type, arg_index, keys), se in zip(targets, surface_args[n_pi:]):
+        inner_scope, inner_counts = scope, counts
+        if keys:
+            inner_scope, inner_counts = dict(scope), counts.bind(keys)
+            for i, key in enumerate(keys):
+                if not isinstance(se, SBind):
+                    raise TermError(
+                        f"argument of {ctor.name} must bind {len(keys)}"
+                        f" variable(s) with [name]"
+                    )
+                bt, bix = key
+                inner_scope[se.var] = (bt, bix, counts.get(bt, bix) + keys[:i].count(key))
+                se = se.body
         if isinstance(se, SBind):
-            raise TermError(
-                f"argument of {ctor.name} binds only {len(arg.binders)} variable(s)"
-            )
-        body = yield _elab(
-            vsig,
-            se,
-            arg.type_name,
-            vsig.eval_index(arg.type_name, arg.index, binding),
-            inner_scope,
-            inner_counts,
-        )
-        args.append(TermArg(len(arg.binders), body))
-    return Con(ctor.name, tuple(index_values), tuple(args))
+            raise TermError(f"argument of {ctor.name} binds only {len(keys)} variable(s)")
+        body = yield _elab(vsig, se, arg_type, arg_index, inner_scope, inner_counts)
+        args.append(TermArg(len(keys), body))
+    return Con(ctor.name, index_values, tuple(args))
 
 
 # ----------------------------------------------------------------------
@@ -339,71 +337,63 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
         namer = _Namer(vsig)
     if index is _INFER:
         index = _infer_index(vsig, term)
-    state = {"ordinal": 0}
+    ordinals = itertools.count()
 
     def fresh(t, ix, level):
-        name = namer(t, ix, level, state["ordinal"])
-        state["ordinal"] += 1
-        return name
+        return namer(t, ix, level, next(ordinals))
 
     def index_value_text(ixtype: str, value: int) -> str:
         lit = vsig.analysis.nat_literal
         if lit is not None and ixtype == lit.type_name:
             return str(value)
         shape = vsig.analysis.nat_shapes[ixtype]
-        text = shape.zero
-        for _ in range(value):
-            text = f"{shape.succ} ({text})" if " " in text else f"{shape.succ} {text}"
-        return f"({text})" if " " in text else text
+        if not value:
+            return shape.zero
+        inner = f"{shape.succ} (" * (value - 1) + f"{shape.succ} {shape.zero}"
+        return "(" + inner + ")" * value
+
+    out: list[str] = []  # the text's pieces, joined once at the end
+    emit = out.append
 
     def render(t: Term, index, env: dict, counts: CountVector):
+        """Walk: emit t's text; each argument's parentheses come first."""
         if isinstance(t, Var):
-            name = env.get((t.type_name, t.index, t.level))
+            key = (t.type_name, t.index, t.level)
+            name = env.get(key)
             if name is None:
                 # free variable of an open term; name it like its binder would
-                name = fresh(t.type_name, t.index, t.level)
-                env[(t.type_name, t.index, t.level)] = name
-            return name
-        ctor = vsig.sig.ctors[t.ctor]
-        # (text, parenthesize unless a trailing binder)
-        parts: list[tuple[str, bool]] = []
-        binding = vsig.match_index(ctor, index)
-        for (var, ptype, _), value in zip(ctor.pi_args, t.index_args):
-            binding[var] = value
-            parts.append((index_value_text(ptype, value), False))
-        for arg, ta in zip(ctor.args, t.args):
-            inner_env = dict(env) if arg.binders else env
-            inner_counts, names = counts, []
-            for bt, bix in arg.binders:
-                b_index = vsig.eval_index(bt, bix, binding)
-                level = inner_counts.get(bt, b_index)
-                name = fresh(bt, b_index, level)
-                inner_env[(bt, b_index, level)] = name
-                inner_counts = inner_counts.extend(bt, b_index)
-                names.append(name)
-            body_index = vsig.eval_index(arg.type_name, arg.index, binding)
-            body = yield render(ta.body, body_index, inner_env, inner_counts)
-            if names:
-                parts.append(("".join(f"[{n}] " for n in names) + body, True))
+                name = env[key] = fresh(*key)
+            emit(name)
+            return
+        emit(t.ctor)
+        if t.index_args:
+            for (_, ptype, _), value in zip(vsig.sig.ctors[t.ctor].pi_args, t.index_args):
+                emit(" " + index_value_text(ptype, value))
+        last = len(t.args) - 1
+        targets = vsig.arg_targets(t.ctor, index, t.index_args)
+        for j, ((arg_type, arg_index, keys), ta) in enumerate(zip(targets, t.args)):
+            body = ta.body
+            if keys:
+                # a binder reaches to the end, so only a last one goes bare
+                paren = j != last
+                emit(" (" if paren else " ")
+                inner_env, inner_counts = dict(env), counts.bind(keys)
+                for i, key in enumerate(keys):
+                    bt, bix = key
+                    level = counts.get(bt, bix) + keys[:i].count(key)
+                    name = fresh(bt, bix, level)
+                    inner_env[(bt, bix, level)] = name
+                    emit(f"[{name}] ")
             else:
-                atomic = isinstance(ta.body, Var) or (
-                    isinstance(ta.body, Con)
-                    and not ta.body.args
-                    and not ta.body.index_args
-                )
-                parts.append((body, not atomic))
-        if not parts:
-            return t.ctor
-        rendered = [t.ctor]
-        for i, (text, needs) in enumerate(parts):
-            trailing_binder = i == len(parts) - 1 and text.startswith("[")
-            if needs and not trailing_binder:
-                rendered.append(f"({text})")
-            else:
-                rendered.append(text)
-        return " ".join(rendered)
+                paren = not isinstance(body, Var) and bool(body.args or body.index_args)
+                emit(" (" if paren else " ")
+                inner_env, inner_counts = env, counts
+            yield render(body, arg_index, inner_env, inner_counts)
+            if paren:
+                emit(")")
 
-    return run_walk(render(term, index, {}, EMPTY_COUNTS))
+    run_walk(render(term, index, {}, EMPTY_COUNTS))
+    return "".join(out)
 
 
 def _infer_index(vsig: ValidatedSignature, term: Term) -> int | None:
@@ -460,21 +450,12 @@ def _check(vsig, type_name, index, counts, term):
             f"constructor {term.ctor} cannot construct {_describe(type_name, index)}"
         )
     check_shape(ctor, term)
-    binding = vsig.match_index(ctor, index)
-    for (var, ptype, _), value in zip(ctor.pi_args, term.index_args):
-        binding[var] = value
-    for arg, ta in zip(ctor.args, term.args):
-        if ta.binder_count != len(arg.binders):
-            raise binder_mismatch(term, arg, ta)
-        inner = counts
-        for bt, bix in arg.binders:
-            inner = inner.extend(bt, vsig.eval_index(bt, bix, binding))
+    targets = vsig.arg_targets(term.ctor, index, term.index_args)
+    for (arg_type, arg_index, keys), ta in zip(targets, term.args):
+        if ta.binder_count != len(keys):
+            raise binder_mismatch(term, len(keys), ta)
         yield _check(
-            vsig,
-            arg.type_name,
-            vsig.eval_index(arg.type_name, arg.index, binding),
-            inner,
-            ta.body,
+            vsig, arg_type, arg_index, counts.bind(keys) if keys else counts, ta.body
         )
 
 
@@ -497,11 +478,11 @@ def check_shape(ctor: Ctor, term: Con) -> None:
             raise TermError(f"index argument {value!r} of {term.ctor} is not a natural")
 
 
-def binder_mismatch(term: Con, arg, ta: TermArg) -> TermError:
-    """The error for an argument that binds other than its slot's count."""
+def binder_mismatch(term: Con, expected: int, ta: TermArg) -> TermError:
+    """The error for an argument that binds other than expected variables."""
     pos = next(i for i, t in enumerate(term.args) if t is ta)
     return TermError(
-        f"argument {pos} of {term.ctor} binds {len(arg.binders)}"
+        f"argument {pos} of {term.ctor} binds {expected}"
         f" variable(s), term has {ta.binder_count}"
     )
 

@@ -27,6 +27,7 @@ from godelgen.errors import (
     SigValidationError,
     TermError,
 )
+from godelgen.natcollections import TermMap, TermSet
 from godelgen.sigmodel import (
     S_CLASS,
     UNIT_CLASS,
@@ -308,20 +309,19 @@ def test_nat_identity_survives_declaration_order():
         term = Con("s", (), (TermArg(0, term),))
 
 
-def test_encode_rejects_ill_fitting_terms(vsigs, plans):
+def ill_fitting_terms(vsigs, plans):
+    """(plan, type, index, term) cases where the closed term does not fit."""
     unit = parse_term(vsigs["termfam"], "term", 0, "unit")
-    with pytest.raises(TermError):
-        encode_closed(plans["termfam"], "term", 1, unit)
     lam0 = parse_term(vsigs["lambda"], "t", None, "lam [x] x")
-    with pytest.raises(TermError):
-        encode_closed(plans["termfam"], "term", 0, lam0)
     # wrong argument, index-argument and binder counts, and index
     # arguments that are not naturals; the finite ones once got codes
     pair = assign_tags(validate(parse_signature(
         "bool : type. true : bool. false : bool. pair : type. mk : bool -> bool -> pair."
     )))
     true, false, ident = Con("true"), Con("false"), Con("lam", (), (TermArg(1, Var("t", None, 0)),))
-    cases = [
+    return [
+        (plans["termfam"], "term", 1, unit),
+        (plans["termfam"], "term", 0, lam0),
         (pair, "pair", None, Con("mk", (), (TermArg(0, false),))),  # coded as mk true false
         (pair, "pair", None, Con("mk")),
         (pair, "pair", None, Con("mk", (), (TermArg(0, true), TermArg(0, false), TermArg(0, true)))),
@@ -333,9 +333,29 @@ def test_encode_rejects_ill_fitting_terms(vsigs, plans):
         (plans["exists"], "term", 0, Con("exists", (value,), (TermArg(1, Con("unit")),)))
         for value in (-1, True, "1", 1.0)
     ]
-    for plan, type_name, index, term in cases:
+
+
+def test_encode_rejects_ill_fitting_terms(vsigs, plans):
+    for plan, type_name, index, term in ill_fitting_terms(vsigs, plans):
         with pytest.raises(TermError):
             encode_closed(plan, type_name, index, term)
+
+
+def test_containers_and_compare_reject_ill_fitting_terms(vsigs, plans):
+    cases = ill_fitting_terms(vsigs, plans) + [
+        (plans["lambda"], "t", None, Con("z")),  # a constructor of another type
+        (plans["termfam"], "term", 2, Con("unit")),  # and of another class
+        (plans["lambda"], "t", None, Var("t", None, 0)),  # a free variable
+        (plans["lambda"], "nosuch", None, Con("lam")),  # an unknown type
+        (plans["termfam"], "term", None, Con("unit")),  # a missing index
+    ]
+    for plan, type_name, index, term in cases:
+        with pytest.raises(TermError):
+            TermSet(plan, type_name, index).insert(term)
+        with pytest.raises(TermError):
+            TermMap(plan, type_name, index).insert(term, "value")
+        with pytest.raises(TermError):
+            compare(plan, type_name, index, term, term)
 
 
 # --------------------------------------------------------- decode anchors

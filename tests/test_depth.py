@@ -1,4 +1,4 @@
-"""Deep terms, threads and Ctrl-C.
+"""Deep terms, deep signature index expressions, threads and Ctrl-C.
 
 Every check runs in a fresh interpreter at the default recursion limit,
 so no setting made by the test session can hide a depth failure.
@@ -12,11 +12,19 @@ import textwrap
 import time
 from pathlib import Path
 
+import pytest
+
 from conftest import sig_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DEPTH = 50_000
-NAT_TEXT = "s (" * (DEPTH - 1) + "s z" + ")" * (DEPTH - 1)
+
+
+def nested_succ(depth: int) -> str:
+    return "s (" * (depth - 1) + "s z" + ")" * (depth - 1)
+
+
+NAT_TEXT = nested_succ(DEPTH)
 
 
 def fresh_env() -> dict:
@@ -116,3 +124,34 @@ def test_verify_and_cli_start_no_thread_and_keep_the_limit():
         str(sig_path("nat")),
     )
     assert out.splitlines()[-1] == "[] [] True"
+
+
+SIG_HEAD = "nat : type. z : nat. s : nat -> nat. t : nat -> type.\n"
+DEEP_INDEX_SIGS = {
+    # a result index deeper than one successor is a pattern diagnostic
+    "result": lambda n: SIG_HEAD + f"k : t ({nested_succ(n)}).\n",
+    "argument": lambda n: SIG_HEAD
+    + f"base : t N. k : t ({nested_succ(n)}) -> t z. k2 : t ({nested_succ(n)}) -> t (s N).\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_INDEX_SIGS))
+def test_deep_signature_index_behaves_like_a_shallow_one(tmp_path, shape):
+    results = []
+    for depth in (3, 3_000):
+        path = tmp_path / f"{shape}{depth}.sig"
+        path.write_text(DEEP_INDEX_SIGS[shape](depth))
+        runs = []
+        for command in (["check"], ["verify", "--max-size", "3", "--max-code", "30"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "godelgen.cli", *command, str(path)],
+                env=fresh_env(), capture_output=True, text=True, timeout=300,
+            )
+            runs.append((done.returncode, done.stdout, done.stderr.replace(path.name, "SIG")))
+        results.append(runs)
+    shallow, deep = results
+    assert deep == shallow
+    if shape == "result":
+        assert shallow[0][0] == 2 and "[pattern]" in shallow[0][2]
+    else:
+        assert [code for code, _, _ in shallow] == [0, 0]

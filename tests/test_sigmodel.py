@@ -1,5 +1,8 @@
 """Signature parsing, cardinality analysis, and validation rules."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from godelgen import sigmodel
@@ -10,6 +13,7 @@ from godelgen.sigmodel import (
     IxCon,
     IxNum,
     IxVar,
+    NatIndex,
     S_CLASS,
     UNIT_CLASS,
     Z_CLASS,
@@ -113,6 +117,21 @@ def test_abbrev_expands_in_index_position():
     )
     g = sig.ctors["g"]
     assert g.args[0].index == (IxCon("s", (IxCon("s", (IxCon("z"),)),)),)
+
+
+def test_abbrev_defined_through_itself_is_a_syntax_error():
+    text = sig_text("nat") + "%abbrev a : nat = s b. %abbrev b : nat = a. f : nat -> type."
+    with pytest.raises(SigSyntaxError, match="in terms of itself"):
+        parse_signature(text + " g : f a -> f z.")
+    # one abbreviation inside another, or twice side by side, is no cycle
+    sig = parse_signature(
+        sig_text("nat") + "%abbrev one : nat = s z. %abbrev two : nat = s one."
+        " f : nat -> type. g : f two -> f z."
+        " b : type. b0 : b. p : type. mk : b -> b -> p. %abbrev x : b = b0."
+        " q : p -> type. q0 : q (mk x x)."
+    )
+    assert sig.ctors["g"].args[0].index == (IxCon("s", (IxCon("s", (IxCon("z"),)),)),)
+    assert sig.ctors["q0"].result_index == (IxCon("mk", (IxCon("b0"), IxCon("b0"))),)
 
 
 def test_parse_errors():
@@ -459,13 +478,72 @@ def test_validated_class_of(vsigs):
         v.class_of("nat", 3)
 
 
-def test_validated_eval_index(vsigs):
+def reference_targets(vsig, ctor, index, index_args):
+    """arg_targets by binding the index variables and evaluating every
+    index expression with sigmodel._index_value."""
+    pat = vsig.pattern(ctor.name)
+    binding = {}
+    if pat[0] == "var":
+        binding[pat[1]] = index
+    elif pat[0] == "succ":
+        binding[pat[1]] = index - 1
+    for (var, _, _), value in zip(ctor.pi_args, index_args):
+        binding[var] = value
+
+    def value(type_name, ix):
+        kind = vsig.index_kind(type_name)
+        if kind is None:
+            return None
+        return sigmodel._index_value(
+            vsig.sig, vsig.analysis.nat_shapes,
+            lambda t: vsig.ctors_for_class(t, UNIT_CLASS)[0],
+            kind.type_name, ix[0], binding,
+        )
+
+    return tuple(
+        (a.type_name, value(a.type_name, a.index),
+         tuple((bt, value(bt, bix)) for bt, bix in a.binders))
+        for a in ctor.args
+    )
+
+
+LAYOUT_SIGS = {
+    **{name: sig_text(name) for name in SIG_NAMES},
+    "wide": (Path(__file__).parent.parent / "perfbench" / "data" / "wide.sig").read_text(),
+    "finite": "b : type. b0 : b. b1 : b. k : b -> type."
+    " k0 : k b0. k1 : k 1. ks : k X -> k X. kb : (k b0 -> k X) -> k b1 -> k X.",
+    "deep-argument": sig_text("nat")
+    + "f : nat -> type. fz : f z. fs : f N -> f (s N). g : f (s (s N)) -> f N -> f N."
+    " h : {m:nat} (f (s m) -> f (s (s N))) -> f 2 -> f (s N).",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SIGS))
+def test_arg_targets_match_reference(name):
+    v = check(LAYOUT_SIGS[name])
+    for decl in v.decls:
+        kind = v.index_kind(decl.name)
+        indices = (
+            [None] if kind is None else range(7 if isinstance(kind, NatIndex) else kind.count)
+        )
+        for index in indices:
+            cls = v.class_of(decl.name, index)
+            for ctor in decl.ctors:
+                if not sigmodel.applies(v.pattern(ctor.name), cls):
+                    continue
+                for index_args in itertools.product(range(4), repeat=len(ctor.pi_args)):
+                    assert v.arg_targets(ctor.name, index, index_args) == reference_targets(
+                        v, ctor, index, index_args
+                    ), (ctor.name, index, index_args)
+
+
+def test_arg_targets(vsigs):
     v = vsigs["termfam"]
-    lam = v.sig.ctors["lam"]
-    # lam's body lives at the binding of N; its binder at z
-    assert v.eval_index("term", lam.args[0].index, {"N": 4}) == 4
-    assert v.eval_index("term", lam.args[0].binders[0][1], {"N": 4}) == 0
-    assert v.match_index(lam, 5) == {"N": 4}
+    # lam at 5: its body lives at 4 (the N of s N), its binder at z
+    assert v.arg_targets("lam", 5) == (("term", 4, (("term", 0),)),)
+    assert v.arg_targets("app", 3) == (("term", 4, ()), ("term", 0, ()))
+    assert v.arg_targets("s", None) == (("nat", None, ()),)
+    assert vsigs["exists"].arg_targets("exists", 1, (6,)) == (("term", 1, (("term", 6),)),)
 
 
 def test_class_reps(vsigs):
