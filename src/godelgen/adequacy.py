@@ -12,7 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .codec import DEFAULT_FUEL, CodecPlan, decode, encode
+from ._walk import run_walk
+from .codec import DEFAULT_FUEL, CodecPlan, _decode, _encode, decode, encode
 from .errors import FuelExhausted, TermError
 from .sigmodel import IndexClass, ValidatedSignature, applies
 from .termrep import (
@@ -22,13 +23,16 @@ from .termrep import (
     Term,
     TermArg,
     Var,
-    check_term,
+    _check,
     parse_term,
     print_term,
 )
 
 DEFAULT_MAX_SIZE = 6
 DEFAULT_MAX_CODE = 10_000
+
+# entries per generation of an onto sweep's memos
+MEMO_GENERATION = 256
 
 
 @dataclass(frozen=True)
@@ -273,16 +277,44 @@ def _onto_range(plan: CodecPlan, type_name: str, index: int | None, top: int) ->
     return min(card.count, top)
 
 
-def _check_code(plan, type_name, index, code):
+class _SweepMemo:
+    """A bounded memo in two generations: a hit in the old one moves the
+    entry to the young one, and a full young generation becomes the old
+    one, dropping the previous old one."""
+
+    __slots__ = ("young", "old")
+
+    def __init__(self) -> None:
+        self.young: dict = {}
+        self.old: dict = {}
+
+    def get(self, key):
+        value = self.young.get(key)
+        if value is None:
+            value = self.old.pop(key, None)
+            if value is not None:
+                self[key] = value
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        if len(self.young) >= MEMO_GENERATION:
+            self.old, self.young = self.young, {}
+        self.young[key] = value
+
+
+def _check_code(plan, type_name, index, code, memos):
+    decoded, checked, encoded = memos
     try:
-        term = decode(plan, type_name, index, EMPTY_COUNTS, code, DEFAULT_FUEL)
+        term = run_walk(_decode(
+            plan, type_name, index, EMPTY_COUNTS, code, [DEFAULT_FUEL], decoded
+        ))
     except FuelExhausted as exc:
         return f"code {code} did not decode: {type(exc).__name__}: {exc}"
     try:
-        check_term(plan.vsig, type_name, index, EMPTY_COUNTS, term)
+        run_walk(_check(plan.vsig, type_name, index, EMPTY_COUNTS, term, checked))
     except TermError as exc:
         return f"code {code} decoded to an ill-typed term: {exc}"
-    back = encode(plan, type_name, index, EMPTY_COUNTS, term)
+    back = run_walk(_encode(plan, type_name, index, EMPTY_COUNTS, term, encoded))
     if back != code:
         return f"code {code} decoded to a term that re-encodes to {back}"
     return None
@@ -296,15 +328,22 @@ def verify_onto(
 ) -> Verdict:
     """Every code up to the budget decodes, checks, and round-trips.
 
-    The first failing code is reported.  Terms of any depth are checked
-    on the calling thread; a decode that does not terminate is reported
-    when it runs out of fuel.
+    The first failing code is reported; a decode that does not terminate
+    is reported when it runs out of fuel, as public decode would.  The
+    sweep keeps bounded memos (see _SweepMemo) of the nodes it decoded,
+    checked and encoded, so a subterm shared by many codes, such as code
+    n - 1 inside nat code n, is done once per context rather than once
+    per code: a chain sweep costs linear, not quadratic, time.  Every
+    code is still decoded, checked and re-encoded, and a memo hit charges
+    the fuel the subterm's own decode spent.  The memos are dropped when
+    the sweep returns.
     """
     vsig = plan.vsig
     label = vsig.class_of(type_name, index).label
     top = _onto_range(plan, type_name, index, budget.code_for(type_name, label))
+    memos = (_SweepMemo(), _SweepMemo(), _SweepMemo())
     for code in range(top):
-        problem = _check_code(plan, type_name, index, code)
+        problem = _check_code(plan, type_name, index, code, memos)
         if problem is not None:
             return Verdict(False, code, problem)
     return Verdict(True, top)

@@ -197,7 +197,10 @@ def encode(
     return run_walk(_encode(plan, type_name, index, counts, term))
 
 
-def _encode(plan, type_name, index, counts, term):
+def _encode(plan, type_name, index, counts, term, memo=None):
+    """Walk: term's code.  A memo maps (id(node), type, index, counts) to
+    (node, code) for Con nodes already encoded; the node in the value
+    keeps its id from being reused while the key is held."""
     vsig = plan.vsig
     if isinstance(term, Var):
         if (term.type_name, term.index) != (type_name, index):
@@ -210,6 +213,11 @@ def _encode(plan, type_name, index, counts, term):
                 f"variable level {term.level} out of scope ({v} in context)"
             )
         return term.level
+    if memo is not None:
+        key = (id(term), type_name, index, counts)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[1]
     ctor = vsig.sig.ctors.get(term.ctor)
     if ctor is None or ctor.family != type_name:
         raise TermError(f"constructor {term.ctor!r} does not construct {type_name}")
@@ -223,29 +231,33 @@ def _encode(plan, type_name, index, counts, term):
         for (arg_type, arg_index, _), ta, radix in zip(targets, term.args, entry.radices):
             if ta.binder_count:  # a finite block's constructors bind nothing
                 raise binder_mismatch(term, 0, ta)
-            code = yield _encode(plan, arg_type, arg_index, counts, ta.body)
+            code = yield _encode(plan, arg_type, arg_index, counts, ta.body, memo)
             offset = offset * radix + code
-        return v + entry.base + offset
-    if term.ctor not in cp.tags:
+        code = v + entry.base + offset
+    elif term.ctor not in cp.tags:
         raise TermError(f"constructor {term.ctor} cannot construct {cp.label}")
-    tag = cp.tags.index(term.ctor)
-    slots = list(term.index_args)
-    fin_digits: list[tuple[int, int]] = []
-    family_card = vsig.family_card
-    for (arg_type, arg_index, keys), ta in zip(targets, term.args):
-        if ta.binder_count != len(keys):
-            raise binder_mismatch(term, len(keys), ta)
-        sub_counts = counts.bind(keys) if keys else counts
-        code = yield _encode(plan, arg_type, arg_index, sub_counts, ta.body)
-        card = family_card[arg_type]
-        if card.is_infinite:
-            slots.append(code)
-        else:
-            fin_digits.append((card.count, code))
-    payload = mingle_fold(slots)
-    for c_j, e_j in fin_digits:
-        payload = payload * c_j + e_j
-    return v + cp.finite.total + len(cp.tags) * payload + tag
+    else:
+        tag = cp.tags.index(term.ctor)
+        slots = list(term.index_args)
+        fin_digits: list[tuple[int, int]] = []
+        family_card = vsig.family_card
+        for (arg_type, arg_index, keys), ta in zip(targets, term.args):
+            if ta.binder_count != len(keys):
+                raise binder_mismatch(term, len(keys), ta)
+            sub_counts = counts.bind(keys) if keys else counts
+            code = yield _encode(plan, arg_type, arg_index, sub_counts, ta.body, memo)
+            card = family_card[arg_type]
+            if card.is_infinite:
+                slots.append(code)
+            else:
+                fin_digits.append((card.count, code))
+        payload = mingle_fold(slots)
+        for c_j, e_j in fin_digits:
+            payload = payload * c_j + e_j
+        code = v + cp.finite.total + len(cp.tags) * payload + tag
+    if memo is not None:
+        memo[key] = (term, code)
+    return code
 
 
 def encode_closed(
@@ -273,7 +285,18 @@ def decode(
     return run_walk(_decode(plan, type_name, index, counts, code, [fuel]))
 
 
-def _decode(plan, type_name, index, counts, code, cell):
+def _decode(plan, type_name, index, counts, code, cell, memo=None):
+    """Walk: the term of this code, debiting the fuel cell once per node.
+    A memo maps (type, index, counts, code) to (term, steps), steps being
+    the fuel the term's decode spent; a hit is taken only if that much
+    fuel is left, so fuel runs out at the same node as without a memo."""
+    if memo is not None:
+        key = (type_name, index, counts, code)
+        hit = memo.get(key)
+        if hit is not None and hit[1] <= cell[0]:
+            cell[0] -= hit[1]
+            return hit[0]
+        start = cell[0]
     if cell[0] <= 0:
         raise FuelExhausted(
             f"decode ran out of fuel at {type_name} code {code};"
@@ -327,9 +350,12 @@ def _decode(plan, type_name, index, counts, code, cell):
         vsig.arg_targets(name, index, index_args), sub_codes
     ):
         sub_counts = counts.bind(keys) if keys else counts
-        body = yield _decode(plan, arg_type, arg_index, sub_counts, sub_code, cell)
+        body = yield _decode(plan, arg_type, arg_index, sub_counts, sub_code, cell, memo)
         args.append(TermArg(len(keys), body))
-    return Con(name, index_args, tuple(args))
+    term = Con(name, index_args, tuple(args))
+    if memo is not None:
+        memo[key] = (term, start - cell[0])
+    return term
 
 
 def decode_closed(

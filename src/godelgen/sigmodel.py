@@ -361,6 +361,7 @@ def parse_signature(text: str) -> Signature:
             _parse_abbrev(p, sig)
         else:
             _parse_decl(p, sig)
+    _check_abbrev_cycles(sig)
     return sig
 
 
@@ -388,6 +389,48 @@ def _parse_abbrev(p: _Parser, sig: Signature) -> None:
     sig.abbrevs[name_tok.text] = Abbrev(
         name_tok.text, type_name, index, body, name_tok.line, name_tok.col
     )
+
+
+def _abbrev_uses(sig: Signature, body: SExpr) -> list[str]:
+    """The abbreviations that elaborating body as a term expands: names
+    in term position that no enclosing binder shadows."""
+    uses, todo = [], [(body, frozenset())]
+    while todo:
+        e, bound = todo.pop()
+        if isinstance(e, SName):
+            if e.name in sig.abbrevs and e.name not in bound:
+                uses.append(e.name)
+        elif isinstance(e, SBind):
+            todo.append((e.body, bound | {e.var}))
+        elif isinstance(e, SApp) and isinstance(e.fn, (SName, SNum)):
+            fn = e.fn.name if isinstance(e.fn, SName) else str(e.fn.value)
+            ctor = sig.ctors.get(fn)
+            if ctor is not None:  # explicit index arguments do not expand
+                todo.extend((a, bound) for a in e.args[len(ctor.pi_args):])
+    return uses
+
+
+def _check_abbrev_cycles(sig: Signature) -> None:
+    """Raise SigSyntaxError if an abbreviation's term expands through
+    itself, which would never finish."""
+    done: set[str] = set()
+    for root in sig.abbrevs:
+        if root in done:
+            continue
+        # a depth-first search: each abbreviation being expanded, in order,
+        # with the uses in its body still to follow
+        expanding = {root: iter(_abbrev_uses(sig, sig.abbrevs[root].body))}
+        while expanding:
+            name = next(next(reversed(expanding.values())), None)
+            if name is None:
+                done.add(expanding.popitem()[0])
+            elif name in expanding:
+                ab = sig.abbrevs[name]
+                raise SigSyntaxError(
+                    f"abbreviation {name!r} is defined in terms of itself", ab.line, ab.col
+                )
+            elif name not in done:
+                expanding[name] = iter(_abbrev_uses(sig, sig.abbrevs[name].body))
 
 
 def _parse_decl(p: _Parser, sig: Signature) -> None:
@@ -1395,6 +1438,23 @@ def validate(sig: Signature) -> ValidatedSignature:
             continue
         for ctor in decl.ctors:
             _validate_ctor(analyzer, ctor, add)
+
+    # an abbreviation's index follows a constructor's result-index rules
+    for ab in sig.abbrevs.values():
+        kind = ana.kinds[ab.type_name]
+        if ab.type_name not in analyzed or kind is None:
+            continue
+        value = _index_value(
+            sig, ana.nat_shapes, analyzer._index_block, kind.type_name, ab.index[0], {}
+        )
+        if value is None:
+            add("index-expr", ab.name, f"invalid index expression for type {ab.type_name}")
+        elif isinstance(kind, FiniteIndex) and value >= kind.count:
+            add(
+                "index-out-of-range",
+                ab.name,
+                f"index {value} out of range for type {ab.type_name}",
+            )
 
     # uniformity: every class of an indexed family has the same cardinality
     for decl in sig.decls:

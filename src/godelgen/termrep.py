@@ -192,10 +192,8 @@ def _elab(
         if e.name in vsig.sig.abbrevs:
             ab = vsig.sig.abbrevs[e.name]
             kind, ab_index = vsig.index_kind(ab.type_name), None
-            if kind is not None:
+            if kind is not None:  # validate checked that the index has a value
                 ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
-                if ab_index is None:
-                    raise ValueError(f"invalid {kind.type_name} index expression")
             if (ab.type_name, ab_index) != (want_type, want_index):
                 raise TermError(
                     f"abbreviation {e.name} has type {_describe(ab.type_name, ab_index)},"
@@ -424,7 +422,10 @@ def check_term(
     run_walk(_check(vsig, type_name, index, counts, term))
 
 
-def _check(vsig, type_name, index, counts, term):
+def _check(vsig, type_name, index, counts, term, memo=None):
+    """Walk: raise TermError unless term is well-typed here.  A memo maps
+    (id(node), type, index, counts) to the node for Con nodes already
+    checked; the node in the value keeps its id from being reused."""
     if isinstance(term, Var):
         if (term.type_name, term.index) != (type_name, index):
             raise TermError(
@@ -437,6 +438,10 @@ def _check(vsig, type_name, index, counts, term):
                 f" ({counts.get(type_name, index)} in context)"
             )
         return
+    if memo is not None:
+        key = (id(term), type_name, index, counts)
+        if memo.get(key) is not None:
+            return
     ctor = vsig.sig.ctors.get(term.ctor)
     if ctor is None:
         raise TermError(f"unknown constructor {term.ctor!r}")
@@ -455,8 +460,10 @@ def _check(vsig, type_name, index, counts, term):
         if ta.binder_count != len(keys):
             raise binder_mismatch(term, len(keys), ta)
         yield _check(
-            vsig, arg_type, arg_index, counts.bind(keys) if keys else counts, ta.body
+            vsig, arg_type, arg_index, counts.bind(keys) if keys else counts, ta.body, memo
         )
+    if memo is not None:
+        memo[key] = term
 
 
 def check_shape(ctor: Ctor, term: Con) -> None:

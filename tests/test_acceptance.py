@@ -33,21 +33,29 @@ def _nat_term(n):
 #    below 4096, in under a second.
 
 
+# (shift, mask) steps that spread 16 bits to the even bit positions, and
+# back; each step works in place (out=), so no step allocates an array
+_SPREAD = ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555))
+_COMPACT = ((1, 0x33333333), (2, 0x0F0F0F0F), (4, 0x00FF00FF), (8, 0x0000FFFF))
+
+
 def _spread_cols(x):
-    x = (x | (x << 8)) & np.uint32(0x00FF00FF)
-    x = (x | (x << 4)) & np.uint32(0x0F0F0F0F)
-    x = (x | (x << 2)) & np.uint32(0x33333333)
-    x = (x | (x << 1)) & np.uint32(0x55555555)
+    x, scratch = x.copy(), np.empty_like(x)
+    for shift, mask in _SPREAD:
+        np.left_shift(x, np.uint32(shift), out=scratch)
+        x |= scratch
+        x &= np.uint32(mask)
     return x
 
 
-def _compact_cols(x):
-    x = x & np.uint32(0x55555555)
-    x = (x | (x >> 1)) & np.uint32(0x33333333)
-    x = (x | (x >> 2)) & np.uint32(0x0F0F0F0F)
-    x = (x | (x >> 4)) & np.uint32(0x00FF00FF)
-    x = (x | (x >> 8)) & np.uint32(0x0000FFFF)
-    return x
+def _compact_cols(x, out, scratch):
+    """The even bits of each cell of x, packed low, written to out."""
+    np.bitwise_and(x, np.uint32(0x55555555), out=out)
+    for shift, mask in _COMPACT:
+        np.right_shift(out, np.uint32(shift), out=scratch)
+        out |= scratch
+        out &= np.uint32(mask)
+    return out
 
 
 def test_interleave_table_and_exhaustive_inverse_below_4096():
@@ -66,13 +74,19 @@ def test_interleave_table_and_exhaustive_inverse_below_4096():
         for b in range(256):
             assert unmingle(mingle(a, b)) == (a, b)
 
-    # every pair below 4096, via an independent bit-twiddling oracle
+    # every pair below 4096, via an independent bit-twiddling oracle,
+    # inverted 32 rows at a time so the work stays in cache
     a = np.arange(4096, dtype=np.uint32)[:, None]
     b = np.arange(4096, dtype=np.uint32)[None, :]
     codes = (_spread_cols(a) << np.uint32(1)) | _spread_cols(b)
     assert codes.dtype == np.uint32
-    assert np.array_equal(_compact_cols(codes >> np.uint32(1)), np.broadcast_to(a, codes.shape))
-    assert np.array_equal(_compact_cols(codes), np.broadcast_to(b, codes.shape))
+    out, scratch = np.empty((32, 4096), np.uint32), np.empty((32, 4096), np.uint32)
+    for i in range(0, 4096, 32):
+        rows = codes[i:i + 32]
+        np.right_shift(rows, np.uint32(1), out=out)
+        odd = _compact_cols(out, out, scratch)
+        assert np.array_equal(odd, np.broadcast_to(a[i:i + 32], rows.shape))
+        assert np.array_equal(_compact_cols(rows, out, scratch), np.broadcast_to(b, rows.shape))
     # the oracle and the implementation agree on a spread of samples
     rng = random.Random(1)
     for _ in range(2000):

@@ -1,20 +1,45 @@
 """Tests for the bounded bijection verifier and its term enumerator."""
 
+from pathlib import Path
+
 import pytest
 
+from conftest import SIG_NAMES, sig_text
+from godelgen._walk import run_walk
 from godelgen.adequacy import (
+    MEMO_GENERATION,
     EnumBudget,
+    Verdict,
+    _SweepMemo,
     enumerate_terms,
     verify_all,
     verify_onto,
 )
-from godelgen.codec import build_plan
+from godelgen.codec import (
+    DEFAULT_FUEL,
+    _decode,
+    _encode,
+    assign_tags,
+    build_plan,
+    decode,
+    encode,
+)
+from godelgen.errors import FuelExhausted, TermError
 from godelgen.sigmodel import parse_signature, validate
-from godelgen.termrep import print_term, term_size
+from godelgen.termrep import (
+    EMPTY_COUNTS,
+    Con,
+    TermArg,
+    Var,
+    _check,
+    check_term,
+    print_term,
+    term_size,
+)
 
-# Budgets keep chain-shaped classes (every extra node costs a decode
-# step, so sweeping n codes walks n(n+1)/2 nodes) to a few hundred
-# codes while tree-shaped classes get the full default sweep.
+# Budgets keep chain-shaped classes (a nat code n is n + 1 nodes deep)
+# to a few hundred codes while tree-shaped classes get the full default
+# sweep.
 NAT_CHAIN = {("nat", "-"): (6, 600)}
 BUDGETS = {
     "nat": EnumBudget.with_overrides(max_size=8, per_class=NAT_CHAIN),
@@ -201,3 +226,110 @@ class TestFailureDetection:
         rat_row = [r for r in data["classes"] if r["type"] == "rat"][0]
         assert "counterexample" in rat_row
 
+
+# ---------------------------------------------------------------------
+# The onto sweep's memo against a sweep without one.
+
+
+def reference_onto(plan, type_name, index, budget):
+    """verify_onto as it is without a memo: per code, public decode, then
+    check_term, then encode, each over the whole term."""
+    vsig = plan.vsig
+    top = budget.code_for(type_name, vsig.class_of(type_name, index).label)
+    card = plan.class_plan(type_name, index).cardinality
+    if not card.is_infinite:
+        top = min(card.count, top)
+    for code in range(top):
+        try:
+            term = decode(plan, type_name, index, EMPTY_COUNTS, code, DEFAULT_FUEL)
+        except FuelExhausted as exc:
+            return Verdict(False, code, f"code {code} did not decode: FuelExhausted: {exc}")
+        try:
+            check_term(vsig, type_name, index, EMPTY_COUNTS, term)
+        except TermError as exc:
+            return Verdict(False, code, f"code {code} decoded to an ill-typed term: {exc}")
+        back = encode(plan, type_name, index, EMPTY_COUNTS, term)
+        if back != code:
+            return Verdict(
+                False, code, f"code {code} decoded to a term that re-encodes to {back}"
+            )
+    return Verdict(True, top)
+
+
+def _sweep_plan(name):
+    if name == "wide":
+        wide = Path(__file__).parent.parent / "perfbench" / "data" / "wide.sig"
+        return assign_tags(validate(parse_signature(wide.read_text())))
+    if name == "ratflip-unrepaired":
+        # frac first: code 0 asks for a rat inside a rat forever
+        return build_plan(validate(parse_signature(sig_text("ratflip"))))
+    return assign_tags(validate(parse_signature(sig_text(name))))
+
+
+class TestSweepMemo:
+    @pytest.mark.parametrize("name", [*SIG_NAMES, "wide", "ratflip-unrepaired"])
+    def test_onto_matches_a_sweep_without_memo(self, name):
+        plan = _sweep_plan(name)
+        vsig = plan.vsig
+        # past one memo generation, so entries are promoted and dropped
+        budget = EnumBudget(max_code=MEMO_GENERATION + 44)
+        verdicts = []
+        for decl in vsig.decls:
+            for _cls, reps in vsig.class_reps(decl.name):
+                for index in reps:
+                    verdict = verify_onto(plan, decl.name, index, budget)
+                    assert verdict == reference_onto(plan, decl.name, index, budget)
+                    verdicts.append(verdict)
+        assert sum(v.checked for v in verdicts) > 0
+        assert all(v.passed for v in verdicts) == (name != "ratflip-unrepaired")
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_memo_hit_spends_the_fuel_of_its_subterm(self, plans, n):
+        plan = plans["nat"]
+
+        def outcome(fuel, memo):
+            cell = [fuel]
+            try:
+                term = run_walk(_decode(plan, "nat", None, EMPTY_COUNTS, n, cell, memo))
+            except FuelExhausted as exc:
+                return "FuelExhausted", str(exc), cell
+            return term, cell
+
+        # code n is n + 1 nodes deep, and its subterm code n - 1 is n deep
+        for fuel in (n - 1, n, n + 1, n + 2):
+            memo = _SweepMemo()
+            run_walk(_decode(plan, "nat", None, EMPTY_COUNTS, n - 1, [DEFAULT_FUEL], memo))
+            assert outcome(fuel, memo) == outcome(fuel, None)
+        assert outcome(n, None)[0] == "FuelExhausted"
+        assert outcome(n + 1, None)[-1] == [0]
+
+    def test_memo_entries_are_per_context(self, plans):
+        plan = plans["lambda"]
+        one = EMPTY_COUNTS.extend("t", None)
+        two = one.extend("t", None)
+        x0 = Var("t", None, 0)
+        term = Con("app", (), (TermArg(0, x0), TermArg(0, x0)))
+        checked = _SweepMemo()
+        run_walk(_check(plan.vsig, "t", None, one, term, checked))
+        with pytest.raises(TermError, match="out of scope"):
+            run_walk(_check(plan.vsig, "t", None, EMPTY_COUNTS, term, checked))
+        encoded, decoded = _SweepMemo(), _SweepMemo()
+        for counts in (one, two, one):
+            code = run_walk(_encode(plan, "t", None, counts, term, encoded))
+            assert code == encode(plan, "t", None, counts, term)
+        for counts in (one, EMPTY_COUNTS, two, one):
+            got = run_walk(_decode(plan, "t", None, counts, 9, [DEFAULT_FUEL], decoded))
+            assert got == decode(plan, "t", None, counts, 9)
+
+    def test_memo_keeps_two_generations(self):
+        memo = _SweepMemo()
+        for key in range(MEMO_GENERATION):
+            memo[key] = key + 1
+        assert memo.get(0) == 1
+        memo[MEMO_GENERATION] = 0  # young is full: it becomes old
+        assert memo.get(1) == 2  # promoted from old
+        for key in range(MEMO_GENERATION + 1, 2 * MEMO_GENERATION + 2):
+            memo[key] = key + 1
+        assert len(memo.young) + len(memo.old) <= 2 * MEMO_GENERATION
+        assert memo.get(2) is None  # dropped with its generation
+        assert memo.get(1) == 2  # was promoted, so it survived one rotation

@@ -69,6 +69,22 @@ class TestCheck:
         assert code == 3
         assert "error:" in err
 
+    def test_abbrev_cycle_is_a_syntax_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sig"
+        bad.write_text(sig_path("nat").read_text()
+                       + "%abbrev a : nat = s b.\n%abbrev b : nat = s a.\n")
+        code, _, err = run(capsys, ["encode", str(bad), "--type", "nat", "a"])
+        assert code == 3
+        assert "abbreviation 'a' is defined in terms of itself" in err
+
+    def test_bad_abbrev_index_fails_check(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sig"
+        bad.write_text(sig_path("nat").read_text() + "t : nat -> type. tz : t z."
+                       " ts : t N -> t (s N). %abbrev bad : t (s foo) = tz.\n")
+        code, _, err = run(capsys, ["check", str(bad)])
+        assert code == 2
+        assert err == "error: bad: invalid index expression for type t [index-expr]\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "no/such/file.sig"])
         assert code == 3

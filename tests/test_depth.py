@@ -85,9 +85,10 @@ def test_cli_decodes_a_deep_nat():
 
 
 def test_sigint_ends_verify():
-    # verify on nat at the default budget runs for minutes
+    # verify on lambda with ten million codes runs for minutes
     proc = subprocess.Popen(
-        [sys.executable, "-m", "godelgen.cli", "verify", str(sig_path("nat"))],
+        [sys.executable, "-m", "godelgen.cli", "verify", str(sig_path("lambda")),
+         "--max-code", "10000000"],
         env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:

@@ -134,6 +134,38 @@ def test_abbrev_defined_through_itself_is_a_syntax_error():
     assert sig.ctors["q0"].result_index == (IxCon("mk", (IxCon("b0"), IxCon("b0"))),)
 
 
+def test_abbrev_terms_defined_through_each_other_are_a_syntax_error():
+    # elaborating a would expand a, b, a, ... without end
+    for cycle in (
+        "%abbrev a : nat = s b. %abbrev b : nat = s a.",
+        "%abbrev a : nat = s a.",
+        "%abbrev c : nat = s a. %abbrev a : nat = b. %abbrev b : nat = s (s a).",
+    ):
+        with pytest.raises(SigSyntaxError, match="'a' is defined in terms of itself"):
+            parse_signature(sig_text("nat") + cycle)
+    lam = "t : type. lam : (t -> t) -> t. app : t -> t -> t. "
+    with pytest.raises(SigSyntaxError, match="'x' is defined in terms of itself"):
+        parse_signature(lam + "%abbrev x : t = lam [y] app y x.")
+    # a binder shadows the abbreviation, and a chain is no cycle
+    parse_signature(lam + "%abbrev x : t = lam [x] x.")
+    chain = " ".join(f"%abbrev a{i} : nat = s a{i - 1}." for i in range(1, 3000))
+    sig = parse_signature(sig_text("nat") + "%abbrev a0 : nat = z. " + chain)
+    assert len(sig.abbrevs) == 3000
+
+
+def test_abbrev_index_is_validated_like_a_constructor_index():
+    nat_family = sig_text("nat") + "t : nat -> type. tz : t z. ts : t N -> t (s N)."
+    (d,) = rejection(nat_family + " %abbrev bad : t (s foo) = tz.")
+    assert (d.rule, d.subject) == ("index-expr", "bad")
+    assert d.message == "invalid index expression for type t"
+    flags = "b : type. b0 : b. b1 : b. k : b -> type. k0 : k b0. k1 : k b1."
+    assert [(d.rule, d.subject) for d in rejection(
+        flags + " %abbrev far : k 5 = k0. %abbrev odd : k b7 = k0."
+    )] == [("index-out-of-range", "far"), ("index-expr", "odd")]
+    check(nat_family + " %abbrev one : t (s z) = ts tz.")
+    check(flags + " %abbrev hi : k b1 = k1. %abbrev hi2 : k 1 = k1.")
+
+
 def test_parse_errors():
     with pytest.raises(SigSyntaxError):
         parse_signature("t : type")  # missing period
