@@ -12,14 +12,28 @@ A signature is a sequence of declarations in a small LF-style syntax:
 Types may be indexed by one other type.  Analysis groups the concrete
 indices of each family into classes (unindexed types have a single
 class; nat-shaped indices split into zero/successor; finite indices get
-one class per value) and computes a cardinality per class.  Validation
-then enforces the rules that make a per-class bijection with N
-derivable, reporting one diagnostic per violated rule.
+one class per value) and computes a cardinality per class from one class
+graph, with an edge for each class and constructor that applies there,
+carrying the classes of its abstractions, arguments and bound variables:
+
+- one worklist pass finds the productive (inhabited) classes;
+- one sweep over the strongly connected components of the inhabited
+  edges, each after the components it reaches, makes a class infinite if
+  it lies on a cycle of pinned edges (the same concrete index recurs) or
+  reaches an infinite class, and otherwise counts it as a sum of
+  products, a count above COUNT_CUTOFF being infinite.
+
+The counts of finite index types give the classes of the families they
+index, so the analysis repeats until they settle.  Validation then
+enforces the rules that make a per-class bijection with N derivable,
+reading the same graph and reporting one diagnostic per violated rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from math import prod
 
 from ._walk import run_walk
 from .errors import Diagnostic, SigSyntaxError, SigValidationError
@@ -672,6 +686,17 @@ class FiniteBlock:
         raise IndexError(offset)
 
 
+@dataclass(eq=False, slots=True)
+class Edge:
+    """One constructor at one class it applies to, with the (type, class)
+    keys its terms there are built from."""
+
+    ctor: Ctor
+    pis: tuple[frozenset, ...]  # the classes of each abstraction's type
+    args: tuple[tuple[frozenset, bool, tuple[frozenset, ...]], ...]  # (targets, pinned, binders)
+    unmet: set[int] = field(default_factory=set)  # needs no inhabited class met
+
+
 @dataclass
 class Analysis:
     kinds: dict[str, object]  # None | NatIndex | FiniteIndex | 'multi' | 'invalid'
@@ -681,33 +706,19 @@ class Analysis:
     nat_shapes: dict[str, NatIndex]  # the types with a zero and a successor
     deferred: list[Diagnostic]
     nat_literal: NatIndex | None
+    graph: dict[tuple[str, IndexClass], dict[str, Edge]]  # class -> ctor -> edge
 
 
 def _nat_shape(decl: TypeDecl) -> NatIndex | None:
     """Detect a type with exactly a zero and a self-successor constructor."""
-    if decl.index_types or len(decl.ctors) != 2:
+    if decl.index_types or len(decl.ctors) != 2 or any(c.pi_args for c in decl.ctors):
         return None
-    zero = succ = None
-    for c in decl.ctors:
-        if c.pi_args:
-            return None
-        if not c.args:
-            if zero is not None:
-                return None
-            zero = c.name
-        elif (
-            len(c.args) == 1
-            and not c.args[0].binders
-            and c.args[0].type_name == decl.name
-        ):
-            if succ is not None:
-                return None
-            succ = c.name
-        else:
-            return None
-    if zero is None or succ is None:
-        return None
-    return NatIndex(decl.name, zero, succ)
+    zero = [c.name for c in decl.ctors if not c.args]
+    succ = [
+        c.name for c in decl.ctors
+        if len(c.args) == 1 and not c.args[0].binders and c.args[0].type_name == decl.name
+    ]
+    return NatIndex(decl.name, *zero, *succ) if len(zero) == len(succ) == 1 else None
 
 
 def applies(pattern: tuple, cls: IndexClass) -> bool:
@@ -776,66 +787,39 @@ class _Analyzer:
         self.nat_shapes = {
             d.name: shape for d in sig.decls if (shape := _nat_shape(d)) is not None
         }
-        self.raw_kinds: dict[str, object] = {}
-        for d in sig.decls:
-            if len(d.index_types) == 0:
-                self.raw_kinds[d.name] = None
-            elif len(d.index_types) == 1:
-                xname = d.index_types[0]
-                xdecl = sig.by_name.get(xname)
-                if xdecl is None or xdecl.index_types:
-                    self.raw_kinds[d.name] = "invalid"
-                else:
-                    shape = self.nat_shapes.get(xname)
-                    self.raw_kinds[d.name] = shape if shape else ("fin?", xname)
-            else:
-                self.raw_kinds[d.name] = "multi"
+        self.kinds = None
 
     def defer(self, rule: str, subject: str, message: str) -> None:
-        d = Diagnostic(rule, subject, message)
-        if d not in self._seen:
-            self._seen.add(d)
-            self.diags.append(d)
+        self.diags.setdefault(Diagnostic(rule, subject, message))
 
     # ---- per-round state
 
     def _setup_round(self, prev_card) -> None:
-        # each round reports afresh; the stable round's list is the result
-        self.diags: list[Diagnostic] = []
-        self._seen: set[Diagnostic] = set()
-        self.kinds = {}
-        self.classes = {}
+        """This round's kinds and classes, from the last round's counts."""
+        self.last_kinds, self.kinds, self.classes = self.kinds, {}, {}
         for d in self.sig.decls:
-            raw = self.raw_kinds[d.name]
-            if raw is None:
-                self.kinds[d.name] = None
-                self.classes[d.name] = (UNIT_CLASS,)
-            elif isinstance(raw, NatIndex):
-                self.kinds[d.name] = raw
-                self.classes[d.name] = (Z_CLASS, S_CLASS)
-            elif isinstance(raw, tuple) and raw[0] == "fin?":
-                xcard = prev_card.get((raw[1], UNIT_CLASS))
-                if xcard is not None and xcard.is_finite:
-                    self.kinds[d.name] = FiniteIndex(raw[1], xcard.count)
-                    self.classes[d.name] = tuple(
-                        fin_class(v) for v in range(xcard.count)
-                    )
+            kind, classes = "multi", ()
+            if not d.index_types:
+                kind, classes = None, (UNIT_CLASS,)
+            elif len(d.index_types) == 1:
+                x = d.index_types[0]
+                xcard = prev_card.get((x, UNIT_CLASS))
+                if self.sig.by_name[x].index_types:
+                    kind = "invalid"
+                elif x in self.nat_shapes:
+                    kind, classes = self.nat_shapes[x], (Z_CLASS, S_CLASS)
+                elif xcard is not None and xcard.is_finite:
+                    kind = FiniteIndex(x, xcard.count)
+                    classes = tuple(fin_class(v) for v in range(xcard.count))
                 else:
-                    self.kinds[d.name] = "invalid"
-                    self.classes[d.name] = ()
-            else:
-                self.kinds[d.name] = raw
-                self.classes[d.name] = ()
+                    kind = "invalid"
+            self.kinds[d.name], self.classes[d.name] = kind, classes
         self.prev_card = prev_card
-        self._pattern_cache: dict[str, tuple] = {}
-        self._building: set[str] = set()  # index types whose block is being built
 
     def pattern_of(self, ctor: Ctor) -> tuple:
-        if ctor.name in self._pattern_cache:
-            return self._pattern_cache[ctor.name]
-        pat = self._compute_pattern(ctor)
-        self._pattern_cache[ctor.name] = pat
-        return pat
+        if ctor.name not in self._pattern_cache:
+            self._pattern_cache[ctor.name] = self._compute_pattern(ctor)
+        return self._pattern_cache[ctor.name]
 
     def _compute_pattern(self, ctor: Ctor) -> tuple:
         kind = self.kinds.get(ctor.family)
@@ -844,28 +828,18 @@ class _Analyzer:
         if kind in ("multi", "invalid"):
             return ("invalid",)
         expr = ctor.result_index[0]
+        if isinstance(expr, IxVar):
+            return ("var", expr.name)
         if isinstance(kind, NatIndex):
-            if isinstance(expr, IxVar):
-                return ("var", expr.name)
-            if isinstance(expr, IxNum):
-                if expr.value == 0:
-                    return ("zero",)
-                self.defer(
-                    "pattern",
-                    ctor.name,
-                    "result index must use at most one level of matching"
-                    " (zero, successor of a variable, or a variable)",
-                )
-                return ("invalid",)
-            if isinstance(expr, IxCon):
-                if expr.name == kind.zero and not expr.args:
-                    return ("zero",)
-                if (
-                    expr.name == kind.succ
-                    and len(expr.args) == 1
-                    and isinstance(expr.args[0], IxVar)
-                ):
-                    return ("succ", expr.args[0].name)
+            if expr == IxNum(0) or expr == IxCon(kind.zero):
+                return ("zero",)
+            if (
+                isinstance(expr, IxCon)
+                and expr.name == kind.succ
+                and len(expr.args) == 1
+                and isinstance(expr.args[0], IxVar)
+            ):
+                return ("succ", expr.args[0].name)
             self.defer(
                 "pattern",
                 ctor.name,
@@ -873,9 +847,7 @@ class _Analyzer:
                 " (zero, successor of a variable, or a variable)",
             )
             return ("invalid",)
-        # finite index: a concrete value or a bare variable
-        if isinstance(expr, IxVar):
-            return ("var", expr.name)
+        # finite index: a concrete value
         value = _index_value(
             self.sig, self.nat_shapes, self._index_block, kind.type_name, expr, {}
         )
@@ -908,61 +880,23 @@ class _Analyzer:
             )
             return None
         self._building.add(t)
-        block = self._build_block(t, UNIT_CLASS, self.prev_card)[0]
+        rows = (  # t is unindexed: each constructor applies
+            (c, (self.eval_classes(c, UNIT_CLASS, a.type_name, a.index)[0] for a in c.args))
+            for c in self.sig.by_name[t].ctors
+        )
+        block = _partition(rows, self.prev_card)[0]
         self._building.remove(t)
         return block
-
-    def _build_block(
-        self, t: str, k: IndexClass, card_map
-    ) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
-        """Finite-instance block of class k and, in declaration order, the
-        constructors outside it: those with an infinite or unknown slot."""
-        entries = []
-        infinite: list[Ctor] = []
-        base = 0
-        decl = self.sig.by_name[t]
-        for ctor in decl.ctors:
-            if not applies(self.pattern_of(ctor), k):
-                continue
-            if ctor.pi_args or any(a.binders for a in ctor.args):
-                infinite.append(ctor)
-                continue
-            radices = []
-            ok = True
-            for a in ctor.args:
-                classes, _ = self.eval_classes(ctor, k, a.type_name, a.index)
-                counts = []
-                for c in classes:
-                    cc = card_map.get((a.type_name, c))
-                    if cc is None or cc.is_infinite:
-                        ok = False
-                        break
-                    counts.append(cc.count if cc.is_finite else 0)
-                if not ok:
-                    break
-                radices.append(max(counts) if counts else 0)
-            if not ok:
-                infinite.append(ctor)
-                continue
-            count = 1
-            for r in radices:
-                count *= r
-            entries.append(FiniteCtorEntry(ctor.name, base, tuple(radices), count))
-            base += count
-        return FiniteBlock(tuple(entries), base), tuple(infinite)
 
     def _var_ctx(self, ctor: Ctor, k: IndexClass) -> dict[str, tuple]:
         """Map index variables to abstract bindings at class k."""
         ctx: dict[str, tuple] = {}
-        kind = self.kinds.get(ctor.family)
         pat = self.pattern_of(ctor)
-        ixt = kind.type_name if isinstance(kind, (NatIndex, FiniteIndex)) else None
         if pat[0] == "var":
-            ctx[pat[1]] = ("cur", ixt, k)
+            ctx[pat[1]] = ("cur", self.kinds[ctor.family].type_name, k)
         elif pat[0] == "succ":
-            ctx[pat[1]] = ("pred", ixt)
-        for var, ptype, _ in ctor.pi_args:
-            ctx[var] = ("any", ptype)
+            ctx[pat[1]] = ("pred", self.kinds[ctor.family].type_name)
+        ctx.update((var, ("any", ptype)) for var, ptype, _ in ctor.pi_args)
         return ctx
 
     def eval_classes(
@@ -971,18 +905,29 @@ class _Analyzer:
         k: IndexClass,
         target_type: str,
         index: tuple[IndexExpr, ...],
-    ) -> tuple[frozenset[IndexClass], bool]:
-        """Classes an argument occurrence can land in, plus whether the
-        concrete index is pinned (a constant, or identical to the source's)."""
+    ) -> tuple[frozenset[tuple[str, IndexClass]], bool]:
+        """The (type, class) keys an argument occurrence can land in, plus
+        whether the concrete index is pinned (a constant, or identical to
+        the source's)."""
         tkind = self.kinds.get(target_type)
         if tkind in ("multi", "invalid") or tkind is None and index:
             return frozenset(), False
         if tkind is None:
-            return frozenset((UNIT_CLASS,)), True
+            return frozenset(((target_type, UNIT_CLASS),)), True
         if not index:
             return frozenset(), False
         ctx = self._var_ctx(ctor, k)
-        return self._eval_expr(ctor, target_type, tkind, index[0], ctx)
+        classes, pinned = self._eval_expr(ctor, target_type, tkind, index[0], ctx)
+        return frozenset((target_type, c) for c in classes), pinned
+
+    def _edge(self, ctor: Ctor, k: IndexClass) -> Edge:
+        args = []
+        for a in ctor.args:
+            targets, pinned = self.eval_classes(ctor, k, a.type_name, a.index)
+            binders = [self.eval_classes(ctor, k, bt, bix)[0] for bt, bix in a.binders]
+            args.append((targets, pinned, tuple(binders)))
+        pis = [frozenset((p, pk) for pk in self.classes[p]) for _, p, _ in ctor.pi_args]
+        return Edge(ctor, tuple(pis), tuple(args))
 
     def _eval_expr(
         self, ctor: Ctor, target_type: str, tkind, expr: IndexExpr, ctx
@@ -1061,181 +1006,35 @@ class _Analyzer:
             return frozenset(), False
         return frozenset((fin_class(value),)), True
 
-    # ---- fixed point
+    # ---- one round
 
     def _fixpoint(self) -> dict[tuple[str, IndexClass], Cardinality]:
-        all_classes = [
-            (d.name, k) for d in self.sig.decls for k in self.classes[d.name]
-        ]
-        inhab: dict[tuple[str, IndexClass], bool] = {ck: False for ck in all_classes}
-        changed = True
-        while changed:
-            changed = False
-            for t, k in all_classes:
-                if inhab[(t, k)]:
-                    continue
-                for ctor in self.sig.by_name[t].ctors:
-                    if applies(self.pattern_of(ctor), k) and self._ctor_inhabited(
-                        ctor, k, inhab
-                    ):
-                        inhab[(t, k)] = True
-                        changed = True
-                        break
-
-        infinite: set[tuple[str, IndexClass]] = set()
-        while True:
-            before = len(infinite)
-            self._cycle_pass(all_classes, inhab, infinite)
-            self._propagate_pass(all_classes, inhab, infinite)
-            counts = self._count_pass(all_classes, inhab, infinite)
-            if len(infinite) == before:
-                break
-
-        card: dict[tuple[str, IndexClass], Cardinality] = {}
-        for ck in all_classes:
-            if not inhab[ck]:
-                card[ck] = EMPTY
-            elif ck in infinite:
-                card[ck] = INFINITE
-            else:
-                card[ck] = finite(counts[ck])
-        return card
-
-    def _ctor_inhabited(self, ctor: Ctor, k: IndexClass, inhab) -> bool:
-        for _, ptype, _ in ctor.pi_args:
-            if not any(
-                inhab.get((ptype, pk), False) for pk in self.classes.get(ptype, ())
-            ):
-                return False
-        for a in ctor.args:
-            targets, _ = self.eval_classes(ctor, k, a.type_name, a.index)
-            ok = any(inhab.get((a.type_name, c), False) for c in targets)
-            if not ok:
-                # a bound variable of the right type also provides a body
-                for bt, bix in a.binders:
-                    bclasses, _ = self.eval_classes(ctor, k, bt, bix)
-                    if bt == a.type_name and bclasses & targets:
-                        ok = True
-                        break
-            if not ok:
-                return False
-        return True
-
-    def _edges(self, t: str, k: IndexClass, inhab):
-        """Concrete-index containment edges used for cycle detection."""
-        out = []
-        for ctor in self.sig.by_name[t].ctors:
-            if not applies(self.pattern_of(ctor), k):
-                continue
-            if not self._ctor_inhabited(ctor, k, inhab):
-                continue
-            for a in ctor.args:
-                targets, pinned = self.eval_classes(ctor, k, a.type_name, a.index)
-                if pinned and len(targets) == 1:
-                    (tc,) = targets
-                    if inhab.get((a.type_name, tc), False):
-                        out.append((a.type_name, tc))
-        return out
-
-    def _cycle_pass(self, all_classes, inhab, infinite) -> None:
+        """The cardinalities this round's kinds and classes give.  Without a
+        finite index type a round reads nothing else of the last round, so
+        the same kinds give the same round again."""
+        if self.kinds == self.last_kinds and FiniteIndex not in map(type, self.kinds.values()):
+            return self.card
+        # each round reports afresh; the stable round's list is the result
+        self.diags: dict[Diagnostic, None] = {}  # in the order found
+        self._pattern_cache: dict[str, tuple] = {}
+        self._building: set[str] = set()  # index types whose block is being built
         graph = {
-            ck: self._edges(ck[0], ck[1], inhab) for ck in all_classes if inhab[ck]
+            (d.name, k): {
+                c.name: self._edge(c, k) for c in d.ctors if applies(self.pattern_of(c), k)
+            }
+            for d in self.sig.decls
+            for k in self.classes[d.name]
         }
-        for start in graph:
-            if start in infinite:
-                continue
-            # can we get back to start following at least one edge?
-            stack = list(graph.get(start, ()))
-            seen = set()
-            while stack:
-                node = stack.pop()
-                if node == start:
-                    infinite.add(start)
-                    break
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(graph.get(node, ()))
-
-    def _propagate_pass(self, all_classes, inhab, infinite) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for t, k in all_classes:
-                if (t, k) in infinite or not inhab[(t, k)]:
-                    continue
-                if self._class_forced_infinite(t, k, inhab, infinite):
-                    infinite.add((t, k))
-                    changed = True
-
-    def _class_forced_infinite(self, t, k, inhab, infinite) -> bool:
-        for ctor in self.sig.by_name[t].ctors:
-            if not applies(self.pattern_of(ctor), k):
-                continue
-            if not self._ctor_inhabited(ctor, k, inhab):
-                continue
-            for _, ptype, _ in ctor.pi_args:
-                if any(
-                    (ptype, pk) in infinite for pk in self.classes.get(ptype, ())
-                ):
-                    return True
-            for a in ctor.args:
-                targets, _ = self.eval_classes(ctor, k, a.type_name, a.index)
-                if any((a.type_name, c) in infinite for c in targets):
-                    return True
-                for bt, bix in a.binders:
-                    bclasses, _ = self.eval_classes(ctor, k, bt, bix)
-                    if any((bt, c) in infinite for c in bclasses):
-                        return True
-        return False
-
-    def _count_pass(self, all_classes, inhab, infinite):
-        live = [ck for ck in all_classes if inhab[ck] and ck not in infinite]
-        counts = {ck: 0 for ck in live}
-
-        def class_count(t, classes) -> int:
-            vals = []
-            for c in classes:
-                if (t, c) in infinite:
-                    return COUNT_CUTOFF + 1
-                if not inhab.get((t, c), False):
-                    vals.append(0)
-                else:
-                    vals.append(counts.get((t, c), 0))
-            return max(vals) if vals else 0
-
-        changed = True
-        while changed:
-            changed = False
-            for t, k in live:
-                total = 0
-                for ctor in self.sig.by_name[t].ctors:
-                    if not applies(self.pattern_of(ctor), k):
-                        continue
-                    contrib = 1
-                    for _, ptype, _ in ctor.pi_args:
-                        factor = sum(
-                            counts.get((ptype, pk), 0)
-                            for pk in self.classes.get(ptype, ())
-                            if inhab.get((ptype, pk), False)
-                        )
-                        contrib *= factor
-                    for a in ctor.args:
-                        targets, _ = self.eval_classes(ctor, k, a.type_name, a.index)
-                        contrib *= class_count(a.type_name, targets)
-                    total += contrib
-                    if total > COUNT_CUTOFF:
-                        break
-                if total > COUNT_CUTOFF:
-                    infinite.add((t, k))
-                    for ck in list(counts):
-                        if ck == (t, k):
-                            del counts[ck]
-                    return counts  # caller reruns the closure passes
-                if total != counts[(t, k)]:
-                    counts[(t, k)] = total
-                    changed = True
-        return counts
+        for c in self.sig.ctors.values():  # those of families without classes
+            self.pattern_of(c)
+        self.graph = graph
+        inhab = _productive(graph)
+        infinite, counts = _sweep(graph, inhab)
+        self.card = {
+            ck: EMPTY if ck not in inhab else INFINITE if ck in infinite else finite(counts[ck])
+            for ck in graph
+        }
+        return self.card
 
     # ---- driver
 
@@ -1251,8 +1050,6 @@ class _Analyzer:
             raise SigValidationError(
                 [Diagnostic("analysis", "signature", "index analysis did not stabilize")]
             )
-        patterns = {c: self.pattern_of(self.sig.ctors[c]) for c in self.sig.ctors}
-
         nat_literal = None
         shape = self.nat_shapes.get("nat")
         if shape is not None and shape.zero == "z" and shape.succ == "s":
@@ -1262,11 +1059,142 @@ class _Analyzer:
             kinds=dict(self.kinds),
             classes=dict(self.classes),
             card=card,
-            patterns=patterns,
+            patterns={c: self._pattern_cache[c] for c in self.sig.ctors},
             nat_shapes=self.nat_shapes,
             deferred=list(self.diags),
             nat_literal=nat_literal,
+            graph=self.graph,
         )
+
+
+def _productive(graph) -> set[tuple[str, IndexClass]]:
+    """The inhabited classes, in one worklist pass (the productive symbols
+    of a grammar).  An edge needs a class of each abstraction's type and,
+    for each argument that no bound variable can fill, a target class;
+    each edge is left with the needs no inhabited class met."""
+    waiting: dict[tuple[str, IndexClass], list] = {}
+    todo = []
+    for ck, edges in graph.items():
+        for e in edges.values():
+            needs = [*e.pis, *(ts for ts, _, bs in e.args if not any(b & ts for b in bs))]
+            e.unmet = set(range(len(needs)))
+            if not needs:
+                todo.append(ck)
+            for i, need in enumerate(needs):
+                for c in need:
+                    waiting.setdefault(c, []).append((ck, e, i))
+    inhab = set()
+    while todo:
+        ck = todo.pop()
+        if ck not in inhab:
+            inhab.add(ck)
+            for src, e, i in waiting.get(ck, ()):
+                e.unmet.discard(i)
+                if not e.unmet:
+                    todo.append(src)
+    return inhab
+
+
+def _sweep(graph, inhab) -> tuple[set, dict]:
+    """The infinite inhabited classes and the counts of the others, in one
+    sweep over the strongly connected components of the inhabited edges,
+    each after the components it reaches.  A class is infinite if it lies
+    on a cycle of pinned edges (the same concrete index comes back), if it
+    reaches an infinite class, or if its count passes COUNT_CUTOFF."""
+    succ = {
+        ck: inhab.intersection(chain.from_iterable(
+            chain(*e.pis, *(ts.union(*bs) for ts, _, bs in e.args))
+            for e in edges.values() if not e.unmet
+        ))
+        for ck, edges in graph.items() if ck in inhab
+    }
+    infinite: set[tuple[str, IndexClass]] = set()
+    counts: dict[tuple[str, IndexClass], int] = {}
+    for comp in _sccs(succ):
+        cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
+        if cyclic and _pinned_cycle(graph, comp) or any(
+            not succ[c].isdisjoint(infinite) for c in comp
+        ):
+            infinite.update(comp)
+            continue
+        # The counts solve x = f(x), where f sums over the edges products of
+        # sums (abstractions) and maxima (arguments) of counts, the lower
+        # components' counts being constants; rounds from x = 0 rise to the
+        # least solution.  A change in round r comes, through a term of the
+        # maximizing choice whose other factors are nonzero, from a change
+        # of some member in round r - 1.  Traced back from round n + 1
+        # (n members), the changes repeat a member u, and the terms on that
+        # cycle map a change of u to one at least as large a lap later, so
+        # u then grows on every lap: no finite solution.  So only a cyclic
+        # component iterates, at most n + 1 rounds.
+        counts.update(dict.fromkeys(comp, 0))
+        for _ in range(len(comp) + 1 if cyclic else 1):
+            old, new = [counts[c] for c in comp], [_count(graph[c], counts) for c in comp]
+            counts.update(zip(comp, new))
+            if old == new or max(new) > COUNT_CUTOFF:
+                break
+        if max(new) > COUNT_CUTOFF or cyclic and old != new:
+            infinite.update(comp)
+    return infinite, counts
+
+
+def _count(edges: dict[str, Edge], counts) -> int:
+    """A class's count: over its inhabited edges, the product of each
+    abstraction's total and each argument's largest target count (an
+    uninhabited class counts 0)."""
+    total = 0
+    for e in edges.values():
+        if not e.unmet:
+            n = 1
+            for need in e.pis:
+                n *= sum(counts.get(c, 0) for c in need)
+            for ts, _, _ in e.args:
+                n *= max((counts.get(c, 0) for c in ts), default=0)
+            total += n
+    return total
+
+
+def _pinned_cycle(graph, comp: list) -> bool:
+    """Whether the pinned edges among a component's classes form a cycle."""
+    members = set(comp)
+    pinned = {
+        ck: {c for e in graph[ck].values() if not e.unmet for ts, pin, _ in e.args
+             if pin and len(ts) == 1 for c in ts if c in members}
+        for ck in comp
+    }
+    return any(len(p) > 1 or p[0] in pinned[p[0]] for p in _sccs(pinned))
+
+
+def _sccs(succ: dict) -> list[list]:
+    """Strongly connected components of a graph, each listed after every
+    component it reaches (Tarjan 1972), with an explicit stack."""
+    index, low, stack, out = {}, {}, [], []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] is not v:
+                        comp.append(stack.pop())
+                    index.update(dict.fromkeys(comp, len(succ)))  # done: no longer open
+                    out.append(comp)
+    return out
 
 
 def compute_cardinality(sig: Signature) -> Signature:
@@ -1367,11 +1295,8 @@ class ValidatedSignature:
 def validate(sig: Signature) -> ValidatedSignature:
     """Check every well-formedness rule; raise SigValidationError listing
     all violations, or return the signature paired with its analysis."""
-    analyzer = _Analyzer(sig)
     if sig.analysis is None:
-        sig.analysis = analyzer.run()
-    else:
-        analyzer._setup_round(sig.analysis.card)
+        compute_cardinality(sig)
     ana = sig.analysis
     diags: list[Diagnostic] = list(ana.deferred)
     # an index type whose instances need its own index values has no
@@ -1437,16 +1362,23 @@ def validate(sig: Signature) -> ValidatedSignature:
         if decl.name not in analyzed:
             continue
         for ctor in decl.ctors:
-            _validate_ctor(analyzer, ctor, add)
+            _validate_ctor(ana, ctor, add)
+
+    partitions = {
+        ck: _partition(((e.ctor, [ts for ts, _, _ in e.args]) for e in edges.values()), ana.card)
+        for ck, edges in ana.graph.items()
+    }
+
+    def block_of(t: str) -> FiniteBlock | None:
+        finite = ana.card.get((t, UNIT_CLASS), EMPTY).is_finite
+        return partitions[(t, UNIT_CLASS)][0] if finite else None
 
     # an abbreviation's index follows a constructor's result-index rules
     for ab in sig.abbrevs.values():
         kind = ana.kinds[ab.type_name]
         if ab.type_name not in analyzed or kind is None:
             continue
-        value = _index_value(
-            sig, ana.nat_shapes, analyzer._index_block, kind.type_name, ab.index[0], {}
-        )
+        value = _index_value(sig, ana.nat_shapes, block_of, kind.type_name, ab.index[0], {})
         if value is None:
             add("index-expr", ab.name, f"invalid index expression for type {ab.type_name}")
         elif isinstance(kind, FiniteIndex) and value >= kind.count:
@@ -1472,12 +1404,10 @@ def validate(sig: Signature) -> ValidatedSignature:
                 f"indexed types must be uniform across index classes ({parts})",
             )
 
-    partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]] = {}
     if not diags:
         for decl in sig.decls:
             for k in ana.classes[decl.name]:
-                block, inf = analyzer._build_block(decl.name, k, ana.card)
-                partitions[(decl.name, k)] = (block, inf)
+                block, inf = partitions[(decl.name, k)]
                 card = ana.card[(decl.name, k)]
                 if card.is_infinite and not inf:
                     add(
@@ -1558,9 +1488,34 @@ def _apply_layout(rules: tuple, slots: tuple) -> tuple:
     return tuple(targets)
 
 
-def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:
-    sig, ana = analyzer.sig, analyzer.sig.analysis
-    first_diag = len(analyzer.diags)
+def _partition(rows, card_map) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
+    """Finite-instance block of a class and, in declaration order, the
+    constructors outside it: those with an abstraction, a binder, or an
+    infinite or unknown slot.  rows gives, for each constructor that
+    applies, the target keys of each argument; they are read up to the
+    first infinite slot."""
+    entries = []
+    infinite: list[Ctor] = []
+    base = 0
+    for ctor, arg_targets in rows:
+        if ctor.pi_args or any(a.binders for a in ctor.args):
+            infinite.append(ctor)
+            continue
+        radices = []
+        for targets in arg_targets:
+            cards = [card_map.get(c) for c in targets]
+            if any(c is None or c.is_infinite for c in cards):
+                infinite.append(ctor)
+                break
+            radices.append(max((c.count if c.is_finite else 0 for c in cards), default=0))
+        else:
+            count = prod(radices)
+            entries.append(FiniteCtorEntry(ctor.name, base, tuple(radices), count))
+            base += count
+    return FiniteBlock(tuple(entries), base), tuple(infinite)
+
+
+def _validate_ctor(ana: Analysis, ctor: Ctor, add) -> None:
     seen_vars = set()
     pat = ana.patterns[ctor.name]
     if pat[0] in ("var", "succ"):
@@ -1587,14 +1542,13 @@ def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:
                     f"abstracted variable {var!r} cannot appear in the result index",
                 )
 
-    classes = [k for k in ana.classes[ctor.family] if applies(pat, k)]
-    for k in classes:
-        for a in ctor.args:
-            targets, _ = analyzer.eval_classes(ctor, k, a.type_name, a.index)
-            tcards = [ana.card.get((a.type_name, c)) for c in targets]
-            for bt, bix in a.binders:
-                bclasses, _ = analyzer.eval_classes(ctor, k, bt, bix)
-                bcards = [ana.card.get((bt, c)) for c in bclasses]
+    for k in ana.classes[ctor.family]:
+        edge = ana.graph[(ctor.family, k)].get(ctor.name)
+        if edge is None:  # ctor does not apply at k
+            continue
+        for a, (targets, _, binders) in zip(ctor.args, edge.args):
+            for (bt, _), bkeys in zip(a.binders, binders):
+                bcards = [ana.card.get(c) for c in bkeys]
                 if not bcards or any(c is None or not c.is_infinite for c in bcards):
                     add(
                         "finite-binder",
@@ -1603,6 +1557,7 @@ def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:
                         " infinite in every reachable class",
                     )
             if a.binders:
+                tcards = [ana.card.get(c) for c in targets]
                 if not tcards or any(c is None or not c.is_infinite for c in tcards):
                     add(
                         "binder-target",
@@ -1612,23 +1567,16 @@ def _validate_ctor(analyzer: _Analyzer, ctor: Ctor, add) -> None:
                     )
         # an infinite-partition constructor none of whose instances exist
         # would still occupy a tag and break surjectivity
-        if _is_infinite_partition(sig, ana, ctor):
-            inhab_map = {
-                ck: not c.is_empty for ck, c in ana.card.items()
-            }
-            if not analyzer._ctor_inhabited(ctor, k, inhab_map):
-                add(
-                    "dead-ctor",
-                    ctor.name,
-                    f"constructor can never be applied at {ctor.family}"
-                    f"[{k.label}]: some argument type is uninhabited",
-                )
-    # index diagnostics found while checking this constructor come last
-    for d in analyzer.diags[first_diag:]:
-        add(d.rule, d.subject, d.message)
+        if edge.unmet and _is_infinite_partition(ana, ctor):
+            add(
+                "dead-ctor",
+                ctor.name,
+                f"constructor can never be applied at {ctor.family}"
+                f"[{k.label}]: some argument type is uninhabited",
+            )
 
 
-def _is_infinite_partition(sig, ana, ctor: Ctor) -> bool:
+def _is_infinite_partition(ana: Analysis, ctor: Ctor) -> bool:
     if ctor.pi_args or any(a.binders for a in ctor.args):
         return True
     for a in ctor.args:
@@ -1636,4 +1584,3 @@ def _is_infinite_partition(sig, ana, ctor: Ctor) -> bool:
         if any(c is not None and c.is_infinite for c in cards):
             return True
     return False
-

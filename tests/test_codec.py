@@ -32,6 +32,7 @@ from godelgen.sigmodel import (
     S_CLASS,
     UNIT_CLASS,
     Z_CLASS,
+    compute_cardinality,
     fin_class,
     parse_signature,
     validate,
@@ -189,6 +190,54 @@ def random_signature(rng):
     return "\n".join(lines)
 
 
+def random_indexed_signature(rng):
+    # nat-indexed families f0, f1 with zero, successor and variable result
+    # patterns, explicit abstractions and binders, plus g indexed by the
+    # finite type b, whose values may be pairs of c's
+    lines = [sig_text("nat"), "c : type. c0 : c. c1 : c.", "b : type."]
+    bvals = [f"b{j}" for j in range(rng.randint(1, 2))]
+    lines += [f"{v} : b." for v in bvals]
+    if rng.random() < 0.4:
+        lines.append("bp : c -> c -> b.")
+        bvals.append(f"(bp {rng.choice(['c0', 'c1'])} {rng.choice(['c0', 'c1'])})")
+    fams = [f"f{i}" for i in range(rng.randint(1, 2))]
+    lines += [f"{f} : nat -> type." for f in fams] + ["g : b -> type."]
+
+    def nat_ix(scope):
+        ix = rng.choice(["z", *scope])
+        return f"(s {ix})" if rng.random() < 0.3 else ix
+
+    def fin_ix(scope):
+        return rng.choice(bvals + scope)
+
+    def arg(nat_scope, fin_scope):
+        r = rng.random()
+        if r < 0.15:
+            return "nat"
+        if r < 0.3:
+            return f"g {fin_ix(fin_scope)}"
+        return f"{rng.choice(fams)} {nat_ix(nat_scope)}"
+
+    for fam in fams + ["g"]:
+        for j in range(rng.randint(1, 4)):
+            nat_scope, fin_scope, pi = [], [], ""
+            if fam == "g":
+                result = rng.choice(bvals + ["X"])
+                fin_scope = ["X"] if result == "X" else []
+            else:
+                result = rng.choice(["z", "(s N)", "N"])
+                nat_scope = ["N"] if "N" in result else []
+            if rng.random() < 0.2:
+                pi, nat_scope = "{M : nat} ", nat_scope + ["M"]
+            args = [arg(nat_scope, fin_scope) for _ in range(rng.randint(0, 2))]
+            if args and rng.random() < 0.25:
+                bound = rng.choice(fams)
+                args[0] = f"{bound} {nat_ix(nat_scope)} -> {args[0]}"
+            arrows = "".join(f"({a}) -> " for a in args)
+            lines.append(f"{fam}c{j} : {pi}{arrows}{fam} {result}.")
+    return "\n".join(lines)
+
+
 WIDE = """
 nat : type. z : nat. s : nat -> nat.
 exp : type.
@@ -222,6 +271,37 @@ def test_tags_match_permutation_search(vsigs, plans, name):
     else:
         vsig, plan = vsigs[name], plans[name]
     assert tags_of(plan) == tags_of(permutation_search(vsig))
+
+
+def test_generated_indexed_signatures_round_trip():
+    rng = random.Random(7)
+    planned = 0
+    for _ in range(200):
+        text = random_indexed_signature(rng)
+        first = compute_cardinality(parse_signature(text)).analysis
+        again = compute_cardinality(parse_signature(text)).analysis
+        assert (first.card, first.patterns) == (again.card, again.patterns), text
+        try:
+            vsig = validate(parse_signature(text))
+        except SigValidationError:
+            continue
+        for (t, k), card in vsig.analysis.card.items():
+            if card.is_finite:
+                assert vsig.ctors_for_class(t, k)[0].total == card.count, text
+        try:
+            plan = assign_tags(vsig)
+        except NoWellFoundedPlan:
+            continue
+        planned += 1
+        for decl in vsig.decls:
+            for cls, reps in vsig.class_reps(decl.name):
+                card = vsig.cardinality(decl.name, cls)
+                codes = range(21 if card.is_infinite else min(card.count or 0, 21))
+                for index in reps:
+                    for code in codes:
+                        term = decode_closed(plan, decl.name, index, code)
+                        assert encode_closed(plan, decl.name, index, term) == code, text
+    assert planned >= 30
 
 
 def test_tags_match_permutation_search_on_generated_signatures():

@@ -239,6 +239,40 @@ def test_cardinality_finite_indexed():
     assert v.cardinality("opt", fin_class(1)) == finite(1)
 
 
+SIXTEEN = "b : type. " + " ".join(f"b{i} : b." for i in range(16))
+FAMILY = sig_text("nat") + "t : nat -> type. "
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # ta's argument index is not pinned, so only counting shows t[s]
+        # infinite: tz, ta tz, ta (ta tz), ...
+        (FAMILY + "tz : t N. ta : t (s N) -> t N.", {"t[z]": "Infinite", "t[s]": "Infinite"}),
+        (FAMILY + "tz : t z. ts : t N -> t (s N).", {"t[z]": "Finite(1)", "t[s]": "Finite(1)"}),
+        ("t : type. lam : (t -> t) -> t.", {"t[-]": "Infinite"}),
+        (
+            FAMILY + "tz : t z. ts : t N -> t (s N). p : type. mk : {M : nat} t M -> p.",
+            {"t[z]": "Finite(1)", "t[s]": "Finite(1)", "p[-]": "Infinite"},
+        ),
+        (SIXTEEN + " p : type. mk : b -> b -> b -> b -> p.", {"p[-]": "Finite(65536)"}),
+        (SIXTEEN + " p : type. mk : b -> b -> b -> b -> p. one : p.", {"p[-]": "Infinite"}),
+    ],
+    ids=["crawl", "converges", "binder-only", "pi-bound", "cutoff", "over-cutoff"],
+)
+def test_cardinality_edge_cases(text, expected):
+    card = compute_cardinality(parse_signature(text)).analysis.card
+    labels = {f"{t}[{k.label}]": str(c) for (t, k), c in card.items()}
+    assert {key: labels[key] for key in expected} == expected
+
+
+def test_index_type_counting_its_own_family_does_not_stabilize():
+    # q's classes are p's values, and mk counts p through q: while q has no
+    # classes p is finite, which gives q classes, which makes p infinite
+    diags = rejection("p : type. a : p. q : p -> type. qv : q N. mk : {N : p} q N -> p.")
+    assert [d.rule for d in diags] == ["analysis"]
+
+
 def test_cardinality_deterministic():
     texts = [sig_text(n) for n in ("nat", "termfam", "mixed")]
     for text in texts:
