@@ -5,6 +5,9 @@ independent structural enumerator rather than the codec itself:
 total (every term encodes), unique (alpha-variants and reprints
 encode alike), onto (every code decodes and round-trips), and
 one-to-one (no two terms share a code).
+
+The onto sweep calls the codec's and checker's loops directly, with a
+bounded memo each, and every decode spends at most the budget's fuel.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ._walk import run_walk
 from .codec import DEFAULT_FUEL, CodecPlan, _decode, _encode, decode, encode
 from .errors import FuelExhausted, TermError
 from .sigmodel import IndexClass, ValidatedSignature, applies
@@ -41,18 +43,22 @@ class EnumBudget:
 
     per_class maps (type name, class label) pairs such as ("nat", "-")
     or ("term", "z") to (max_size, max_code) overrides for classes
-    that need tighter or wider sweeps than the defaults.
+    that need tighter or wider sweeps than the defaults.  fuel is the
+    step budget of each decode the sweeps make.
     """
 
     max_size: int = DEFAULT_MAX_SIZE
     max_code: int = DEFAULT_MAX_CODE
     per_class: tuple[tuple[tuple[str, str], tuple[int, int]], ...] = ()
+    fuel: int = DEFAULT_FUEL
 
     def __post_init__(self) -> None:
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
         if self.max_code < 2:
             raise ValueError("max_code must be at least 2 (codes 0 and 1)")
+        if self.fuel < 1:
+            raise ValueError("fuel must be at least 1")
         for (_key, (size, code)) in self.per_class:
             if size < 1 or code < 2:
                 raise ValueError("per_class overrides must keep max_size >= 1"
@@ -302,19 +308,17 @@ class _SweepMemo:
         self.young[key] = value
 
 
-def _check_code(plan, type_name, index, code, memos):
+def _check_code(plan, type_name, index, code, fuel, memos):
     decoded, checked, encoded = memos
     try:
-        term = run_walk(_decode(
-            plan, type_name, index, EMPTY_COUNTS, code, [DEFAULT_FUEL], decoded
-        ))
+        term = _decode(plan, type_name, index, EMPTY_COUNTS, code, [fuel], decoded)
     except FuelExhausted as exc:
         return f"code {code} did not decode: {type(exc).__name__}: {exc}"
     try:
-        run_walk(_check(plan.vsig, type_name, index, EMPTY_COUNTS, term, checked))
+        _check(plan.vsig, type_name, index, EMPTY_COUNTS, term, checked)
     except TermError as exc:
         return f"code {code} decoded to an ill-typed term: {exc}"
-    back = run_walk(_encode(plan, type_name, index, EMPTY_COUNTS, term, encoded))
+    back = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
     if back != code:
         return f"code {code} decoded to a term that re-encodes to {back}"
     return None
@@ -343,7 +347,7 @@ def verify_onto(
     top = _onto_range(plan, type_name, index, budget.code_for(type_name, label))
     memos = (_SweepMemo(), _SweepMemo(), _SweepMemo())
     for code in range(top):
-        problem = _check_code(plan, type_name, index, code, memos)
+        problem = _check_code(plan, type_name, index, code, budget.fuel, memos)
         if problem is not None:
             return Verdict(False, code, problem)
     return Verdict(True, top)
@@ -370,7 +374,7 @@ def verify_one_to_one(
             return Verdict(False, checked, f"terms {a!r} and {b!r} share code {code}")
         seen[code] = term
         try:
-            back = decode(plan, type_name, index, EMPTY_COUNTS, code, DEFAULT_FUEL)
+            back = decode(plan, type_name, index, EMPTY_COUNTS, code, budget.fuel)
         except FuelExhausted as exc:
             shown = print_term(vsig, term, index=index)
             return Verdict(

@@ -146,9 +146,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    fuel = _resolve_fuel(args)
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
-    budget = EnumBudget(max_size=args.max_size, max_code=args.max_code)
+    budget = EnumBudget(max_size=args.max_size, max_code=args.max_code, fuel=fuel)
     report = verify_all(plan, budget)
     if args.as_json:
         print(json.dumps(report.json_dict(args.signature), indent=2))
@@ -233,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", dest="max_size", type=int, default=6)
     p.add_argument("--max-code", dest="max_code", type=int, default=10_000)
     p.add_argument("--json", dest="as_json", action="store_true")
+    _add_fuel_flag(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("compare", help="order two terms by their codes")

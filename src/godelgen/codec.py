@@ -8,13 +8,19 @@ block, then the infinite constructors interleaved round-robin by tag:
 
 The payload mingles the explicit index arguments and the codes of the
 infinite subterms, then folds finite subterms in by their radix.
+
+Encode and decode are each one loop over an explicit stack of frames,
+one frame per constructor node whose arguments are in progress, so a
+term of any depth needs no interpreter frames.  A frame resumes at its
+next argument, so arguments are visited, and errors raised, left to
+right.  Decode reads each class's step records (ClassPlan.steps) rather
+than deriving slot kinds per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._walk import run_walk
 from .bignat import mingle_fold, unmingle_fold
 from .errors import CodeOutOfRange, FuelExhausted, NoWellFoundedPlan, TermError
 from .sigmodel import (
@@ -55,6 +61,9 @@ class ClassPlan:
     cardinality: Cardinality
     finite: FiniteBlock
     tags: tuple[str, ...]  # infinite constructor names; position = tag
+    # per tag: the constructor's name, its slot kinds (the radix of a
+    # finite argument, 0 for an infinite one) and its abstraction count
+    steps: tuple[tuple[str, tuple[int, ...], int], ...]
 
     @property
     def label(self) -> str:
@@ -97,9 +106,19 @@ def build_plan(
                     )
                 names = order
             classes[key] = ClassPlan(
-                decl.name, cls, vsig.cardinality(decl.name, cls), block, names
+                decl.name, cls, vsig.cardinality(decl.name, cls), block, names,
+                tuple([_step(vsig, name) for name in names]),
             )
     return CodecPlan(vsig, classes)
+
+
+def _step(vsig: ValidatedSignature, ctor_name: str) -> tuple[str, tuple[int, ...], int]:
+    ctor = vsig.sig.ctors[ctor_name]
+    kinds = []
+    for arg in ctor.args:
+        card = vsig.family_card[arg.type_name]
+        kinds.append(0 if card.is_infinite else card.count)
+    return ctor_name, tuple(kinds), len(ctor.pi_args)
 
 
 def _rep_indices(vsig: ValidatedSignature, type_name: str, cls: IndexClass):
@@ -194,70 +213,90 @@ def encode(
     term: Term,
 ) -> int:
     """Code of a well-typed term under the given free-variable counts."""
-    return run_walk(_encode(plan, type_name, index, counts, term))
+    return _encode(plan, type_name, index, counts, term)
 
 
 def _encode(plan, type_name, index, counts, term, memo=None):
-    """Walk: term's code.  A memo maps (id(node), type, index, counts) to
-    (node, code) for Con nodes already encoded; the node in the value
-    keeps its id from being reused while the key is held."""
-    vsig = plan.vsig
-    if isinstance(term, Var):
-        if (term.type_name, term.index) != (type_name, index):
-            raise TermError(
-                f"variable of type {term.type_name} does not fit {type_name}"
-            )
-        v = counts.get(type_name, index)
-        if not 0 <= term.level < v:
-            raise TermError(
-                f"variable level {term.level} out of scope ({v} in context)"
-            )
-        return term.level
-    if memo is not None:
-        key = (id(term), type_name, index, counts)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-    ctor = vsig.sig.ctors.get(term.ctor)
-    if ctor is None or ctor.family != type_name:
-        raise TermError(f"constructor {term.ctor!r} does not construct {type_name}")
-    check_shape(ctor, term)
-    cp = plan.class_plan(type_name, index)
-    v = counts.get(type_name, index)
-    targets = vsig.arg_targets(term.ctor, index, term.index_args)
-    entry = cp.finite.entry_for(term.ctor)
-    if entry is not None:
-        offset = 0
-        for (arg_type, arg_index, _), ta, radix in zip(targets, term.args, entry.radices):
-            if ta.binder_count:  # a finite block's constructors bind nothing
-                raise binder_mismatch(term, 0, ta)
-            code = yield _encode(plan, arg_type, arg_index, counts, ta.body, memo)
-            offset = offset * radix + code
-        code = v + entry.base + offset
-    elif term.ctor not in cp.tags:
-        raise TermError(f"constructor {term.ctor} cannot construct {cp.label}")
-    else:
-        tag = cp.tags.index(term.ctor)
-        slots = list(term.index_args)
-        fin_digits: list[tuple[int, int]] = []
-        family_card = vsig.family_card
-        for (arg_type, arg_index, keys), ta in zip(targets, term.args):
-            if ta.binder_count != len(keys):
-                raise binder_mismatch(term, len(keys), ta)
-            sub_counts = counts.bind(keys) if keys else counts
-            code = yield _encode(plan, arg_type, arg_index, sub_counts, ta.body, memo)
-            card = family_card[arg_type]
-            if card.is_infinite:
-                slots.append(code)
+    """term's code, in a loop over a stack of frames, one per Con whose
+    arguments are being encoded: the node, its counts, variable count,
+    class plan, finite entry (or None) and tag, its arguments' targets
+    and their codes so far, and its memo key.  A memo maps (id(node),
+    type, index, counts) to (node, code) for Con nodes already encoded;
+    the node in the value keeps its id from being reused while the key is
+    held."""
+    vsig, stack = plan.vsig, []
+    ctors, classes, class_of = vsig.sig.ctors, plan.classes, vsig.class_of
+    arg_targets = vsig.arg_targets
+    while True:
+        code = None
+        if isinstance(term, Var):
+            if (term.type_name, term.index) != (type_name, index):
+                raise TermError(
+                    f"variable of type {term.type_name} does not fit {type_name}"
+                )
+            v = counts.get(type_name, index)
+            if not 0 <= term.level < v:
+                raise TermError(
+                    f"variable level {term.level} out of scope ({v} in context)"
+                )
+            code = term.level
+        else:
+            key = None
+            if memo is not None:
+                key = (id(term), type_name, index, counts)
+                hit = memo.get(key)
+                if hit is not None:
+                    code = hit[1]
+            if code is None:
+                ctor = ctors.get(term.ctor)
+                if ctor is None or ctor.family != type_name:
+                    raise TermError(f"constructor {term.ctor!r} does not construct {type_name}")
+                check_shape(ctor, term)
+                cp = classes[(type_name, class_of(type_name, index))]
+                entry, tag = cp.finite.entry_for(term.ctor), None
+                if entry is None:
+                    if term.ctor not in cp.tags:
+                        raise TermError(f"constructor {term.ctor} cannot construct {cp.label}")
+                    tag = cp.tags.index(term.ctor)
+                targets = arg_targets(term.ctor, index, term.index_args)
+                v = counts.get(type_name, index)
+                stack.append((term, counts, v, cp, entry, tag, targets, [], key))
+        # hand the code to the frames it completes, then start the next argument
+        while stack:
+            node, node_counts, v, cp, entry, tag, targets, codes, key = stack[-1]
+            if code is not None:
+                codes.append(code)
+            j = len(codes)
+            if j < len(targets):
+                type_name, index, keys = targets[j]
+                ta = node.args[j]
+                if ta.binder_count != len(keys):  # a finite block's constructors bind nothing
+                    raise binder_mismatch(node, len(keys), ta)
+                counts = node_counts.bind(keys) if keys else node_counts
+                term = ta.body
+                break
+            stack.pop()
+            if entry is not None:
+                offset = 0
+                for radix, c in zip(entry.radices, codes):
+                    offset = offset * radix + c
+                code = v + entry.base + offset
             else:
-                fin_digits.append((card.count, code))
-        payload = mingle_fold(slots)
-        for c_j, e_j in fin_digits:
-            payload = payload * c_j + e_j
-        code = v + cp.finite.total + len(cp.tags) * payload + tag
-    if memo is not None:
-        memo[key] = (term, code)
-    return code
+                slot_kinds = cp.steps[tag][1]
+                if not any(slot_kinds):
+                    payload = mingle_fold([*node.index_args, *codes] if node.index_args else codes)
+                else:  # finite arguments fold in after the mingle, by radix
+                    payload = mingle_fold(
+                        [*node.index_args, *[c for r, c in zip(slot_kinds, codes) if not r]]
+                    )
+                    for r, c in zip(slot_kinds, codes):
+                        if r:
+                            payload = payload * r + c
+                code = v + cp.finite.total + len(cp.tags) * payload + tag
+            if memo is not None:
+                memo[key] = (node, code)
+        else:
+            return code
 
 
 def encode_closed(
@@ -282,80 +321,89 @@ def decode(
     Fuel is debited once per decode step; running out signals a plan
     whose decode is not well founded at this code.
     """
-    return run_walk(_decode(plan, type_name, index, counts, code, [fuel]))
+    return _decode(plan, type_name, index, counts, code, [fuel])
 
 
 def _decode(plan, type_name, index, counts, code, cell, memo=None):
-    """Walk: the term of this code, debiting the fuel cell once per node.
+    """The term of this code, debiting the fuel cell once per node, in a
+    loop over a stack of frames, one per Con whose arguments are being
+    decoded: its name, index arguments, arguments' targets and codes, the
+    arguments decoded so far, its counts, memo key and fuel at its start.
     A memo maps (type, index, counts, code) to (term, steps), steps being
     the fuel the term's decode spent; a hit is taken only if that much
     fuel is left, so fuel runs out at the same node as without a memo."""
-    if memo is not None:
-        key = (type_name, index, counts, code)
-        hit = memo.get(key)
-        if hit is not None and hit[1] <= cell[0]:
-            cell[0] -= hit[1]
-            return hit[0]
-        start = cell[0]
-    if cell[0] <= 0:
-        raise FuelExhausted(
-            f"decode ran out of fuel at {type_name} code {code};"
-            " raise the fuel, or the plan is not well founded here"
-        )
-    cell[0] -= 1
-    if code < 0:
-        raise CodeOutOfRange(f"negative code {code}")
-    vsig = plan.vsig
-    cp = plan.class_plan(type_name, index)
-    v = counts.get(type_name, index)
-    if code < v:
-        return Var(type_name, index, code)
-    c = code - v
-    if c < cp.finite.total:
-        entry, offset = cp.finite.entry_at(c)
-        name, index_args, sub_codes = entry.ctor_name, (), []
-        for radix in reversed(entry.radices):
-            offset, d = divmod(offset, radix)
-            sub_codes.append(d)
-        sub_codes.reverse()
-    elif not cp.tags:
-        limit = v + cp.finite.total
-        raise CodeOutOfRange(
-            f"code {code} out of range for {cp.label} (codes 0..{limit - 1})"
-            if limit
-            else f"code {code} out of range for empty class {cp.label}"
-        )
-    else:
-        q, tag = divmod(c - cp.finite.total, len(cp.tags))
-        name = cp.tags[tag]
-        ctor = vsig.sig.ctors[name]
-        slot_kinds: list[int] = []  # finite radix, or 0 for an infinite slot
-        family_card = vsig.family_card
-        for arg in ctor.args:
-            card = family_card[arg.type_name]
-            slot_kinds.append(0 if card.is_infinite else card.count)
-        fin_rev: list[int] = []
-        for radix in reversed(slot_kinds):
-            if radix:
-                q, e = divmod(q, radix)
-                fin_rev.append(e)
-        n_pi = len(ctor.pi_args)
-        values = unmingle_fold(q, n_pi + slot_kinds.count(0))
-        index_args, sub_codes = tuple(values[:n_pi]), values[n_pi:]
-        if fin_rev:
-            inf_vals, fin_vals = iter(sub_codes), iter(reversed(fin_rev))
-            sub_codes = [next(fin_vals) if radix else next(inf_vals) for radix in slot_kinds]
-    args = []
-    for (arg_type, arg_index, keys), sub_code in zip(
-        vsig.arg_targets(name, index, index_args), sub_codes
-    ):
-        sub_counts = counts.bind(keys) if keys else counts
-        body = yield _decode(plan, arg_type, arg_index, sub_counts, sub_code, cell, memo)
-        args.append(TermArg(len(keys), body))
-    term = Con(name, index_args, tuple(args))
-    if memo is not None:
-        memo[key] = (term, start - cell[0])
-    return term
+    vsig, stack = plan.vsig, []
+    classes, class_of, arg_targets = plan.classes, vsig.class_of, vsig.arg_targets
+    while True:
+        term = key = start = None
+        if memo is not None:
+            key = (type_name, index, counts, code)
+            hit = memo.get(key)
+            if hit is not None and hit[1] <= cell[0]:
+                cell[0] -= hit[1]
+                term = hit[0]
+            start = cell[0]
+        if term is None:
+            if cell[0] <= 0:
+                raise FuelExhausted(
+                    f"decode ran out of fuel at {type_name} code {code};"
+                    " raise the fuel, or the plan is not well founded here"
+                )
+            cell[0] -= 1
+            if code < 0:
+                raise CodeOutOfRange(f"negative code {code}")
+            cp = classes[(type_name, class_of(type_name, index))]
+            v = counts.get(type_name, index)
+            c = code - v
+            if c < 0:
+                term = Var(type_name, index, code)
+            elif c < cp.finite.total:
+                entry, offset = cp.finite.entry_at(c)
+                name, index_args, sub_codes = entry.ctor_name, (), []
+                for radix in reversed(entry.radices):
+                    offset, d = divmod(offset, radix)
+                    sub_codes.append(d)
+                sub_codes.reverse()
+            elif not cp.tags:
+                limit = v + cp.finite.total
+                raise CodeOutOfRange(
+                    f"code {code} out of range for {cp.label} (codes 0..{limit - 1})"
+                    if limit
+                    else f"code {code} out of range for empty class {cp.label}"
+                )
+            else:
+                q, tag = divmod(c - cp.finite.total, len(cp.tags))
+                name, slot_kinds, n_pi = cp.steps[tag]
+                fin_rev: list[int] = []
+                for radix in reversed(slot_kinds):
+                    if radix:
+                        q, e = divmod(q, radix)
+                        fin_rev.append(e)
+                values = unmingle_fold(q, n_pi + slot_kinds.count(0))
+                index_args, sub_codes = tuple(values[:n_pi]), values[n_pi:]
+                if fin_rev:
+                    inf_vals, fin_vals = iter(sub_codes), iter(reversed(fin_rev))
+                    sub_codes = [next(fin_vals) if r else next(inf_vals) for r in slot_kinds]
+            if term is None:
+                targets = arg_targets(name, index, index_args)
+                stack.append((name, index_args, targets, sub_codes, [], counts, key, start))
+        # hand the term to the frames it completes, then start the next argument
+        while stack:
+            name, index_args, targets, sub_codes, args, node_counts, key, start = stack[-1]
+            if term is not None:
+                args.append(TermArg(len(targets[len(args)][2]), term))
+            j = len(args)
+            if j < len(targets):
+                type_name, index, keys = targets[j]
+                counts = node_counts.bind(keys) if keys else node_counts
+                code = sub_codes[j]
+                break
+            stack.pop()
+            term = Con(name, index_args, tuple(args))
+            if memo is not None:
+                memo[key] = (term, start - cell[0])
+        else:
+            return term
 
 
 def decode_closed(

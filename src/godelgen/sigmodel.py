@@ -9,6 +9,12 @@ A signature is a sequence of declarations in a small LF-style syntax:
     lam : (term z -> term N) -> term (s N).
     %% comments run to end of line
 
+One regular expression splits the text into tokens, which are plain
+strings; a token's line and column are worked out from the text only
+for an error or a declaration.  The expression parser and the index
+conversion are loops over an explicit stack of frames, so nesting of
+any depth needs no interpreter frames.
+
 Types may be indexed by one other type.  Analysis groups the concrete
 indices of each family into classes (unindexed types have a single
 class; nat-shaped indices split into zero/successor; finite indices get
@@ -31,11 +37,12 @@ reading the same graph and reporting one diagnostic per violated rule.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 
-from ._walk import run_walk
 from .errors import Diagnostic, SigSyntaxError, SigValidationError
 
 # Counts above this are treated as infinite.  Classes whose true count
@@ -44,97 +51,54 @@ from .errors import Diagnostic, SigSyntaxError, SigValidationError
 COUNT_CUTOFF = 1 << 16
 
 # ----------------------------------------------------------------------
-# Lexer, shared with term parsing.
+# Lexer, shared with term parsing.  A token is its text: a word, one
+# punctuation character, "%abbrev", or "" for the end of the input.  A
+# word is an operator if it is one of _OPERATORS, a numeral if it is
+# decimal, and a name otherwise.
 
-_PUNCT = set(":.()[]{}")
-_OPERATORS = {"->", "<-", "="}
-_IDENT_EXTRA = set("_'/+*<>=&^?!#@~|-")
-
-
-@dataclass(slots=True)  # not frozen: a frozen __init__ costs 4x per token
-class Token:
-    kind: str  # 'ident' | 'num' | 'punct' | 'op' | 'abbrev' | 'eof'
-    text: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _IDENT_EXTRA
+_WORD = r"[\w'/+*<>=&^?!#@~|-]"
+# whitespace and comments match outside the group, tokens inside it; any
+# character starts a match, so the matches tile the text
+_LEXEME = re.compile(rf"\s+|%%[^\n]*|({_WORD}+|[:.()\[\]{{}}]|%{_WORD}*|\S)")
+_PUNCT = frozenset(":.()[]{}")
+_OPERATORS = frozenset({"->", "<-", "="})
+_NOT_NAME = _PUNCT | _OPERATORS | {"%abbrev", ""}  # every other token is a word
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            if text.startswith("%%", i):
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i + 1 : j]
-            if word == "abbrev":
-                toks.append(Token("abbrev", "%abbrev", line, col))
-                col += j - i
-                i = j
-                continue
-            raise SigSyntaxError(f"unsupported declaration %{word}", line, col)
-        if ch in _PUNCT:
-            toks.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if _is_ident_char(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if word in _OPERATORS:
-                kind = "op"
-            elif word.isdigit():
-                kind = "num"
-            else:
-                kind = "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise SigSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end.  A character that starts
+    no token, or a % declaration other than %abbrev, is a token of its
+    own; the parser rejects it."""
+    toks = list(filter(None, _LEXEME.findall(text)))
+    toks.append("")
     return toks
+
+
+def _token_error(tok: str) -> str | None:
+    """Why no rule of the grammar accepts tok, if none does."""
+    if tok[:1] == "%":
+        return None if tok == "%abbrev" else f"unsupported declaration {tok}"
+    if len(tok) == 1 and tok not in _PUNCT and not re.match(_WORD, tok):
+        return f"unexpected character {tok!r}"
+    return None
 
 
 # ----------------------------------------------------------------------
 # Surface expressions.  One grammar serves signature declarations, index
 # expressions, and term text; each consumer restricts what it accepts.
+# A leaf records the position of its token in the parser's token list.
 
 
 @dataclass(frozen=True)
 class SName:
     name: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    at: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
 class SNum:
     value: int
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    at: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -164,109 +128,140 @@ class SPi:
 
 @dataclass(frozen=True)
 class SType:
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    at: int = field(compare=False, default=0)
 
 
 SExpr = SName | SNum | SApp | SArrow | SBind | SPi | SType
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.i = 0
+    """A parser over the tokens of text.  Positions are worked out from
+    the text only when an error or a declaration needs one."""
 
-    def peek(self) -> Token:
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
+        self.i = 0
+        self._offsets: list[int] | None = None  # of each token; see where
+        self._line_starts: list[int] = []
+        errors = [tok for tok in set(self.toks) if _token_error(tok)]
+        if errors:
+            i = min(self.toks.index(tok) for tok in errors)
+            self.fail(_token_error(self.toks[i]), i)
+
+    def where(self, i: int) -> tuple[int, int]:
+        """Line and column of token i; a comment that ends the text does
+        not move the position of its end."""
+        if self._offsets is None:
+            text, offsets, last = self.text, [], None
+            for last in _LEXEME.finditer(text):
+                if last.lastindex:
+                    offsets.append(last.start())
+            tail = last is not None and not last.lastindex and last.group().startswith("%%")
+            offsets.append(last.start() if tail else len(text))
+            self._offsets = offsets
+            self._line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        offset = self._offsets[i]
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
+
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok:
             self.i += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise SigSyntaxError(message, tok.line, tok.col)
+    def fail(self, message: str, at: int | None = None):
+        """Raise a syntax error at token at, by default the next one."""
+        raise SigSyntaxError(message, *self.where(self.i if at is None else at))
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, text: str) -> None:
+        tok = self.toks[self.i]
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.i += 1
 
-    def _starts_atom(self) -> bool:
-        tok = self.peek()
-        return tok.kind in ("ident", "num") or tok.text in ("(", "[")
+    def name(self, after: str) -> str:
+        """The variable name that follows the token after."""
+        tok = self.toks[self.i]
+        if tok in _NOT_NAME:
+            self.fail(f"expected a variable name after {after!r}")
+        self.i += 1
+        return tok
 
     def expr(self) -> SExpr:
-        """One expression; _expr, _pi, _app and _atom are walks (run_walk)."""
-        return run_walk(self._expr())
-
-    def _expr(self):
-        if self.peek().text == "{":
-            return (yield from self._pi())
-        parts: list[tuple[str | None, SExpr]] = [(None, (yield from self._app()))]
-        while self.peek().kind == "op" and self.peek().text in ("->", "<-"):
-            op = self.advance().text
-            if self.peek().text == "{":
-                parts.append((op, (yield from self._pi())))
+        """One expression, read in a loop.  The expression being read is
+        its operands so far, each with the arrow before it (parts), the
+        arrow before the operand being read (op) and that operand's atoms.
+        Reading a bracket, a binder or an abstraction pushes a frame
+        holding the enclosing expression, what opened the inner one and,
+        for a binder or an abstraction, its variable (and type)."""
+        toks, stack = self.toks, []
+        op, parts, atoms = None, [], []
+        while True:
+            tok = toks[self.i]
+            if tok not in _NOT_NAME:
+                self.i += 1
+                if tok == "type":
+                    atoms.append(SType(self.i - 1))
+                elif tok.isdecimal():
+                    atoms.append(SNum(int(tok), self.i - 1))
+                else:
+                    atoms.append(SName(tok, self.i - 1))
+                continue
+            if tok == "(" or tok == "[" or (tok == "{" and not atoms):
+                self.i += 1
+                var = None
+                if tok == "[":
+                    var = self.name("[")
+                    self.expect("]")
+                elif tok == "{":
+                    var = self.name("{")
+                    self.expect(":")
+                stack.append((tok, op, parts, atoms, var))
+                op, parts, atoms = None, [], []
+                continue
+            if not atoms:
+                self.fail(f"unexpected {tok or 'end of input'!r}")
+            parts.append((op, atoms[0] if len(atoms) == 1 else SApp(atoms[0], tuple(atoms[1:]))))
+            atoms = []
+            if tok == "->" or tok == "<-":
+                op = tok
+                self.i += 1
+                continue
+            value = _build_arrows(parts)
+            # hand the finished expression to the frames it completes
+            while stack:
+                kind, op, parts, atoms, var = stack.pop()
+                if kind == "(":
+                    self.expect(")")
+                    atoms.append(value)
+                    break
+                if kind == "[":
+                    # a binder extends as far right as possible; parenthesize
+                    # it when it is not the last argument
+                    atoms.append(SBind(var, value))
+                    break
+                if kind == "{":
+                    self.expect("}")
+                    stack.append(("}", op, parts, atoms, (var, value)))
+                    op, parts, atoms = None, [], []
+                    break
+                # the body of an abstraction ends where its expression does
+                parts.append((op, SPi(*var, value)))
+                value = _build_arrows(parts)
             else:
-                parts.append((op, (yield from self._app())))
-        return _build_arrows(parts)
-
-    def _pi(self):
-        self.expect("{")
-        var_tok = self.peek()
-        if var_tok.kind not in ("ident", "num"):
-            self.fail("expected a variable name after '{'")
-        self.advance()
-        self.expect(":")
-        var_type = yield self._expr()
-        self.expect("}")
-        body = yield self._expr()
-        return SPi(var_tok.text, var_type, body)
-
-    def _app(self):
-        atoms = [(yield from self._atom())]
-        while self._starts_atom():
-            atoms.append((yield from self._atom()))
-        if len(atoms) == 1:
-            return atoms[0]
-        return SApp(atoms[0], tuple(atoms[1:]))
-
-    def _atom(self):
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "type":
-                return SType(tok.line, tok.col)
-            return SName(tok.text, tok.line, tok.col)
-        if tok.kind == "num":
-            self.advance()
-            return SNum(int(tok.text), tok.line, tok.col)
-        if tok.text == "(":
-            self.advance()
-            inner = yield self._expr()
-            self.expect(")")
-            return inner
-        if tok.text == "[":
-            self.advance()
-            var_tok = self.peek()
-            if var_tok.kind not in ("ident", "num"):
-                self.fail("expected a variable name after '['")
-            self.advance()
-            self.expect("]")
-            # a binder extends as far right as possible; parenthesize it
-            # when it is not the last argument
-            body = yield self._expr()
-            return SBind(var_tok.text, body)
-        self.fail(f"unexpected {tok.text or 'end of input'!r}")
+                return value
 
 
 def _build_arrows(parts: list[tuple[str | None, SExpr]]) -> SExpr:
     # '->' is right-associative; 'a <- b' is 'b -> a' with '<-' binding
     # looser and associating left, so 'h <- p1 <- p2' is 'p2 -> p1 -> h'
+    if len(parts) == 1:
+        return parts[0][1]
     groups: list[list[SExpr]] = [[parts[0][1]]]
     for op, e in parts[1:]:
         if op == "<-":
@@ -288,10 +283,10 @@ def _build_arrows(parts: list[tuple[str | None, SExpr]]) -> SExpr:
 
 def parse_term_text(text: str) -> SExpr:
     """Parse standalone term text into a surface expression."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     e = p.expr()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
+    if p.peek():
+        p.fail(f"trailing input {p.peek()!r}")
     return e
 
 
@@ -368,10 +363,10 @@ class Signature:
 
 def parse_signature(text: str) -> Signature:
     """Parse signature text.  Raises SigSyntaxError on malformed input."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     sig = Signature()
-    while p.peek().kind != "eof":
-        if p.peek().kind == "abbrev":
+    while p.peek():
+        if p.peek() == "%abbrev":
             _parse_abbrev(p, sig)
         else:
             _parse_decl(p, sig)
@@ -385,24 +380,22 @@ def _taken(sig: Signature, name: str) -> bool:
 
 def _parse_abbrev(p: _Parser, sig: Signature) -> None:
     p.advance()
-    name_tok = p.peek()
-    if name_tok.kind not in ("ident", "num"):
+    at, name = p.i, p.peek()
+    if name in _NOT_NAME:
         p.fail("expected a name after %abbrev")
     p.advance()
-    if _taken(sig, name_tok.text):
-        p.fail(f"duplicate name {name_tok.text!r}", name_tok)
+    if _taken(sig, name):
+        p.fail(f"duplicate name {name!r}", at)
     p.expect(":")
     type_expr = p.expr()
     p.expect("=")
     body = p.expr()
     p.expect(".")
-    type_name, index = _to_typeapp(p, sig, type_expr, name_tok)
+    type_name, index = _to_typeapp(p, sig, type_expr, at)
     for e in index:
         for v in _expr_vars(e):
-            p.fail(f"abbreviation type must be ground, found variable {v!r}", name_tok)
-    sig.abbrevs[name_tok.text] = Abbrev(
-        name_tok.text, type_name, index, body, name_tok.line, name_tok.col
-    )
+            p.fail(f"abbreviation type must be ground, found variable {v!r}", at)
+    sig.abbrevs[name] = Abbrev(name, type_name, index, body, *p.where(at))
 
 
 def _abbrev_uses(sig: Signature, body: SExpr) -> list[str]:
@@ -448,13 +441,12 @@ def _check_abbrev_cycles(sig: Signature) -> None:
 
 
 def _parse_decl(p: _Parser, sig: Signature) -> None:
-    name_tok = p.peek()
-    if name_tok.kind not in ("ident", "num"):
-        p.fail(f"expected a declaration, found {name_tok.text or 'end of input'!r}")
+    at, name = p.i, p.peek()
+    if name in _NOT_NAME:
+        p.fail(f"expected a declaration, found {name or 'end of input'!r}")
     p.advance()
-    name = name_tok.text
     if _taken(sig, name):
-        p.fail(f"duplicate name {name!r}", name_tok)
+        p.fail(f"duplicate name {name!r}", at)
     p.expect(":")
     e = p.expr()
     p.expect(".")
@@ -468,11 +460,11 @@ def _parse_decl(p: _Parser, sig: Signature) -> None:
             elif isinstance(prem, SApp) and isinstance(prem.fn, SName):
                 head = prem.fn
             else:
-                p.fail("index kinds must be type names", name_tok)
+                p.fail("index kinds must be type names", at)
             if head.name not in sig.by_name:
-                p.fail(f"unknown type {head.name!r}", name_tok)
+                p.fail(f"unknown type {head.name!r}", at)
             index_types.append(head.name)
-        decl = TypeDecl(name, tuple(index_types), [], name_tok.line, name_tok.col)
+        decl = TypeDecl(name, tuple(index_types), [], *p.where(at))
         sig.decls.append(decl)
         sig.by_name[name] = decl
         return
@@ -483,16 +475,14 @@ def _parse_decl(p: _Parser, sig: Signature) -> None:
         e = e.body
     # abstraction names are variables wherever they occur in the declaration
     pivars = {pi.var for pi in pis}
-    pi_args = [(x.var, *_to_typeapp(p, sig, x.var_type, name_tok, pivars)) for x in pis]
+    pi_args = [(x.var, *_to_typeapp(p, sig, x.var_type, at, pivars)) for x in pis]
     premises, result = _split_arrows(e)
     if any(isinstance(x, SPi) for x in premises) or isinstance(result, SPi):
-        p.fail("explicit abstraction must precede all arguments", name_tok)
-    family, result_index = _to_typeapp(p, sig, result, name_tok, pivars)
-    args = tuple(_to_arg(p, sig, prem, name_tok, pivars) for prem in premises)
+        p.fail("explicit abstraction must precede all arguments", at)
+    family, result_index = _to_typeapp(p, sig, result, at, pivars)
+    args = tuple(_to_arg(p, sig, prem, at, pivars) for prem in premises)
 
-    ctor = Ctor(
-        name, family, result_index, tuple(pi_args), args, name_tok.line, name_tok.col
-    )
+    ctor = Ctor(name, family, result_index, tuple(pi_args), args, *p.where(at))
     sig.by_name[family].ctors.append(ctor)
     sig.ctors[name] = ctor
 
@@ -505,73 +495,89 @@ def _split_arrows(e: SExpr) -> tuple[list[SExpr], SExpr]:
     return premises, e
 
 
-def _to_arg(p: _Parser, sig: Signature, e: SExpr, tok: Token, pivars) -> Arg:
+def _to_arg(p: _Parser, sig: Signature, e: SExpr, at: int, pivars) -> Arg:
     if isinstance(e, SArrow):
         parts, target = _split_arrows(e)
         binders = []
         for part in parts:
             if isinstance(part, SArrow):
-                p.fail("binder arguments must be first-order", tok)
-            bt, bix = _to_typeapp(p, sig, part, tok, pivars)
+                p.fail("binder arguments must be first-order", at)
+            bt, bix = _to_typeapp(p, sig, part, at, pivars)
             binders.append((bt, bix))
-        t, ix = _to_typeapp(p, sig, target, tok, pivars)
+        t, ix = _to_typeapp(p, sig, target, at, pivars)
         return Arg(tuple(binders), t, ix)
-    t, ix = _to_typeapp(p, sig, e, tok, pivars)
+    t, ix = _to_typeapp(p, sig, e, at, pivars)
     return Arg((), t, ix)
 
 
 def _to_typeapp(
-    p: _Parser, sig: Signature, e: SExpr, tok: Token, pivars=frozenset()
+    p: _Parser, sig: Signature, e: SExpr, at: int, pivars=frozenset()
 ) -> tuple[str, tuple[IndexExpr, ...]]:
+    """e as a type applied to index expressions; errors are reported at
+    token at (the declaration's name), or at the type's own name."""
     if isinstance(e, SName):
         head, atoms = e, ()
     elif isinstance(e, SApp) and isinstance(e.fn, SName):
         head, atoms = e.fn, e.args
     else:
-        p.fail("expected a type, possibly applied to index arguments", tok)
+        p.fail("expected a type, possibly applied to index arguments", at)
     if head.name not in sig.by_name:
-        p.fail(f"unknown type {head.name!r}", head if head.line else tok)
+        p.fail(f"unknown type {head.name!r}", head.at)
     decl = sig.by_name[head.name]
     if len(atoms) != len(decl.index_types):
         p.fail(
             f"type {head.name!r} expects {len(decl.index_types)} index"
             f" argument(s), got {len(atoms)}",
-            head if head.line else tok,
+            head.at,
         )
-    return head.name, tuple(
-        run_walk(_to_index_expr(p, sig, a, tok, pivars, ())) for a in atoms
-    )
+    return head.name, tuple([_to_index_expr(p, sig, a, at, pivars) for a in atoms])
 
 
-def _to_index_expr(p: _Parser, sig: Signature, e: SExpr, tok: Token, pivars, expanding):
-    """Walk: the index expression e spells.  Upper-case names and the
+def _to_index_expr(p: _Parser, sig: Signature, e: SExpr, at: int, pivars, expanding=()):
+    """The index expression e spells.  Upper-case names and the
     abstraction names pivars are variables; abbreviations expand in place,
-    expanding holding those whose bodies are being expanded."""
-    if isinstance(e, SNum):
-        return IxNum(e.value)
-    if isinstance(e, SName):
-        if e.name[0].isupper():
-            return IxVar(e.name)
-        if e.name in sig.abbrevs:
-            # in index position the body must itself be an index expression
-            body = sig.abbrevs[e.name].body
-            if isinstance(body, (SBind, SPi, SArrow, SType)):
-                p.fail(
-                    f"abbreviation {e.name!r} cannot be used in an index expression", tok
-                )
-            if e.name in expanding:
-                p.fail(f"abbreviation {e.name!r} is defined in terms of itself", tok)
-            expanding += (e.name,)
-            return (yield _to_index_expr(p, sig, body, tok, pivars, expanding))
-        return IxVar(e.name) if e.name in pivars else IxCon(e.name)
-    if isinstance(e, SApp) and isinstance(e.fn, SName):
-        if e.fn.name[0].isupper():
-            p.fail(f"index variable {e.fn.name!r} cannot be applied", tok)
-        args = []
-        for a in e.args:
-            args.append((yield _to_index_expr(p, sig, a, tok, pivars, expanding)))
-        return IxCon(e.fn.name, tuple(args))
-    p.fail("invalid index expression", tok)
+    expanding holding those whose bodies are being expanded.  A loop over a
+    stack of frames, one per application whose arguments are being read:
+    its head, its arguments, their index expressions so far, and the
+    abbreviations being expanded around it."""
+    stack = []
+    while True:
+        if isinstance(e, SNum):
+            value = IxNum(e.value)
+        elif isinstance(e, SName):
+            if e.name[0].isupper():
+                value = IxVar(e.name)
+            elif e.name in sig.abbrevs:
+                # in index position the body must itself be an index expression
+                body = sig.abbrevs[e.name].body
+                if isinstance(body, (SBind, SPi, SArrow, SType)):
+                    p.fail(
+                        f"abbreviation {e.name!r} cannot be used in an index expression", at
+                    )
+                if e.name in expanding:
+                    p.fail(f"abbreviation {e.name!r} is defined in terms of itself", at)
+                e, expanding = body, expanding + (e.name,)
+                continue
+            else:
+                value = IxVar(e.name) if e.name in pivars else IxCon(e.name)
+        elif isinstance(e, SApp) and isinstance(e.fn, SName):
+            if e.fn.name[0].isupper():
+                p.fail(f"index variable {e.fn.name!r} cannot be applied", at)
+            stack.append((e.fn.name, e.args, [], expanding))
+            value = None
+        else:
+            p.fail("invalid index expression", at)
+        while stack:
+            name, surface, args, expanding = stack[-1]
+            if value is not None:
+                args.append(value)
+            if len(args) < len(surface):
+                e = surface[len(args)]
+                break
+            stack.pop()
+            value = IxCon(name, tuple(args))
+        else:
+            return value
 
 
 def _expr_vars(e: IndexExpr) -> list[str]:

@@ -5,6 +5,12 @@ concrete index it was introduced at, plus how many variables of that
 (type, index) were already in scope at its binding site.  Levels are
 fixed at binding time and never shifted, so alpha-equivalent terms are
 structurally identical.
+
+Checking, printing and elaboration are each one loop over an explicit
+stack of frames, one per constructor whose arguments are in progress;
+a frame resumes at its next argument, so arguments are visited, and
+errors raised, left to right, and a term of any depth works at the
+default recursion limit.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._walk import run_walk
 from .errors import SigSyntaxError, TermError
 from .sigmodel import (
     Ctor,
@@ -124,21 +129,35 @@ EMPTY_COUNTS = CountVector()
 
 
 def _surface_to_index(e: SExpr):
-    """Walk: the index expression that surface e spells."""
-    if isinstance(e, SNum):
-        return IxNum(e.value)
-    if isinstance(e, SName):
-        return IxCon(e.name)
-    if isinstance(e, SApp) and isinstance(e.fn, SName):
-        args = []
-        for a in e.args:
-            args.append((yield _surface_to_index(a)))
-        return IxCon(e.fn.name, tuple(args))
-    raise TermError("invalid index value")
+    """The index expression that surface e spells, built in a loop over
+    a stack of frames, one per application whose arguments are being
+    read: its head, its arguments and their index expressions so far."""
+    stack = []
+    while True:
+        if isinstance(e, SNum):
+            value = IxNum(e.value)
+        elif isinstance(e, SName):
+            value = IxCon(e.name)
+        elif isinstance(e, SApp) and isinstance(e.fn, SName):
+            stack.append((e.fn.name, e.args, []))
+            value = None
+        else:
+            raise TermError("invalid index value")
+        while stack:
+            name, surface, args = stack[-1]
+            if value is not None:
+                args.append(value)
+            if len(args) < len(surface):
+                e = surface[len(args)]
+                break
+            stack.pop()
+            value = IxCon(name, tuple(args))
+        else:
+            return value
 
 
 def _index_value(vsig: ValidatedSignature, e: SExpr, ixtype: str) -> int:
-    value = vsig.index_value(ixtype, run_walk(_surface_to_index(e)), {})
+    value = vsig.index_value(ixtype, _surface_to_index(e), {})
     if value is None:
         raise TermError(f"invalid {ixtype} index value")
     return value
@@ -153,7 +172,7 @@ def parse_term(
         surface = parse_term_text(text)
     except SigSyntaxError as exc:
         raise TermError(f"term syntax error: {exc}") from None
-    return run_walk(_elab(vsig, surface, type_name, index, {}, EMPTY_COUNTS))
+    return _elab(vsig, surface, type_name, index, {}, EMPTY_COUNTS)
 
 
 def _check_target(
@@ -178,66 +197,102 @@ def _elab(
     want_index: int | None,
     scope: dict[str, tuple[str, int | None, int]],
     counts: CountVector,
-):
-    """Walk: the term that surface e elaborates to at the wanted type."""
-    if isinstance(e, SName):
-        if e.name in scope:
-            t, ix, level = scope[e.name]
-            if (t, ix) != (want_type, want_index):
+) -> Term:
+    """The term that surface e elaborates to at the wanted type, built in
+    a loop over a stack of _elab_con frames, one per constructor whose
+    arguments are being elaborated."""
+    sig, stack = vsig.sig, []
+    while True:
+        term = None
+        if isinstance(e, SName):
+            if e.name in scope:
+                t, ix, level = scope[e.name]
+                if (t, ix) != (want_type, want_index):
+                    raise TermError(
+                        f"variable {e.name} has type {_describe(t, ix)},"
+                        f" expected {_describe(want_type, want_index)}"
+                    )
+                term = Var(t, ix, level)
+            elif e.name in sig.abbrevs:
+                ab = sig.abbrevs[e.name]
+                kind, ab_index = vsig.index_kind(ab.type_name), None
+                if kind is not None:  # validate checked that the index has a value
+                    ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
+                if (ab.type_name, ab_index) != (want_type, want_index):
+                    raise TermError(
+                        f"abbreviation {e.name} has type {_describe(ab.type_name, ab_index)},"
+                        f" expected {_describe(want_type, want_index)}"
+                    )
+                # abbreviations expand where they occur; their bodies are
+                # closed, so the current scope never leaks in
+                e, scope = ab.body, {}
+                continue
+            elif e.name in sig.ctors:
+                stack.append(_elab_con(
+                    vsig, sig.ctors[e.name], (), want_type, want_index, scope, counts
+                ))
+            else:
+                raise TermError(f"unbound name {e.name!r}")
+        elif isinstance(e, SNum):
+            lit = vsig.analysis.nat_literal
+            if str(e.value) in sig.ctors:
+                stack.append(_elab_con(
+                    vsig, sig.ctors[str(e.value)], (), want_type, want_index, scope, counts
+                ))
+            elif lit is not None and want_type == lit.type_name:
+                term = Con("z")
+                for _ in range(e.value):
+                    term = Con("s", (), (TermArg(0, term),))
+            else:
                 raise TermError(
-                    f"variable {e.name} has type {_describe(t, ix)},"
-                    f" expected {_describe(want_type, want_index)}"
+                    f"numeral {e.value} is only a term when the signature declares"
+                    " nat with z and s"
                 )
-            return Var(t, ix, level)
-        if e.name in vsig.sig.abbrevs:
-            ab = vsig.sig.abbrevs[e.name]
-            kind, ab_index = vsig.index_kind(ab.type_name), None
-            if kind is not None:  # validate checked that the index has a value
-                ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
-            if (ab.type_name, ab_index) != (want_type, want_index):
-                raise TermError(
-                    f"abbreviation {e.name} has type {_describe(ab.type_name, ab_index)},"
-                    f" expected {_describe(want_type, want_index)}"
-                )
-            # abbreviations expand where they occur; their bodies are
-            # closed, so the current scope never leaks in
-            return (yield from _elab(vsig, ab.body, want_type, want_index, {}, counts))
-        if e.name in vsig.sig.ctors:
-            return (yield from _elab_con(
-                vsig, vsig.sig.ctors[e.name], (), want_type, want_index, scope, counts
+        elif isinstance(e, SApp):
+            if not isinstance(e.fn, (SName, SNum)):
+                raise TermError("only constructors can be applied")
+            fname = e.fn.name if isinstance(e.fn, SName) else str(e.fn.value)
+            if fname in scope:
+                raise TermError(f"variable {fname} cannot be applied")
+            if fname in sig.abbrevs:
+                raise TermError(f"abbreviation {fname} cannot be applied")
+            if fname not in sig.ctors:
+                raise TermError(f"unbound name {fname!r}")
+            stack.append(_elab_con(
+                vsig, sig.ctors[fname], e.args, want_type, want_index, scope, counts
             ))
-        raise TermError(f"unbound name {e.name!r}")
-    if isinstance(e, SNum):
-        if str(e.value) in vsig.sig.ctors:
-            return (yield from _elab_con(
-                vsig, vsig.sig.ctors[str(e.value)], (), want_type, want_index, scope, counts
-            ))
-        lit = vsig.analysis.nat_literal
-        if lit is not None and want_type == lit.type_name:
-            term: Term = Con("z")
-            for _ in range(e.value):
-                term = Con("s", (), (TermArg(0, term),))
+        elif isinstance(e, SBind):
+            raise TermError(f"binder [{e.var}] is only allowed in constructor arguments")
+        else:
+            raise TermError("invalid term")
+        # hand the term to the frames it completes, then start the next argument
+        while stack:
+            ctor, index_values, targets, surface_args, args, scope, counts = stack[-1]
+            if term is not None:
+                args.append(TermArg(len(targets[len(args)][2]), term))
+            j = len(args)
+            if j < len(targets):
+                want_type, want_index, keys = targets[j]
+                e = surface_args[j]
+                if keys:
+                    outer = counts
+                    scope, counts = dict(scope), counts.bind(keys)
+                    for i, key in enumerate(keys):
+                        if not isinstance(e, SBind):
+                            raise TermError(
+                                f"argument of {ctor.name} must bind {len(keys)}"
+                                f" variable(s) with [name]"
+                            )
+                        bt, bix = key
+                        scope[e.var] = (bt, bix, outer.get(bt, bix) + keys[:i].count(key))
+                        e = e.body
+                if isinstance(e, SBind):
+                    raise TermError(f"argument of {ctor.name} binds only {len(keys)} variable(s)")
+                break
+            stack.pop()
+            term = Con(ctor.name, index_values, tuple(args))
+        else:
             return term
-        raise TermError(
-            f"numeral {e.value} is only a term when the signature declares"
-            " nat with z and s"
-        )
-    if isinstance(e, SApp):
-        if not isinstance(e.fn, (SName, SNum)):
-            raise TermError("only constructors can be applied")
-        fname = e.fn.name if isinstance(e.fn, SName) else str(e.fn.value)
-        if fname in scope:
-            raise TermError(f"variable {fname} cannot be applied")
-        if fname in vsig.sig.abbrevs:
-            raise TermError(f"abbreviation {fname} cannot be applied")
-        if fname not in vsig.sig.ctors:
-            raise TermError(f"unbound name {fname!r}")
-        return (yield from _elab_con(
-            vsig, vsig.sig.ctors[fname], e.args, want_type, want_index, scope, counts
-        ))
-    if isinstance(e, SBind):
-        raise TermError(f"binder [{e.var}] is only allowed in constructor arguments")
-    raise TermError("invalid term")
 
 
 def _elab_con(
@@ -248,7 +303,10 @@ def _elab_con(
     want_index: int | None,
     scope: dict,
     counts: CountVector,
-):
+) -> tuple:
+    """_elab's frame for ctor applied to surface_args: the constructor,
+    its index values, its arguments' targets and surface forms, the
+    arguments elaborated so far, and the scope and counts around it."""
     if ctor.family != want_type:
         raise TermError(
             f"constructor {ctor.name} constructs {ctor.family},"
@@ -270,25 +328,7 @@ def _elab_con(
         pairs = zip(ctor.pi_args, surface_args)
         index_values = tuple([_index_value(vsig, se, ptype) for (_, ptype, _), se in pairs])
     targets = vsig.arg_targets(ctor.name, want_index, index_values)
-    args = []
-    for (arg_type, arg_index, keys), se in zip(targets, surface_args[n_pi:]):
-        inner_scope, inner_counts = scope, counts
-        if keys:
-            inner_scope, inner_counts = dict(scope), counts.bind(keys)
-            for i, key in enumerate(keys):
-                if not isinstance(se, SBind):
-                    raise TermError(
-                        f"argument of {ctor.name} must bind {len(keys)}"
-                        f" variable(s) with [name]"
-                    )
-                bt, bix = key
-                inner_scope[se.var] = (bt, bix, counts.get(bt, bix) + keys[:i].count(key))
-                se = se.body
-        if isinstance(se, SBind):
-            raise TermError(f"argument of {ctor.name} binds only {len(keys)} variable(s)")
-        body = yield _elab(vsig, se, arg_type, arg_index, inner_scope, inner_counts)
-        args.append(TermArg(len(keys), body))
-    return Con(ctor.name, index_values, tuple(args))
+    return ctor, index_values, targets, surface_args[n_pi:], [], scope, counts
 
 
 # ----------------------------------------------------------------------
@@ -352,9 +392,12 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
 
     out: list[str] = []  # the text's pieces, joined once at the end
     emit = out.append
-
-    def render(t: Term, index, env: dict, counts: CountVector):
-        """Walk: emit t's text; each argument's parentheses come first."""
+    # per Con being printed, its arguments still to print; and a ")" to
+    # emit once the argument it closes is printed
+    stack: list = []
+    arg_targets = vsig.arg_targets
+    t, env, counts = term, {}, EMPTY_COUNTS
+    while True:
         if isinstance(t, Var):
             key = (t.type_name, t.index, t.level)
             name = env.get(key)
@@ -362,15 +405,25 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 # free variable of an open term; name it like its binder would
                 name = env[key] = fresh(*key)
             emit(name)
-            return
-        emit(t.ctor)
-        if t.index_args:
-            for (_, ptype, _), value in zip(vsig.sig.ctors[t.ctor].pi_args, t.index_args):
-                emit(" " + index_value_text(ptype, value))
-        last = len(t.args) - 1
-        targets = vsig.arg_targets(t.ctor, index, t.index_args)
-        for j, ((arg_type, arg_index, keys), ta) in enumerate(zip(targets, t.args)):
-            body = ta.body
+        else:
+            emit(t.ctor)
+            if t.index_args:
+                for (_, ptype, _), value in zip(vsig.sig.ctors[t.ctor].pi_args, t.index_args):
+                    emit(" " + index_value_text(ptype, value))
+            targets = arg_targets(t.ctor, index, t.index_args)
+            stack.append((enumerate(zip(targets, t.args)), len(t.args) - 1, env, counts))
+        while stack:
+            frame = stack[-1]
+            if frame == ")":
+                emit(stack.pop())
+                continue
+            todo, last, env, counts = frame
+            step = next(todo, None)
+            if step is None:
+                stack.pop()
+                continue
+            j, ((_, index, keys), ta) = step
+            t = ta.body
             if keys:
                 # a binder reaches to the end, so only a last one goes bare
                 paren = j != last
@@ -382,16 +435,15 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                     name = fresh(bt, bix, level)
                     inner_env[(bt, bix, level)] = name
                     emit(f"[{name}] ")
+                env, counts = inner_env, inner_counts
             else:
-                paren = not isinstance(body, Var) and bool(body.args or body.index_args)
+                paren = not isinstance(t, Var) and bool(t.args or t.index_args)
                 emit(" (" if paren else " ")
-                inner_env, inner_counts = env, counts
-            yield render(body, arg_index, inner_env, inner_counts)
             if paren:
-                emit(")")
-
-    run_walk(render(term, index, {}, EMPTY_COUNTS))
-    return "".join(out)
+                stack.append(")")
+            break
+        else:
+            return "".join(out)
 
 
 def _infer_index(vsig: ValidatedSignature, term: Term) -> int | None:
@@ -419,51 +471,63 @@ def check_term(
 ) -> None:
     """Raise TermError unless term is well-typed at (type, index) under counts."""
     _check_target(vsig, type_name, index)
-    run_walk(_check(vsig, type_name, index, counts, term))
+    _check(vsig, type_name, index, counts, term)
 
 
 def _check(vsig, type_name, index, counts, term, memo=None):
-    """Walk: raise TermError unless term is well-typed here.  A memo maps
-    (id(node), type, index, counts) to the node for Con nodes already
-    checked; the node in the value keeps its id from being reused."""
-    if isinstance(term, Var):
-        if (term.type_name, term.index) != (type_name, index):
-            raise TermError(
-                f"variable of type {_describe(term.type_name, term.index)},"
-                f" expected {_describe(type_name, index)}"
-            )
-        if not 0 <= term.level < counts.get(type_name, index):
-            raise TermError(
-                f"variable level {term.level} out of scope"
-                f" ({counts.get(type_name, index)} in context)"
-            )
-        return
-    if memo is not None:
-        key = (id(term), type_name, index, counts)
-        if memo.get(key) is not None:
+    """Raise TermError unless term is well-typed here.  A loop over a
+    stack of frames, one per Con whose arguments are being checked: the
+    node, its remaining (target, argument) pairs, its counts and memo key.
+    A memo maps (id(node), type, index, counts) to the node for Con nodes
+    already checked; the node in the value keeps its id from being reused."""
+    ctors, pattern, class_of, arg_targets = (
+        vsig.sig.ctors, vsig.pattern, vsig.class_of, vsig.arg_targets
+    )
+    stack = []
+    while True:
+        if isinstance(term, Var):
+            if (term.type_name, term.index) != (type_name, index):
+                raise TermError(
+                    f"variable of type {_describe(term.type_name, term.index)},"
+                    f" expected {_describe(type_name, index)}"
+                )
+            if not 0 <= term.level < counts.get(type_name, index):
+                raise TermError(
+                    f"variable level {term.level} out of scope"
+                    f" ({counts.get(type_name, index)} in context)"
+                )
+        elif memo is None or memo.get((id(term), type_name, index, counts)) is None:
+            ctor = ctors.get(term.ctor)
+            if ctor is None:
+                raise TermError(f"unknown constructor {term.ctor!r}")
+            if ctor.family != type_name:
+                raise TermError(
+                    f"constructor {term.ctor} constructs {ctor.family},"
+                    f" expected {_describe(type_name, index)}"
+                )
+            if not applies(pattern(ctor.name), class_of(type_name, index)):
+                raise TermError(
+                    f"constructor {term.ctor} cannot construct {_describe(type_name, index)}"
+                )
+            check_shape(ctor, term)
+            targets = arg_targets(term.ctor, index, term.index_args)
+            key = None if memo is None else (id(term), type_name, index, counts)
+            stack.append((term, zip(targets, term.args), counts, key))
+        while stack:
+            node, todo, node_counts, key = stack[-1]
+            step = next(todo, None)
+            if step is not None:
+                (type_name, index, keys), ta = step
+                if ta.binder_count != len(keys):
+                    raise binder_mismatch(node, len(keys), ta)
+                counts = node_counts.bind(keys) if keys else node_counts
+                term = ta.body
+                break
+            stack.pop()
+            if memo is not None:
+                memo[key] = node
+        else:
             return
-    ctor = vsig.sig.ctors.get(term.ctor)
-    if ctor is None:
-        raise TermError(f"unknown constructor {term.ctor!r}")
-    if ctor.family != type_name:
-        raise TermError(
-            f"constructor {term.ctor} constructs {ctor.family},"
-            f" expected {_describe(type_name, index)}"
-        )
-    if not applies(vsig.pattern(ctor.name), vsig.class_of(type_name, index)):
-        raise TermError(
-            f"constructor {term.ctor} cannot construct {_describe(type_name, index)}"
-        )
-    check_shape(ctor, term)
-    targets = vsig.arg_targets(term.ctor, index, term.index_args)
-    for (arg_type, arg_index, keys), ta in zip(targets, term.args):
-        if ta.binder_count != len(keys):
-            raise binder_mismatch(term, len(keys), ta)
-        yield _check(
-            vsig, arg_type, arg_index, counts.bind(keys) if keys else counts, ta.body, memo
-        )
-    if memo is not None:
-        memo[key] = term
 
 
 def check_shape(ctor: Ctor, term: Con) -> None:

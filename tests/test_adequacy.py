@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from conftest import SIG_NAMES, sig_text
-from godelgen._walk import run_walk
 from godelgen.adequacy import (
     MEMO_GENERATION,
     EnumBudget,
@@ -146,6 +145,7 @@ class TestBudget:
             {"max_code": 1},
             {"per_class": ((("nat", "-"), (0, 100)),)},
             {"per_class": ((("nat", "-"), (3, 1)),)},
+            {"fuel": 0},
         ],
     )
     def test_rejects_degenerate_bounds(self, kwargs):
@@ -290,7 +290,7 @@ class TestSweepMemo:
         def outcome(fuel, memo):
             cell = [fuel]
             try:
-                term = run_walk(_decode(plan, "nat", None, EMPTY_COUNTS, n, cell, memo))
+                term = _decode(plan, "nat", None, EMPTY_COUNTS, n, cell, memo)
             except FuelExhausted as exc:
                 return "FuelExhausted", str(exc), cell
             return term, cell
@@ -298,7 +298,7 @@ class TestSweepMemo:
         # code n is n + 1 nodes deep, and its subterm code n - 1 is n deep
         for fuel in (n - 1, n, n + 1, n + 2):
             memo = _SweepMemo()
-            run_walk(_decode(plan, "nat", None, EMPTY_COUNTS, n - 1, [DEFAULT_FUEL], memo))
+            _decode(plan, "nat", None, EMPTY_COUNTS, n - 1, [DEFAULT_FUEL], memo)
             assert outcome(fuel, memo) == outcome(fuel, None)
         assert outcome(n, None)[0] == "FuelExhausted"
         assert outcome(n + 1, None)[-1] == [0]
@@ -310,15 +310,15 @@ class TestSweepMemo:
         x0 = Var("t", None, 0)
         term = Con("app", (), (TermArg(0, x0), TermArg(0, x0)))
         checked = _SweepMemo()
-        run_walk(_check(plan.vsig, "t", None, one, term, checked))
+        _check(plan.vsig, "t", None, one, term, checked)
         with pytest.raises(TermError, match="out of scope"):
-            run_walk(_check(plan.vsig, "t", None, EMPTY_COUNTS, term, checked))
+            _check(plan.vsig, "t", None, EMPTY_COUNTS, term, checked)
         encoded, decoded = _SweepMemo(), _SweepMemo()
         for counts in (one, two, one):
-            code = run_walk(_encode(plan, "t", None, counts, term, encoded))
+            code = _encode(plan, "t", None, counts, term, encoded)
             assert code == encode(plan, "t", None, counts, term)
         for counts in (one, EMPTY_COUNTS, two, one):
-            got = run_walk(_decode(plan, "t", None, counts, 9, [DEFAULT_FUEL], decoded))
+            got = _decode(plan, "t", None, counts, 9, [DEFAULT_FUEL], decoded)
             assert got == decode(plan, "t", None, counts, 9)
 
     def test_memo_keeps_two_generations(self):

@@ -85,6 +85,16 @@ class TestCheck:
         assert code == 2
         assert err == "error: bad: invalid index expression for type t [index-expr]\n"
 
+    def test_non_decimal_digit_in_a_signature_is_a_name(self, capsys, tmp_path):
+        sig = tmp_path / "digit.sig"
+        sig.write_text(sig_path("nat").read_text() + "t : nat -> type.\nk : t \u00b2.\n")
+        code, out, err = run(capsys, ["check", str(sig)])
+        assert (code, out) == (2, "nat: Infinite\nt[z]: Empty\nt[s]: Empty\n")
+        assert err == (
+            "error: k: result index must use at most one level of matching"
+            " (zero, successor of a variable, or a variable) [pattern]\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "no/such/file.sig"])
         assert code == 3
@@ -147,6 +157,10 @@ class TestEncode:
         )
         assert code == 3
         assert "invalid nat index value" in err
+
+    def test_non_decimal_digit_is_a_name(self, capsys):
+        code, _, err = run(capsys, ["encode", NAT, "--type", "nat", "s \u00b2"])
+        assert (code, err) == (3, "error: unbound name '\u00b2'\n")
 
     def test_indexed_family_requires_an_index(self, capsys):
         code, _, err = run(capsys, ["encode", TERMFAM, "--type", "term", "unit"])
@@ -252,6 +266,21 @@ class TestVerify:
         assert data["signature"] == BOOL
         assert data["classes"][0]["type"] == "bool"
         assert data["classes"][0]["one_to_one"] is True
+
+    def test_fuel_flag_bounds_each_decode(self, capsys):
+        code, out, _ = run(capsys, ["verify", NAT, "--fuel", "50", "--max-code", "60"])
+        assert code == 1
+        assert "code 50 did not decode: FuelExhausted" in out
+
+    def test_fuel_env_bounds_each_decode(self, capsys, monkeypatch):
+        monkeypatch.setenv("GODELGEN_FUEL", "50")
+        code, out, _ = run(capsys, ["verify", NAT, "--max-code", "60"])
+        assert code == 1
+        assert "code 50 did not decode: FuelExhausted" in out
+
+    def test_default_fuel_covers_the_default_sweep(self, capsys):
+        code, out, _ = run(capsys, ["verify", NAT, "--max-code", "60"])
+        assert (code, out) == (0, "nat: ok (6 terms, 60 codes)\n")
 
     def test_zero_code_budget_is_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", BOOL, "--max-code", "0"])

@@ -421,6 +421,101 @@ def test_encode_rejects_ill_fitting_terms(vsigs, plans):
             encode_closed(plan, type_name, index, term)
 
 
+def first_error(fn, *args) -> str:
+    with pytest.raises(TermError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def first_errors(cases):
+    """(encode's message, check_term's message) for each case."""
+    return [
+        (first_error(encode_closed, plan, type_name, index, term),
+         first_error(check_term, plan.vsig, type_name, index, EMPTY_COUNTS, term))
+        for plan, type_name, index, term in cases
+    ]
+
+
+def test_first_error_of_ill_fitting_terms(vsigs, plans):
+    not_natural = "index argument {} of exists is not a natural"
+    assert first_errors(ill_fitting_terms(vsigs, plans)) == [
+        ("constructor unit cannot construct term[s]", "constructor unit cannot construct term 1"),
+        ("constructor lam cannot construct term[z]", "constructor lam cannot construct term 0"),
+        *[(f"constructor mk takes 2 argument(s), got {n}",) * 2 for n in (1, 0, 3)],
+        ("constructor mk takes 0 index argument(s), got 1",) * 2,
+        ("constructor true takes 0 argument(s), got 1",) * 2,
+        ("argument 0 of lam binds 1 variable(s), term has 0",) * 2,
+        ("argument 0 of app binds 0 variable(s), term has 1",) * 2,
+        *[(not_natural.format(v),) * 2 for v in ("-1", "True", "'1'", "1.0")],
+    ]
+
+
+def test_first_error_is_the_leftmost_in_depth_first_order(vsigs, plans):
+    # each term has a fault in two arguments; the first argument's is
+    # reported, however deep it lies
+    pair = assign_tags(validate(parse_signature(
+        "bool : type. true : bool. false : bool. pair : type. mk : bool -> bool -> pair."
+    )))
+    ident = Con("lam", (), (TermArg(1, Var("t", None, 0)),))
+
+    def con(name, *args, index_args=()):
+        return Con(name, index_args, tuple(TermArg(*a) for a in args))
+
+    cases = [
+        (plans["lambda"], "t", None,
+         con("app", (0, con("lam", (0, Var("t", None, 0)))), (0, con("z")))),
+        (plans["lambda"], "t", None,
+         con("app", (0, con("app", (0, ident), (0, Var("t", None, 3)))), (1, ident))),
+        (plans["lambda"], "t", None,
+         con("app", (0, ident), (0, con("app", (0, con("nosuch")), (2, ident))))),
+        (pair, "pair", None, con("mk", (0, con("true", (0, con("false")))), (1, con("true")))),
+        (pair, "pair", None, con("mk", (0, con("true")), (0, con("maybe")))),
+        (plans["termfam"], "term", 1, con("app", (0, con("unit")), (1, con("lam", (1, con("unit")))))),
+        (plans["termfam"], "term", 0,
+         con("app", (0, con("lam", (1, Var("term", 1, 0)))), (0, con("rec", (1, Var("term", 0, 1)))))),
+        (plans["exists"], "term", 0, con(
+            "exists", (1, con("app", (0, Var("term", 2, 0)), (0, Var("term", 0, 0)))), index_args=(2,))),
+        (plans["natlist"], "natlist", None,
+         con("natlist/+", (0, con("s", (0, con("natlist/0")))), (0, con("z")))),
+    ]
+    assert first_errors(cases) == [
+        ("argument 0 of lam binds 1 variable(s), term has 0",) * 2,
+        ("variable level 3 out of scope (0 in context)",) * 2,
+        ("constructor 'nosuch' does not construct t", "unknown constructor 'nosuch'"),
+        ("constructor true takes 0 argument(s), got 1",) * 2,
+        ("constructor 'maybe' does not construct bool", "unknown constructor 'maybe'"),
+        ("constructor unit cannot construct term[s]", "constructor unit cannot construct term 2"),
+        ("variable of type term does not fit term", "variable of type term 1, expected term 0"),
+        ("variable of type term does not fit term", "variable of type term 2, expected term 1"),
+        ("constructor 'natlist/0' does not construct nat",
+         "constructor natlist/0 constructs natlist, expected nat"),
+    ]
+    texts = [
+        ("lambda", "t", None, "app (lam [x] y) (lam [x] z)"),
+        ("lambda", "t", None, "app (lam x) (lam [y] w)"),
+        ("lambda", "t", None, "app (app (lam [x] x) (lam [y] q)) (s z)"),
+        ("lambda", "t", None, "app (lam [x] x x) z"),
+        ("termfam", "term", 0, "app (lam [x] x) (app unit unit)"),
+        ("termfam", "term", 1, "app (lam [x] unit) (rec [f] [g] f)"),
+        ("exists", "term", 0, "exists x [y] unit"),
+        ("exists", "term", 0, "exists 3 [y] app y (lam [q] w)"),
+        ("natlist", "natlist", None, "natlist/+ (s natlist/0) (natlist/+ z)"),
+        ("natlist", "natlist", None, "natlist/+ 3 (natlist/+ 2 natlist/0 z)"),
+    ]
+    assert [first_error(parse_term, vsigs[s], t, i, text) for s, t, i, text in texts] == [
+        "unbound name 'y'",
+        "argument of lam must bind 1 variable(s) with [name]",
+        "unbound name 'q'",
+        "variable x cannot be applied",
+        "constructor unit cannot construct term 1",
+        "constructor unit cannot construct term 1",
+        "invalid nat index value",
+        "variable y has type term 3, expected term 1",
+        "constructor natlist/0 constructs natlist, expected nat",
+        "constructor natlist/+ expects 2 argument(s), got 3",
+    ]
+
+
 def test_containers_and_compare_reject_ill_fitting_terms(vsigs, plans):
     cases = ill_fitting_terms(vsigs, plans) + [
         (plans["lambda"], "t", None, Con("z")),  # a constructor of another type

@@ -181,6 +181,45 @@ def test_parse_errors():
         parse_signature("t : type. c : ((t -> t) -> t) -> t.")  # higher-order binder
 
 
+# (text, message, line, col) of the first syntax error in each text
+SYNTAX_ERRORS = [
+    ("t : type.\na : t $ t.", "unexpected character '$'", 2, 7),
+    ("t : type.\n  %infix + 5.", "unsupported declaration %infix", 2, 3),
+    ("%abbrevs x.", "unsupported declaration %abbrevs", 1, 1),
+    ("t : type.\na : (t -> t.", "expected ')', found '.'", 2, 12),
+    ("t : type. k : t (t", "expected ')', found 'end of input'", 1, 19),
+    ("t : type", "expected '.', found 'end of input'", 1, 9),
+    # a comment does not move the end of the input
+    ("t : type %% no period", "expected '.', found 'end of input'", 1, 10),
+    ("t : type.\nk : t %% c\n", "expected '.', found 'end of input'", 3, 1),
+    ("t : type. a : t = t.", "expected '.', found '='", 1, 17),
+    ("t type.", "expected ':', found 'type'", 1, 3),
+    ("t : type.\na : t.\nb : t. a : t.", "duplicate name 'a'", 3, 8),
+    ("t : type. é : t. é : t.", "duplicate name 'é'", 1, 18),
+    ("t : type. a : t. %abbrev x : t = y. %abbrev y : t = x.",
+     "abbreviation 'x' is defined in terms of itself", 1, 26),
+    ("nat : type. z : nat. k : {N", "expected ':', found 'end of input'", 1, 28),
+    ("t : type. a : { : t} t.", "expected a variable name after '{'", 1, 17),
+    ("nat : type.\r\nz : nat.\r\n  k : {N : nat} nat ->.", "unexpected '.'", 3, 23),
+    ("t : type. a : t -> ] t.", "unexpected ']'", 1, 20),
+    ("t : type. -> : t.", "expected a declaration, found '->'", 1, 11),
+    ("t : type. c : ((t -> t) -> t) -> t.", "binder arguments must be first-order", 1, 11),
+    ("t : type. lam : (u -> t) -> t.", "unknown type 'u'", 1, 18),
+    ("t : type.\n\ta : [x] t.", "expected a type, possibly applied to index arguments", 2, 2),
+    ("nat : type. z : nat. s : nat -> nat. t : nat -> type. k : t (N z).",
+     "index variable 'N' cannot be applied", 1, 55),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", SYNTAX_ERRORS)
+def test_syntax_error_message_and_position(text, message, line, col):
+    with pytest.raises(SigSyntaxError) as info:
+        parse_signature(text)
+    assert (str(info.value), info.value.line, info.value.col) == (
+        f"{line}:{col}: {message}", line, col
+    )
+
+
 def test_unknown_type_must_be_declared_before_use():
     with pytest.raises(SigSyntaxError, match="unknown type"):
         parse_signature("c : t. t : type.")

@@ -1,5 +1,8 @@
 """Term parsing, printing, checking, and sizes."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from godelgen.errors import TermError
@@ -116,6 +119,15 @@ def test_parse_numerals(vsigs):
     assert five == parse_term(v, "nat", None, "s (s (s (s (s z))))")
     assert term_size(five) == 6
     assert parse_term(v, "nat", None, "0") == Con("z")
+
+
+def test_only_decimal_words_are_numerals(vsigs):
+    v = vsigs["nat"]
+    # Arabic-Indic three is a decimal digit; superscript two is a digit
+    # but not decimal, so it is a name
+    assert parse_term(v, "nat", None, "s \u0663") == parse_term(v, "nat", None, "4")
+    with pytest.raises(TermError, match="unbound name '\u00b2'"):
+        parse_term(v, "nat", None, "s \u00b2")
 
 
 def test_numerals_inside_terms(vsigs):
@@ -275,3 +287,22 @@ def test_deep_terms(vsigs):
     check_term(v, "nat", None, EMPTY_COUNTS, t)
     printed = print_term(v, t)
     assert parse_term(v, "nat", None, printed) == t
+
+
+def test_the_library_runs_no_walk_driver_and_leaves_the_gc_alone():
+    # the walks are plain loops, and the cyclic collector is process-global
+    src = Path(__file__).resolve().parent.parent / "src" / "godelgen"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "gc"):
+                names = [f"gc.{node.attr}"]
+            found += [(path.name, n) for n in names
+                      if n == "gc" or n.startswith("gc.") or "_walk" in n or n == "run_walk"]
+    assert found == []
