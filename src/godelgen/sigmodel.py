@@ -168,11 +168,9 @@ class _Parser:
     def peek(self) -> str:
         return self.toks[self.i]
 
-    def advance(self) -> str:
-        tok = self.toks[self.i]
-        if tok:
+    def advance(self) -> None:
+        if self.toks[self.i]:
             self.i += 1
-        return tok
 
     def fail(self, message: str, at: int | None = None):
         """Raise a syntax error at token at, by default the next one."""
