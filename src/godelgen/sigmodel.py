@@ -33,6 +33,12 @@ The counts of finite index types give the classes of the families they
 index, so the analysis repeats until they settle.  Validation then
 enforces the rules that make a per-class bijection with N derivable,
 reading the same graph and reporting one diagnostic per violated rule.
+
+Each index in a constructor's arguments compiles to one rule, (type,
+slot, offset): a constant, or the parent's index or an explicit index
+value plus an offset.  The analysis reads from a rule the classes the
+index can land in, and arg_targets applies the same rule to concrete
+values, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -410,7 +416,9 @@ def _abbrev_uses(sig: Signature, body: SExpr) -> list[str]:
         elif isinstance(e, SApp) and isinstance(e.fn, (SName, SNum)):
             fn = e.fn.name if isinstance(e.fn, SName) else str(e.fn.value)
             ctor = sig.ctors.get(fn)
-            if ctor is not None:  # explicit index arguments do not expand
+            # explicit index arguments expand as index expressions, and
+            # to_index_expr stops a cycle there itself
+            if ctor is not None:
                 todo.extend((a, bound) for a in e.args[len(ctor.pi_args):])
     return uses
 
@@ -528,17 +536,19 @@ def _to_typeapp(
             f" argument(s), got {len(atoms)}",
             head.at,
         )
-    return head.name, tuple([_to_index_expr(p, sig, a, at, pivars) for a in atoms])
+    return head.name, tuple([
+        to_index_expr(sig, a, lambda message: p.fail(message, at), pivars) for a in atoms
+    ])
 
 
-def _to_index_expr(p: _Parser, sig: Signature, e: SExpr, at: int, pivars, expanding=()):
-    """The index expression e spells.  Upper-case names and the
-    abstraction names pivars are variables; abbreviations expand in place,
-    expanding holding those whose bodies are being expanded.  A loop over a
-    stack of frames, one per application whose arguments are being read:
-    its head, its arguments, their index expressions so far, and the
-    abbreviations being expanded around it."""
-    stack = []
+def to_index_expr(sig: Signature, e: SExpr, fail, pivars) -> IndexExpr:
+    """The index expression surface e spells, in a signature or in term
+    text; fail(message) raises the caller's error.  Upper-case names and
+    the abstraction names pivars are variables, and abbreviations expand
+    in place.  A loop over a stack of frames, one per application whose
+    arguments are being read: its head, its arguments, their index
+    expressions so far, and the abbreviations being expanded around it."""
+    stack, expanding = [], ()
     while True:
         if isinstance(e, SNum):
             value = IxNum(e.value)
@@ -549,22 +559,20 @@ def _to_index_expr(p: _Parser, sig: Signature, e: SExpr, at: int, pivars, expand
                 # in index position the body must itself be an index expression
                 body = sig.abbrevs[e.name].body
                 if isinstance(body, (SBind, SPi, SArrow, SType)):
-                    p.fail(
-                        f"abbreviation {e.name!r} cannot be used in an index expression", at
-                    )
+                    fail(f"abbreviation {e.name!r} cannot be used in an index expression")
                 if e.name in expanding:
-                    p.fail(f"abbreviation {e.name!r} is defined in terms of itself", at)
+                    fail(f"abbreviation {e.name!r} is defined in terms of itself")
                 e, expanding = body, expanding + (e.name,)
                 continue
             else:
                 value = IxVar(e.name) if e.name in pivars else IxCon(e.name)
         elif isinstance(e, SApp) and isinstance(e.fn, SName):
             if e.fn.name[0].isupper():
-                p.fail(f"index variable {e.fn.name!r} cannot be applied", at)
+                fail(f"index variable {e.fn.name!r} cannot be applied")
             stack.append((e.fn.name, e.args, [], expanding))
             value = None
         else:
-            p.fail("invalid index expression", at)
+            fail("invalid index expression")
         while stack:
             name, surface, args, expanding = stack[-1]
             if value is not None:
@@ -711,6 +719,7 @@ class Analysis:
     deferred: list[Diagnostic]
     nat_literal: NatIndex | None
     graph: dict[tuple[str, IndexClass], dict[str, Edge]]  # class -> ctor -> edge
+    rules: dict[str, tuple]  # per constructor; see _layout
 
 
 def _nat_shape(decl: TypeDecl) -> NatIndex | None:
@@ -785,6 +794,19 @@ def _index_value(
     return entry.base + offset
 
 
+def _constant(sig, nat_shapes, block_of, report, subject, type_name, kind, expr, word="index"):
+    """The value of expr as a constant index of type_name, whose index
+    kind is kind, or None; evaluated as _index_value does.  report(rule,
+    subject, message) is told when expr has no value or, word naming it,
+    lies out of range."""
+    value = _index_value(sig, nat_shapes, block_of, kind.type_name, expr, {})
+    if value is None:
+        report("index-expr", subject, f"invalid index expression for type {type_name}")
+    elif isinstance(kind, FiniteIndex) and value >= kind.count:
+        report("index-out-of-range", subject, f"{word} {value} out of range for type {type_name}")
+    return value
+
+
 class _Analyzer:
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -852,23 +874,11 @@ class _Analyzer:
             )
             return ("invalid",)
         # finite index: a concrete value
-        value = _index_value(
-            self.sig, self.nat_shapes, self._index_block, kind.type_name, expr, {}
+        value = _constant(
+            self.sig, self.nat_shapes, self._index_block, self.defer,
+            ctor.name, ctor.family, kind, expr,
         )
-        if value is None:
-            self.defer(
-                "index-expr",
-                ctor.name,
-                f"invalid index expression for type {ctor.family}",
-            )
-            return ("pending",)
-        if value >= kind.count:
-            self.defer(
-                "index-out-of-range",
-                ctor.name,
-                f"index {value} out of range for type {ctor.family}",
-            )
-        return ("const", value)
+        return ("pending",) if value is None else ("const", value)
 
     def _index_block(self, t: str) -> FiniteBlock | None:
         """Instance block of finite type t under the previous round's counts."""
@@ -885,130 +895,99 @@ class _Analyzer:
             return None
         self._building.add(t)
         rows = (  # t is unindexed: each constructor applies
-            (c, (self.eval_classes(c, UNIT_CLASS, a.type_name, a.index)[0] for a in c.args))
+            (c, (self._classes(c, UNIT_CLASS, self._rule(c, a.type_name, a.index))[0]
+                 for a in c.args))
             for c in self.sig.by_name[t].ctors
         )
         block = _partition(rows, self.prev_card)[0]
         self._building.remove(t)
         return block
 
-    def _var_ctx(self, ctor: Ctor, k: IndexClass) -> dict[str, tuple]:
-        """Map index variables to abstract bindings at class k."""
-        ctx: dict[str, tuple] = {}
+    def _rule(self, ctor: Ctor, type_name: str, index: tuple[IndexExpr, ...]) -> tuple:
+        """(type, slot, offset) for an index of type_name in ctor.  The
+        index is offset when slot is None (None for an unindexed type),
+        else the value in slot plus offset.  Slot 0 holds the parent's
+        index and slot 1 + i explicit index value i; under a successor
+        pattern s N, N is slot 0 with offset -1.  An index with no value
+        is reported and gets slot -1, its offset counting the successors
+        around it: s <bad> is still a successor."""
+        kind = self.kinds[type_name]
+        if kind is None:
+            return type_name, None, None
+        if kind in ("multi", "invalid"):  # reported with the type
+            return type_name, -1, 0
+        expr, succs = index[0], 0
+        if isinstance(kind, NatIndex):
+            expr, succs = _succ_chain(expr, kind)
+        if not isinstance(expr, IxVar):
+            value = _constant(
+                self.sig, self.nat_shapes, self._index_block, self.defer, ctor.name,
+                type_name, kind, index[0], "index" if isinstance(expr, IxNum) else "index value",
+            )
+            if value is None or isinstance(kind, FiniteIndex) and value >= kind.count:
+                return type_name, -1, succs
+            return type_name, None, value
+        # an abstraction's variable shadows the result pattern's
+        slots = {var: (1 + i, t) for i, (var, t, _) in enumerate(ctor.pi_args)}
         pat = self.pattern_of(ctor)
-        if pat[0] == "var":
-            ctx[pat[1]] = ("cur", self.kinds[ctor.family].type_name, k)
-        elif pat[0] == "succ":
-            ctx[pat[1]] = ("pred", self.kinds[ctor.family].type_name)
-        ctx.update((var, ("any", ptype)) for var, ptype, _ in ctor.pi_args)
-        return ctx
+        if pat[0] in ("var", "succ"):
+            slots.setdefault(pat[1], (0, self.kinds[ctor.family].type_name))
+        slot, var_type = slots.get(expr.name, (-1, None))
+        if slot < 0:
+            self.defer(
+                "unbound-index-var",
+                ctor.name,
+                f"index variable {expr.name!r} is not bound by the result"
+                " pattern or an explicit abstraction",
+            )
+        elif var_type != kind.type_name:
+            self.defer(
+                "wrong-index-type",
+                ctor.name,
+                f"index variable {expr.name!r} has type {var_type},"
+                f" used where {kind.type_name} is required",
+            )
+            slot = -1
+        return type_name, slot, succs - 1 if slot == 0 and pat[0] == "succ" else succs
 
-    def eval_classes(
-        self,
-        ctor: Ctor,
-        k: IndexClass,
-        target_type: str,
-        index: tuple[IndexExpr, ...],
-    ) -> tuple[frozenset[tuple[str, IndexClass]], bool]:
-        """The (type, class) keys an argument occurrence can land in, plus
-        whether the concrete index is pinned (a constant, or identical to
-        the source's)."""
-        tkind = self.kinds.get(target_type)
-        if tkind in ("multi", "invalid") or tkind is None and index:
+    def _classes(self, ctor: Ctor, k: IndexClass, rule: tuple) -> tuple[frozenset, bool]:
+        """The (type, class) keys an index by rule can land in when ctor
+        builds a term of class k, and whether the index is pinned: a
+        constant, or the parent's own index."""
+        type_name, slot, offset = rule
+        kind = self.kinds[type_name]
+        if slot is None:
+            if kind is None:
+                cls = UNIT_CLASS
+            elif isinstance(kind, FiniteIndex):
+                cls = fin_class(offset)
+            else:
+                cls = S_CLASS if offset else Z_CLASS
+            return frozenset(((type_name, cls),)), True
+        pat = self.pattern_of(ctor)[0]
+        if slot == 0 and pat == "succ":
+            offset += 1  # the successors around the parent's predecessor
+        if offset > 0:
+            return frozenset(((type_name, S_CLASS),)), False
+        if slot < 0:
             return frozenset(), False
-        if tkind is None:
-            return frozenset(((target_type, UNIT_CLASS),)), True
-        if not index:
-            return frozenset(), False
-        ctx = self._var_ctx(ctor, k)
-        classes, pinned = self._eval_expr(ctor, target_type, tkind, index[0], ctx)
-        return frozenset((target_type, c) for c in classes), pinned
+        if slot == 0 and pat == "var":
+            return frozenset(((type_name, k),)), True
+        # the parent's predecessor or an abstraction's value: any class
+        return frozenset((type_name, c) for c in self.classes[type_name]), False
 
     def _edge(self, ctor: Ctor, k: IndexClass) -> Edge:
+        rules = self.rules[ctor.name] = tuple([
+            (*self._rule(ctor, a.type_name, a.index),
+             tuple([self._rule(ctor, bt, bix) for bt, bix in a.binders]))
+            for a in ctor.args
+        ])
         args = []
-        for a in ctor.args:
-            targets, pinned = self.eval_classes(ctor, k, a.type_name, a.index)
-            binders = [self.eval_classes(ctor, k, bt, bix)[0] for bt, bix in a.binders]
-            args.append((targets, pinned, tuple(binders)))
+        for *target, binders in rules:
+            targets, pinned = self._classes(ctor, k, target)
+            args.append((targets, pinned, tuple([self._classes(ctor, k, b)[0] for b in binders])))
         pis = [frozenset((p, pk) for pk in self.classes[p]) for _, p, _ in ctor.pi_args]
         return Edge(ctor, tuple(pis), tuple(args))
-
-    def _eval_expr(
-        self, ctor: Ctor, target_type: str, tkind, expr: IndexExpr, ctx
-    ) -> tuple[frozenset[IndexClass], bool]:
-        if isinstance(expr, IxVar):
-            binding = ctx.get(expr.name)
-            if binding is None:
-                self.defer(
-                    "unbound-index-var",
-                    ctor.name,
-                    f"index variable {expr.name!r} is not bound by the result"
-                    " pattern or an explicit abstraction",
-                )
-                return frozenset(), False
-            if binding[1] != tkind.type_name:
-                self.defer(
-                    "wrong-index-type",
-                    ctor.name,
-                    f"index variable {expr.name!r} has type {binding[1]},"
-                    f" used where {tkind.type_name} is required",
-                )
-                return frozenset(), False
-            if binding[0] == "cur":
-                return frozenset((binding[2],)), True
-            if binding[0] == "pred":
-                return frozenset((Z_CLASS, S_CLASS)), False
-            # 'any': abstraction-bound, ranges over its whole type
-            if isinstance(tkind, NatIndex):
-                return frozenset((Z_CLASS, S_CLASS)), False
-            return frozenset(fin_class(v) for v in range(tkind.count)), False
-        if isinstance(tkind, NatIndex):
-            if isinstance(expr, IxNum):
-                return frozenset((Z_CLASS if expr.value == 0 else S_CLASS,)), True
-            if isinstance(expr, IxCon):
-                if expr.name == tkind.zero and not expr.args:
-                    return frozenset((Z_CLASS,)), True
-                inner, succs = _succ_chain(expr, tkind)
-                if succs:
-                    _, concrete = self._eval_expr(ctor, target_type, tkind, inner, ctx)
-                    # s e is pinned only when e is a constant; the source's
-                    # index under s shifts the value, which unpins it
-                    pinned = concrete and not isinstance(inner, IxVar)
-                    return frozenset((S_CLASS,)), pinned
-            self.defer(
-                "index-expr",
-                ctor.name,
-                f"invalid index expression for type {target_type}",
-            )
-            return frozenset(), False
-        # finite target
-        if isinstance(expr, IxNum):
-            if expr.value < tkind.count:
-                return frozenset((fin_class(expr.value),)), True
-            self.defer(
-                "index-out-of-range",
-                ctor.name,
-                f"index {expr.value} out of range for type {target_type}",
-            )
-            return frozenset(), False
-        value = _index_value(
-            self.sig, self.nat_shapes, self._index_block, tkind.type_name, expr, {}
-        )
-        if value is None:
-            self.defer(
-                "index-expr",
-                ctor.name,
-                f"invalid index expression for type {target_type}",
-            )
-            return frozenset(), False
-        if value >= tkind.count:
-            self.defer(
-                "index-out-of-range",
-                ctor.name,
-                f"index value {value} out of range for type {target_type}",
-            )
-            return frozenset(), False
-        return frozenset((fin_class(value),)), True
 
     # ---- one round
 
@@ -1021,6 +1000,7 @@ class _Analyzer:
         # each round reports afresh; the stable round's list is the result
         self.diags: dict[Diagnostic, None] = {}  # in the order found
         self._pattern_cache: dict[str, tuple] = {}
+        self.rules: dict[str, tuple] = {}  # from each constructor's last edge
         self._building: set[str] = set()  # index types whose block is being built
         graph = {
             (d.name, k): {
@@ -1068,6 +1048,7 @@ class _Analyzer:
             deferred=list(self.diags),
             nat_literal=nat_literal,
             graph=self.graph,
+            rules=self.rules,
         )
 
 
@@ -1217,7 +1198,7 @@ class ValidatedSignature:
     analysis: Analysis
     partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]]
     family_card: dict[str, Cardinality]  # uniformity: one per family
-    layouts: dict[str, tuple]  # per constructor; see _compile_layout
+    layouts: dict[str, tuple]  # per constructor; see _layout
 
     @property
     def decls(self) -> list[TypeDecl]:
@@ -1382,15 +1363,7 @@ def validate(sig: Signature) -> ValidatedSignature:
         kind = ana.kinds[ab.type_name]
         if ab.type_name not in analyzed or kind is None:
             continue
-        value = _index_value(sig, ana.nat_shapes, block_of, kind.type_name, ab.index[0], {})
-        if value is None:
-            add("index-expr", ab.name, f"invalid index expression for type {ab.type_name}")
-        elif isinstance(kind, FiniteIndex) and value >= kind.count:
-            add(
-                "index-out-of-range",
-                ab.name,
-                f"index {value} out of range for type {ab.type_name}",
-            )
+        _constant(sig, ana.nat_shapes, block_of, add, ab.name, ab.type_name, kind, ab.index[0])
 
     # uniformity: every class of an indexed family has the same cardinality
     for decl in sig.decls:
@@ -1436,53 +1409,24 @@ def validate(sig: Signature) -> ValidatedSignature:
     if diags:
         raise SigValidationError(diags)
     family_card = {t: ana.card[(t, classes[0])] for t, classes in ana.classes.items()}
-    vsig = ValidatedSignature(sig, ana, partitions, family_card, {})
-    vsig.layouts.update((c.name, _compile_layout(vsig, c)) for c in sig.ctors.values())
-    return vsig
+    layouts = {c: _layout(ana.rules[c]) for c in sig.ctors}
+    return ValidatedSignature(sig, ana, partitions, family_card, layouts)
 
 
-def _compile_layout(vsig: ValidatedSignature, ctor: Ctor) -> tuple:
-    """ctor's argument layout, (applied, rules), read by arg_targets.
-
-    rules holds (type, slot, offset, binders) per argument and binders
-    (type, slot, offset) per bound variable.  The index is offset itself
-    when slot is None (None for an unindexed type), else the value in
-    slot plus offset.  Slot 0 holds the parent's index and slot 1 + i
-    explicit index value i; under a successor pattern s N, N is slot 0
-    with offset -1.  When no rule reads a slot, applied is the targets.
-    """
-    ana = vsig.analysis
-    pat = ana.patterns[ctor.name]
-    slots = {var: 1 + i for i, (var, _, _) in enumerate(ctor.pi_args)}
-    if pat[0] in ("var", "succ"):
-        slots[pat[1]] = 0
-    read = []  # the slots that some rule reads
-
-    def rule(type_name: str, index: tuple[IndexExpr, ...]) -> tuple:
-        kind = ana.kinds[type_name]
-        if kind is None:
-            return type_name, None, None
-        expr, succs = index[0], 0
-        if isinstance(kind, NatIndex):
-            expr, succs = _succ_chain(expr, kind)
-        if isinstance(expr, IxVar) and expr.name in slots:
-            slot = slots[expr.name]
-            read.append(slot)
-            return type_name, slot, succs - 1 if slot == 0 and pat[0] == "succ" else succs
-        value = vsig.index_value(kind.type_name, index[0], {})
-        if value is None:  # the validator rejects every other form
-            raise AssertionError(f"irreducible index expression in {ctor.name}")
-        return type_name, None, value
-
-    rules = tuple([
-        (*rule(a.type_name, a.index), tuple([rule(bt, bix) for bt, bix in a.binders]))
-        for a in ctor.args
-    ])
-    return (None, rules) if read else (_apply_layout(rules, ()), None)
+def _layout(rules: tuple) -> tuple:
+    """A constructor's argument layout, (applied, rules), read by
+    arg_targets: rules holds (type, slot, offset, binders) per argument
+    and binders a (type, slot, offset) rule per bound variable (see
+    _Analyzer._rule).  When no rule reads a slot, applied is the targets
+    and rules is None."""
+    for _, slot, _, binders in rules:
+        if slot is not None or any(b[1] is not None for b in binders):
+            return None, rules
+    return _apply_layout(rules, ()), None
 
 
 def _apply_layout(rules: tuple, slots: tuple) -> tuple:
-    """The targets of _compile_layout's rules at these slot values."""
+    """The targets of _layout's rules at these slot values."""
     targets = []
     for type_name, slot, offset, binders in rules:
         keys = ()

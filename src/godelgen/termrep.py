@@ -28,10 +28,9 @@ from .sigmodel import (
     SName,
     SNum,
     ValidatedSignature,
-    IxCon,
-    IxNum,
     applies,
     parse_term_text,
+    to_index_expr,
 )
 
 
@@ -128,36 +127,16 @@ class CountVector:
 EMPTY_COUNTS = CountVector()
 
 
-def _surface_to_index(e: SExpr):
-    """The index expression that surface e spells, built in a loop over
-    a stack of frames, one per application whose arguments are being
-    read: its head, its arguments and their index expressions so far."""
-    stack = []
-    while True:
-        if isinstance(e, SNum):
-            value = IxNum(e.value)
-        elif isinstance(e, SName):
-            value = IxCon(e.name)
-        elif isinstance(e, SApp) and isinstance(e.fn, SName):
-            stack.append((e.fn.name, e.args, []))
-            value = None
-        else:
-            raise TermError("invalid index value")
-        while stack:
-            name, surface, args = stack[-1]
-            if value is not None:
-                args.append(value)
-            if len(args) < len(surface):
-                e = surface[len(args)]
-                break
-            stack.pop()
-            value = IxCon(name, tuple(args))
-        else:
-            return value
+def _not_an_index(message: str):
+    """Term text reports every argument that is no index expression alike."""
+    raise TermError("invalid index value")
 
 
 def _index_value(vsig: ValidatedSignature, e: SExpr, ixtype: str) -> int:
-    value = vsig.index_value(ixtype, _surface_to_index(e), {})
+    """The value of an explicit index argument; abbreviations expand in it
+    as in a signature's index positions."""
+    expr = to_index_expr(vsig.sig, e, _not_an_index, frozenset())
+    value = vsig.index_value(ixtype, expr, {})
     if value is None:
         raise TermError(f"invalid {ixtype} index value")
     return value

@@ -158,6 +158,15 @@ class TestEncode:
         assert code == 3
         assert "invalid nat index value" in err
 
+    def test_abbrev_in_an_index_argument(self, capsys, tmp_path):
+        sig = tmp_path / "two.sig"
+        sig.write_text(sig_path("exists").read_text() + "%abbrev two : nat = s (s z).\n")
+        code, out, _ = run(
+            capsys,
+            ["encode", str(sig), "--type", "term", "--index", "0", "exists two [x] unit"],
+        )
+        assert (code, out) == (0, "27\n")
+
     def test_non_decimal_digit_is_a_name(self, capsys):
         code, _, err = run(capsys, ["encode", NAT, "--type", "nat", "s \u00b2"])
         assert (code, err) == (3, "error: unbound name '\u00b2'\n")

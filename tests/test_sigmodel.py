@@ -1,6 +1,7 @@
 """Signature parsing, cardinality analysis, and validation rules."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from godelgen.sigmodel import (
 )
 
 from conftest import SIG_NAMES, sig_text
+from test_codec import random_indexed_signature
 
 
 def check(text):
@@ -520,6 +522,16 @@ def test_reject_index_type_indexed_through_itself():
     assert [(d.rule, d.subject) for d in diags] == [("index-type", "p")]
 
 
+def test_reject_index_types_indexed_through_each_other():
+    # p's block needs r's through mp, and r's needs p's through mr: each
+    # edge evaluates its own indices, so both types are reported
+    diags = rejection(
+        "p : type. r : type. a : p. ra : r. q : p -> type. u : r -> type."
+        " qa : q a. ua : u ra. mp : u ra -> p. mr : q a -> r."
+    )
+    assert [(d.rule, d.subject) for d in diags] == [("index-type", "r"), ("index-type", "p")]
+
+
 def test_reject_unresolved_result_index():
     # mk is given one argument too few, so q0 would have no instances
     diags = rejection(
@@ -623,9 +635,7 @@ LAYOUT_SIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LAYOUT_SIGS))
-def test_arg_targets_match_reference(name):
-    v = check(LAYOUT_SIGS[name])
+def assert_arg_targets_match_reference(v):
     for decl in v.decls:
         kind = v.index_kind(decl.name)
         indices = (
@@ -640,6 +650,24 @@ def test_arg_targets_match_reference(name):
                     assert v.arg_targets(ctor.name, index, index_args) == reference_targets(
                         v, ctor, index, index_args
                     ), (ctor.name, index, index_args)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SIGS))
+def test_arg_targets_match_reference(name):
+    assert_arg_targets_match_reference(check(LAYOUT_SIGS[name]))
+
+
+def test_arg_targets_match_reference_on_generated_signatures():
+    # the seeded signatures of test_generated_indexed_signatures_round_trip
+    rng, checked = random.Random(7), 0
+    for _ in range(200):
+        try:
+            v = check(random_indexed_signature(rng))
+        except SigValidationError:
+            continue
+        assert_arg_targets_match_reference(v)
+        checked += 1
+    assert checked >= 30
 
 
 def test_arg_targets(vsigs):

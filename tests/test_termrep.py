@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import sig_text
 from godelgen.errors import TermError
 from godelgen.termrep import (
     EMPTY_COUNTS,
@@ -152,6 +153,15 @@ def test_abbrev_expansion():
     # expansion happens at the use site, under the surrounding binders
     t = parse_term(v, "t", None, "lam [y] app y id")
     assert t == parse_term(v, "t", None, "lam [y] app y (lam [x] x)")
+
+
+def test_abbrev_expands_in_an_explicit_index_argument():
+    from godelgen.sigmodel import parse_signature, validate
+
+    v = validate(parse_signature(sig_text("exists") + "%abbrev two : nat = s (s z).\n"))
+    assert parse_term(v, "term", 0, "exists two [x] unit") == parse_term(
+        v, "term", 0, "exists (s (s z)) [x] unit"
+    )
 
 
 def test_parse_errors(vsigs):
@@ -305,4 +315,19 @@ def test_the_library_runs_no_walk_driver_and_leaves_the_gc_alone():
                 names = [f"gc.{node.attr}"]
             found += [(path.name, n) for n in names
                       if n == "gc" or n.startswith("gc.") or "_walk" in n or n == "run_walk"]
+    assert found == []
+
+
+def test_index_expressions_have_one_home():
+    # only sigmodel builds or reads index expressions; term text goes
+    # through its to_index_expr
+    src = Path(__file__).resolve().parent.parent / "src" / "godelgen"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "sigmodel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name in ("IxVar", "IxCon", "IxNum")]
     assert found == []
