@@ -276,13 +276,6 @@ def verify_total_unique(
     return Verdict(True, checked), Verdict(True, checked)
 
 
-def _onto_range(plan: CodecPlan, type_name: str, index: int | None, top: int) -> int:
-    card = plan.class_plan(type_name, index).cardinality
-    if card.is_infinite:
-        return top
-    return min(card.count, top)
-
-
 class _SweepMemo:
     """A bounded memo in two generations: a hit in the old one moves the
     entry to the young one, and a full young generation becomes the old
@@ -342,15 +335,14 @@ def verify_onto(
     the fuel the subterm's own decode spent.  The memos are dropped when
     the sweep returns.
     """
-    vsig = plan.vsig
-    label = vsig.class_of(type_name, index).label
-    top = _onto_range(plan, type_name, index, budget.code_for(type_name, label))
+    cp = plan.class_plan(type_name, index)
+    codes = cp.cardinality.codes_below(budget.code_for(type_name, cp.index_class.label))
     memos = (_SweepMemo(), _SweepMemo(), _SweepMemo())
-    for code in range(top):
+    for code in codes:
         problem = _check_code(plan, type_name, index, code, budget.fuel, memos)
         if problem is not None:
             return Verdict(False, code, problem)
-    return Verdict(True, top)
+    return Verdict(True, len(codes))
 
 
 def verify_one_to_one(

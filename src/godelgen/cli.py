@@ -137,9 +137,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
     type_name, index = _target(vsig, args)
-    card = plan.class_plan(type_name, index).cardinality
-    top = args.count if card.is_infinite else min(args.count, card.count or 0)
-    for code in range(top):
+    for code in plan.class_plan(type_name, index).cardinality.codes_below(args.count):
         term = decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
         print(f"{code}\t{print_term(vsig, term, index=index)}")
     return EXIT_OK

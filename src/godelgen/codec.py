@@ -121,33 +121,18 @@ def _step(vsig: ValidatedSignature, ctor_name: str) -> tuple[str, tuple[int, ...
     return ctor_name, tuple(kinds), len(ctor.pi_args)
 
 
-def _rep_indices(vsig: ValidatedSignature, type_name: str, cls: IndexClass):
-    for c, reps in vsig.class_reps(type_name):
-        if c == cls:
-            return reps
-    return []
-
-
-def _trial_codes(card: Cardinality) -> list[int]:
-    if card.is_infinite:
-        return [0, 1]
-    if card.is_empty:
-        return []
-    return [c for c in (0, 1) if c < card.count]
-
-
 def _first_failing_class(
     plan: CodecPlan, trial_fuel: int, skip: set[tuple[str, IndexClass]]
 ) -> tuple[str, IndexClass] | None:
     vsig = plan.vsig
     for decl in vsig.decls:
-        for cls in vsig.classes(decl.name):
+        for cls, reps in vsig.class_reps(decl.name):
             key = (decl.name, cls)
             if key in skip:
                 continue
-            card = vsig.cardinality(decl.name, cls)
-            for index in _rep_indices(vsig, decl.name, cls):
-                for code in _trial_codes(card):
+            codes = vsig.cardinality(decl.name, cls).codes_below(2)
+            for index in reps:
+                for code in codes:
                     try:
                         decode(plan, decl.name, index, EMPTY_COUNTS, code, trial_fuel)
                     except FuelExhausted:
@@ -213,6 +198,7 @@ def encode(
     term: Term,
 ) -> int:
     """Code of a well-typed term under the given free-variable counts."""
+    _check_target(plan.vsig, type_name, index)
     return _encode(plan, type_name, index, counts, term)
 
 
@@ -316,11 +302,13 @@ def decode(
     code: int,
     fuel: int = DEFAULT_FUEL,
 ) -> Term:
-    """Term whose code this is, or CodeOutOfRange for finite classes.
+    """Term whose code this is, or CodeOutOfRange for finite classes;
+    TermError for an unknown type or an index that does not fit it.
 
     Fuel is debited once per decode step; running out signals a plan
     whose decode is not well founded at this code.
     """
+    _check_target(plan.vsig, type_name, index)
     return _decode(plan, type_name, index, counts, code, [fuel])
 
 
@@ -426,7 +414,6 @@ def compare(
 
     Zero exactly when the terms are alpha-equivalent.
     """
-    _check_target(plan.vsig, type_name, index)  # encode checks the rest
     a = encode_closed(plan, type_name, index, t1)
     b = encode_closed(plan, type_name, index, t2)
     return (a > b) - (a < b)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .codec import CodecPlan, decode_closed, encode_closed
-from .termrep import Term, _check_target
+from .termrep import Term
 
 
 def _regap(elements: Iterable[int]) -> tuple[int, ...]:
@@ -201,7 +201,6 @@ def _regap_items(items: list[tuple[int, Any]]) -> tuple[tuple[int, Any], ...]:
 
 def _code(keyed, term: Term) -> int:
     """A TermSet's or TermMap's key for term; TermError unless it fits."""
-    _check_target(keyed.plan.vsig, keyed.type_name, keyed.index)
     return encode_closed(keyed.plan, keyed.type_name, keyed.index, term)
 
 

@@ -11,7 +11,7 @@ A signature is a sequence of declarations in a small LF-style syntax:
 
 One regular expression splits the text into tokens, which are plain
 strings; a token's line and column are worked out from the text only
-for an error or a declaration.  The expression parser and the index
+for an error or an abbreviation.  The expression parser and the index
 conversion are loops over an explicit stack of frames, so nesting of
 any depth needs no interpreter frames.
 
@@ -142,7 +142,7 @@ SExpr = SName | SNum | SApp | SArrow | SBind | SPi | SType
 
 class _Parser:
     """A parser over the tokens of text.  Positions are worked out from
-    the text only when an error or a declaration needs one."""
+    the text only when an error or an abbreviation needs one."""
 
     def __init__(self, text: str):
         self.text = text
@@ -173,10 +173,6 @@ class _Parser:
 
     def peek(self) -> str:
         return self.toks[self.i]
-
-    def advance(self) -> None:
-        if self.toks[self.i]:
-            self.i += 1
 
     def fail(self, message: str, at: int | None = None):
         """Raise a syntax error at token at, by default the next one."""
@@ -333,8 +329,6 @@ class Ctor:
     result_index: tuple[IndexExpr, ...]
     pi_args: tuple[tuple[str, str, tuple[IndexExpr, ...]], ...]  # (var, type, its index)
     args: tuple[Arg, ...]
-    line: int = 0
-    col: int = 0
 
 
 @dataclass
@@ -342,8 +336,6 @@ class TypeDecl:
     name: str
     index_types: tuple[str, ...]
     ctors: list[Ctor] = field(default_factory=list)
-    line: int = 0
-    col: int = 0
 
 
 @dataclass
@@ -378,19 +370,22 @@ def parse_signature(text: str) -> Signature:
     return sig
 
 
-def _taken(sig: Signature, name: str) -> bool:
-    return name in sig.by_name or name in sig.ctors or name in sig.abbrevs
+def _declared_name(p: _Parser, sig: Signature, missing: str) -> tuple[int, str]:
+    """The position and name of the declaration at the next token, read
+    through its ':'; missing is the error when no name is there."""
+    at, name = p.i, p.peek()
+    if name in _NOT_NAME:
+        p.fail(missing)
+    if name in sig.by_name or name in sig.ctors or name in sig.abbrevs:
+        p.fail(f"duplicate name {name!r}")
+    p.i += 1
+    p.expect(":")
+    return at, name
 
 
 def _parse_abbrev(p: _Parser, sig: Signature) -> None:
-    p.advance()
-    at, name = p.i, p.peek()
-    if name in _NOT_NAME:
-        p.fail("expected a name after %abbrev")
-    p.advance()
-    if _taken(sig, name):
-        p.fail(f"duplicate name {name!r}", at)
-    p.expect(":")
+    p.expect("%abbrev")
+    at, name = _declared_name(p, sig, "expected a name after %abbrev")
     type_expr = p.expr()
     p.expect("=")
     body = p.expr()
@@ -447,13 +442,8 @@ def _check_abbrev_cycles(sig: Signature) -> None:
 
 
 def _parse_decl(p: _Parser, sig: Signature) -> None:
-    at, name = p.i, p.peek()
-    if name in _NOT_NAME:
-        p.fail(f"expected a declaration, found {name or 'end of input'!r}")
-    p.advance()
-    if _taken(sig, name):
-        p.fail(f"duplicate name {name!r}", at)
-    p.expect(":")
+    tok = p.peek()
+    at, name = _declared_name(p, sig, f"expected a declaration, found {tok or 'end of input'!r}")
     e = p.expr()
     p.expect(".")
 
@@ -469,8 +459,10 @@ def _parse_decl(p: _Parser, sig: Signature) -> None:
                 p.fail("index kinds must be type names", at)
             if head.name not in sig.by_name:
                 p.fail(f"unknown type {head.name!r}", at)
+            if isinstance(prem, SApp) and len(prem.args) > len(sig.by_name[head.name].index_types):
+                _to_typeapp(p, sig, prem, at)  # reports the surplus index arguments
             index_types.append(head.name)
-        decl = TypeDecl(name, tuple(index_types), [], *p.where(at))
+        decl = TypeDecl(name, tuple(index_types))
         sig.decls.append(decl)
         sig.by_name[name] = decl
         return
@@ -488,7 +480,7 @@ def _parse_decl(p: _Parser, sig: Signature) -> None:
     family, result_index = _to_typeapp(p, sig, result, at, pivars)
     args = tuple(_to_arg(p, sig, prem, at, pivars) for prem in premises)
 
-    ctor = Ctor(name, family, result_index, tuple(pi_args), args, *p.where(at))
+    ctor = Ctor(name, family, result_index, tuple(pi_args), args)
     sig.by_name[family].ctors.append(ctor)
     sig.ctors[name] = ctor
 
@@ -645,6 +637,11 @@ class Cardinality:
     def is_infinite(self) -> bool:
         return self.kind == "infinite"
 
+    def codes_below(self, limit: int) -> range:
+        """The codes of a class of this cardinality that lie below limit:
+        none for an empty class."""
+        return range(limit if self.is_infinite else min(self.count or 0, limit))
+
     def __str__(self) -> str:
         if self.kind == "finite":
             return f"Finite({self.count})"
@@ -794,16 +791,15 @@ def _index_value(
     return entry.base + offset
 
 
-def _constant(sig, nat_shapes, block_of, report, subject, type_name, kind, expr, word="index"):
+def _constant(sig, nat_shapes, block_of, report, subject, type_name, kind, expr):
     """The value of expr as a constant index of type_name, whose index
     kind is kind, or None; evaluated as _index_value does.  report(rule,
-    subject, message) is told when expr has no value or, word naming it,
-    lies out of range."""
+    subject, message) is told when expr has no value or lies out of range."""
     value = _index_value(sig, nat_shapes, block_of, kind.type_name, expr, {})
     if value is None:
         report("index-expr", subject, f"invalid index expression for type {type_name}")
     elif isinstance(kind, FiniteIndex) and value >= kind.count:
-        report("index-out-of-range", subject, f"{word} {value} out of range for type {type_name}")
+        report("index-out-of-range", subject, f"index {value} out of range for type {type_name}")
     return value
 
 
@@ -922,7 +918,7 @@ class _Analyzer:
         if not isinstance(expr, IxVar):
             value = _constant(
                 self.sig, self.nat_shapes, self._index_block, self.defer, ctor.name,
-                type_name, kind, index[0], "index" if isinstance(expr, IxNum) else "index value",
+                type_name, kind, index[0],
             )
             if value is None or isinstance(kind, FiniteIndex) and value >= kind.count:
                 return type_name, -1, succs
@@ -1393,13 +1389,6 @@ def validate(sig: Signature) -> ValidatedSignature:
                         f"class {decl.name}[{k.label}] is infinite (or its count"
                         f" exceeds {COUNT_CUTOFF}) but has no infinite"
                         " constructor to anchor decoding",
-                    )
-                if len(inf) > 12:
-                    add(
-                        "tag-bound",
-                        decl.name,
-                        f"class {decl.name}[{k.label}] has {len(inf)} infinite"
-                        " constructors; at most 12 are supported",
                     )
                 if card.is_finite and block.total != card.count:
                     raise AssertionError(

@@ -201,6 +201,17 @@ class TestVerifyAll:
         (row,) = report.classes
         assert row.codes_checked == 2
 
+    @pytest.mark.parametrize("text, empty", [
+        ("e : type. bool : type. t : bool. f : bool.", [("e", "-")]),
+        (sig_text("nat") + "f : nat -> type. fs : f N -> f (s N).", [("f", "z"), ("f", "s")]),
+    ])
+    def test_uninhabited_classes_verify_with_no_codes(self, text, empty):
+        report = verify_all(assign_tags(validate(parse_signature(text))))
+        assert report.passed, report.json_dict("empty")
+        rows = {(row.type_name, row.index_class): row for row in report.classes}
+        for key in empty:
+            assert (rows[key].terms_checked, rows[key].codes_checked) == (0, 0)
+
 
 class TestFailureDetection:
     def test_unrepaired_tag_order_fails_onto(self, vsigs):

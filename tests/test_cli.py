@@ -287,6 +287,18 @@ class TestVerify:
         assert code == 1
         assert "code 50 did not decode: FuelExhausted" in out
 
+    def test_uninhabited_class_verifies(self, capsys, tmp_path):
+        sig = tmp_path / "ebool.sig"
+        sig.write_text("e : type. bool : type. t : bool. f : bool.\n")
+        code, out, err = run(capsys, ["verify", str(sig)])
+        assert (code, out, err) == (0, "e: ok (0 terms, 0 codes)\nbool: ok (2 terms, 2 codes)\n", "")
+        code, out, _ = run(capsys, ["verify", "--json", str(sig)])
+        assert code == 0
+        row = json.loads(out)["classes"][0]
+        assert (row["type"], row["onto"], row["terms_checked"], row["codes_checked"]) == (
+            "e", True, 0, 0
+        )
+
     def test_default_fuel_covers_the_default_sweep(self, capsys):
         code, out, _ = run(capsys, ["verify", NAT, "--max-code", "60"])
         assert (code, out) == (0, "nat: ok (6 terms, 60 codes)\n")

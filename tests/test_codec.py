@@ -338,6 +338,14 @@ def test_plan_count_is_quadratic_in_constructors(monkeypatch, k):
     assert tried == (k - 1) ** 2 + 1 <= k * (k - 1) + 1
 
 
+@pytest.mark.parametrize("k", [13, 16])
+def test_more_than_twelve_infinite_constructors_plan_and_verify(k):
+    plan = assign_tags(validate(parse_signature(chain_signature(k))))
+    assert plan.classes[("t", UNIT_CLASS)].tags[0] == "b"
+    report = verify_all(plan, EnumBudget(max_size=3, max_code=200))
+    assert report.passed, report.json_dict(f"chain{k}")
+
+
 # --------------------------------------------------------- encode anchors
 
 
@@ -531,6 +539,16 @@ def test_containers_and_compare_reject_ill_fitting_terms(vsigs, plans):
             TermMap(plan, type_name, index).insert(term, "value")
         with pytest.raises(TermError):
             compare(plan, type_name, index, term, term)
+
+
+def test_encode_and_decode_reject_a_bad_target(vsigs, plans):
+    # (type, index) pairs that name no class: check_term's messages
+    unit = parse_term(vsigs["termfam"], "term", 0, "unit")
+    for type_name, index in [("nope", None), ("term", None), ("nat", 0)]:
+        expected = first_error(check_term, vsigs["termfam"], type_name, index, EMPTY_COUNTS, unit)
+        assert first_error(decode_closed, plans["termfam"], type_name, index, 0) == expected
+        assert first_error(encode_closed, plans["termfam"], type_name, index, unit) == expected
+    assert expected == "type nat takes no index"
 
 
 # --------------------------------------------------------- decode anchors

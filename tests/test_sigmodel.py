@@ -210,6 +210,8 @@ SYNTAX_ERRORS = [
     ("t : type.\n\ta : [x] t.", "expected a type, possibly applied to index arguments", 2, 2),
     ("nat : type. z : nat. s : nat -> nat. t : nat -> type. k : t (N z).",
      "index variable 'N' cannot be applied", 1, 55),
+    ("nat : type. z : nat. s : nat -> nat. t : nat z -> type.",
+     "type 'nat' expects 0 index argument(s), got 1", 1, 42),
 ]
 
 
@@ -220,6 +222,16 @@ def test_syntax_error_message_and_position(text, message, line, col):
     assert (str(info.value), info.value.line, info.value.col) == (
         f"{line}:{col}: {message}", line, col
     )
+
+
+@pytest.mark.parametrize("name", SIG_NAMES)
+def test_parsing_works_out_no_position_without_an_error(monkeypatch, name):
+    # positions are for errors and abbreviations, and these have neither
+    def where(self, i):
+        raise AssertionError(f"position of token {i} worked out")
+
+    monkeypatch.setattr(sigmodel._Parser, "where", where)
+    parse_signature(sig_text(name))
 
 
 def test_unknown_type_must_be_declared_before_use():
