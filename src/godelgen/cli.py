@@ -74,6 +74,8 @@ def _resolve_index(vsig, type_name: str, text: str | None) -> int | None:
         return int(text)
     except ValueError:
         pass
+    # the type exists and takes an index: every validated indexed type has 0
+    check_target(vsig, type_name, 0)
     kind = vsig.index_kind(type_name)
     if isinstance(kind, FiniteIndex):
         block, _inf = vsig.ctors_for_class(kind.type_name, UNIT_CLASS)
@@ -90,8 +92,6 @@ def _resolve_index(vsig, type_name: str, text: str | None) -> int | None:
 
 def _target(vsig, args: argparse.Namespace) -> tuple[str, int | None]:
     type_name = args.type_name
-    if not vsig.has_type(type_name):
-        raise TermError(f"unknown type {type_name}")
     index = _resolve_index(vsig, type_name, args.index)
     check_target(vsig, type_name, index)
     return type_name, index

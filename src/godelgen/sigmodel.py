@@ -30,7 +30,9 @@ carrying the classes of its abstractions, arguments and bound variables:
   products, a count above COUNT_CUTOFF being infinite.
 
 The counts of finite index types give the classes of the families they
-index, so the analysis repeats until they settle.  Validation then
+index, so the analysis counts finite index types first, in strata (see
+_Analyzer.run), and builds each edge once; a finite index type that
+reaches a family it indexes is an index-type error.  Validation then
 enforces the rules that make a per-class bijection with N derivable,
 reading the same graph and reporting one diagnostic per violated rule.
 
@@ -809,39 +811,49 @@ class _Analyzer:
         self.nat_shapes = {
             d.name: shape for d in sig.decls if (shape := _nat_shape(d)) is not None
         }
-        self.kinds = None
+        # in declaration order, each set when its stratum is reached
+        self.kinds: dict[str, object] = dict.fromkeys(sig.by_name)
+        self.classes: dict[str, tuple[IndexClass, ...]] = dict.fromkeys(sig.by_name, ())
+        self.graph: dict[tuple[str, IndexClass], dict[str, Edge]] = {}
+        self.card: dict[tuple[str, IndexClass], Cardinality] = {}  # of the graph last counted
+        self.patterns: dict[str, tuple] = {}
+        self.rules: dict[str, tuple] = {}  # from each constructor's last edge
+        self.diags: dict[Diagnostic, None] = {}  # in the order found
 
     def defer(self, rule: str, subject: str, message: str) -> None:
         self.diags.setdefault(Diagnostic(rule, subject, message))
 
-    # ---- per-round state
-
-    def _setup_round(self, prev_card) -> None:
-        """This round's kinds and classes, from the last round's counts."""
-        self.last_kinds, self.kinds, self.classes = self.kinds, {}, {}
-        for d in self.sig.decls:
-            kind, classes = "multi", ()
-            if not d.index_types:
-                kind, classes = None, (UNIT_CLASS,)
-            elif len(d.index_types) == 1:
-                x = d.index_types[0]
-                xcard = prev_card.get((x, UNIT_CLASS))
-                if self.sig.by_name[x].index_types:
-                    kind = "invalid"
-                elif x in self.nat_shapes:
-                    kind, classes = self.nat_shapes[x], (Z_CLASS, S_CLASS)
-                elif xcard is not None and xcard.is_finite:
-                    kind = FiniteIndex(x, xcard.count)
-                    classes = tuple(fin_class(v) for v in range(xcard.count))
-                else:
-                    kind = "invalid"
-            self.kinds[d.name], self.classes[d.name] = kind, classes
-        self.prev_card = prev_card
+    def _set_kind(self, d: TypeDecl) -> None:
+        """d's index kind and classes.  A finite index type is counted
+        before the families it indexes, unless it lies in their stratum."""
+        kind, classes = "multi", ()
+        if not d.index_types:
+            kind, classes = None, (UNIT_CLASS,)
+        elif len(d.index_types) == 1:
+            x = d.index_types[0]
+            if self.sig.by_name[x].index_types:
+                kind = "invalid"
+            elif x in self.nat_shapes:
+                kind, classes = self.nat_shapes[x], (Z_CLASS, S_CLASS)
+            elif (x, UNIT_CLASS) not in self.graph:  # x lies in d's stratum
+                self.defer(
+                    "index-type",
+                    x,
+                    f"the instances of index type {x} depend on index values of type {x}",
+                )
+                kind = "invalid"
+            else:
+                if (x, UNIT_CLASS) not in self.card:
+                    self._count()  # the strata before d's
+                xcard = self.card[(x, UNIT_CLASS)]
+                kind = FiniteIndex(x, xcard.count) if xcard.is_finite else "invalid"
+                classes = tuple(fin_class(v) for v in range(xcard.count or 0))
+        self.kinds[d.name], self.classes[d.name] = kind, classes
 
     def pattern_of(self, ctor: Ctor) -> tuple:
-        if ctor.name not in self._pattern_cache:
-            self._pattern_cache[ctor.name] = self._compute_pattern(ctor)
-        return self._pattern_cache[ctor.name]
+        if ctor.name not in self.patterns:
+            self.patterns[ctor.name] = self._compute_pattern(ctor)
+        return self.patterns[ctor.name]
 
     def _compute_pattern(self, ctor: Ctor) -> tuple:
         kind = self.kinds.get(ctor.family)
@@ -874,30 +886,14 @@ class _Analyzer:
             self.sig, self.nat_shapes, self._index_block, self.defer,
             ctor.name, ctor.family, kind, expr,
         )
-        return ("pending",) if value is None else ("const", value)
+        return ("invalid",) if value is None else ("const", value)
 
     def _index_block(self, t: str) -> FiniteBlock | None:
-        """Instance block of finite type t under the previous round's counts."""
-        card = self.prev_card.get((t, UNIT_CLASS))
+        """Instance block of finite type t, once t is counted."""
+        card = self.card.get((t, UNIT_CLASS))
         if card is None or not card.is_finite:
             return None
-        if t in self._building:
-            # t's block would need the value of an index of type t
-            self.defer(
-                "index-type",
-                t,
-                f"the instances of index type {t} depend on index values of type {t}",
-            )
-            return None
-        self._building.add(t)
-        rows = (  # t is unindexed: each constructor applies
-            (c, (self._classes(c, UNIT_CLASS, self._rule(c, a.type_name, a.index))[0]
-                 for a in c.args))
-            for c in self.sig.by_name[t].ctors
-        )
-        block = _partition(rows, self.prev_card)[0]
-        self._building.remove(t)
-        return block
+        return _partition(self.graph[(t, UNIT_CLASS)].values(), self.card)[0]
 
     def _rule(self, ctor: Ctor, type_name: str, index: tuple[IndexExpr, ...]) -> tuple:
         """(type, slot, offset) for an index of type_name in ctor.  The
@@ -985,61 +981,61 @@ class _Analyzer:
         pis = [frozenset((p, pk) for pk in self.classes[p]) for _, p, _ in ctor.pi_args]
         return Edge(ctor, tuple(pis), tuple(args))
 
-    # ---- one round
-
-    def _fixpoint(self) -> dict[tuple[str, IndexClass], Cardinality]:
-        """The cardinalities this round's kinds and classes give.  Without a
-        finite index type a round reads nothing else of the last round, so
-        the same kinds give the same round again."""
-        if self.kinds == self.last_kinds and FiniteIndex not in map(type, self.kinds.values()):
-            return self.card
-        # each round reports afresh; the stable round's list is the result
-        self.diags: dict[Diagnostic, None] = {}  # in the order found
-        self._pattern_cache: dict[str, tuple] = {}
-        self.rules: dict[str, tuple] = {}  # from each constructor's last edge
-        self._building: set[str] = set()  # index types whose block is being built
-        graph = {
-            (d.name, k): {
-                c.name: self._edge(c, k) for c in d.ctors if applies(self.pattern_of(c), k)
-            }
-            for d in self.sig.decls
-            for k in self.classes[d.name]
-        }
-        for c in self.sig.ctors.values():  # those of families without classes
-            self.pattern_of(c)
-        self.graph = graph
-        inhab = _productive(graph)
-        infinite, counts = _sweep(graph, inhab)
+    def _count(self) -> None:
+        inhab = _productive(self.graph)
+        infinite, counts = _sweep(self.graph, inhab)
         self.card = {
             ck: EMPTY if ck not in inhab else INFINITE if ck in infinite else finite(counts[ck])
-            for ck in graph
+            for ck in self.graph
         }
-        return self.card
-
-    # ---- driver
 
     def run(self) -> Analysis:
-        prev: dict[tuple[str, IndexClass], Cardinality] = {}
-        for _ in range(10):
-            self._setup_round(prev)
-            card = self._fixpoint()
-            if card == prev:
-                break
-            prev = card
-        else:
-            raise SigValidationError(
-                [Diagnostic("analysis", "signature", "index analysis did not stabilize")]
-            )
+        """One pass over strata, building each edge once: first the types
+        that an index type other than a nat-shaped one reaches, one strongly
+        connected component of their dependencies at a time, each after
+        those it reaches; then every other type, in declaration order.  A
+        type depends on its index type and on the types of its constructors'
+        abstractions, arguments and bound variables, so a finite index type
+        is counted before the families it indexes get classes."""
+        sig = self.sig
+        deps: dict[str, list[str]] = {}
+        todo = [x for d in sig.decls for x in d.index_types if x not in self.nat_shapes]
+        while todo:
+            t = todo.pop()
+            if t not in deps:
+                decl = sig.by_name[t]
+                deps[t] = [*decl.index_types]
+                for c in decl.ctors:
+                    deps[t] += [p for _, p, _ in c.pi_args]
+                    for a in c.args:
+                        deps[t] += [a.type_name, *(bt for bt, _ in a.binders)]
+                todo += deps[t]
+        for stratum in [*_sccs(deps), [d.name for d in sig.decls if d.name not in deps]]:
+            for t in stratum:
+                self._set_kind(sig.by_name[t])
+            for t in stratum:
+                for k in self.classes[t]:
+                    self.graph[(t, k)] = {
+                        c.name: self._edge(c, k)
+                        for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k)
+                    }
+        self.graph = {
+            (d.name, k): self.graph[(d.name, k)] for d in sig.decls for k in self.classes[d.name]
+        }
+        self._count()
+        # the patterns of families without classes are worked out here, last
+        patterns = {c.name: self.pattern_of(c) for c in sig.ctors.values()}
+
         nat_literal = None
         shape = self.nat_shapes.get("nat")
         if shape is not None and shape.zero == "z" and shape.succ == "s":
             nat_literal = shape
 
         return Analysis(
-            kinds=dict(self.kinds),
-            classes=dict(self.classes),
-            card=card,
-            patterns={c: self._pattern_cache[c] for c in self.sig.ctors},
+            kinds=self.kinds,
+            classes=self.classes,
+            card=self.card,
+            patterns=patterns,
             nat_shapes=self.nat_shapes,
             deferred=list(self.diags),
             nat_literal=nat_literal,
@@ -1345,10 +1341,7 @@ def validate(sig: Signature) -> ValidatedSignature:
         for ctor in decl.ctors:
             _validate_ctor(ana, ctor, add)
 
-    partitions = {
-        ck: _partition(((e.ctor, [ts for ts, _, _ in e.args]) for e in edges.values()), ana.card)
-        for ck, edges in ana.graph.items()
-    }
+    partitions = {ck: _partition(edges.values(), ana.card) for ck, edges in ana.graph.items()}
 
     def block_of(t: str) -> FiniteBlock | None:
         finite = ana.card.get((t, UNIT_CLASS), EMPTY).is_finite
@@ -1425,29 +1418,28 @@ def _apply_layout(rules: tuple, slots: tuple) -> tuple:
     return tuple(targets)
 
 
-def _partition(rows, card_map) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
+def _partition(edges, card_map) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
     """Finite-instance block of a class and, in declaration order, the
     constructors outside it: those with an abstraction, a binder, or an
-    infinite or unknown slot.  rows gives, for each constructor that
-    applies, the target keys of each argument; they are read up to the
-    first infinite slot."""
+    infinite or unknown slot.  edges are the class's edges, each read up
+    to the first infinite slot of its arguments."""
     entries = []
     infinite: list[Ctor] = []
     base = 0
-    for ctor, arg_targets in rows:
-        if ctor.pi_args or any(a.binders for a in ctor.args):
-            infinite.append(ctor)
+    for e in edges:
+        if e.ctor.pi_args or any(a.binders for a in e.ctor.args):
+            infinite.append(e.ctor)
             continue
         radices = []
-        for targets in arg_targets:
+        for targets, _, _ in e.args:
             cards = [card_map.get(c) for c in targets]
             if any(c is None or c.is_infinite for c in cards):
-                infinite.append(ctor)
+                infinite.append(e.ctor)
                 break
             radices.append(max((c.count if c.is_finite else 0 for c in cards), default=0))
         else:
             count = prod(radices)
-            entries.append(FiniteCtorEntry(ctor.name, base, tuple(radices), count))
+            entries.append(FiniteCtorEntry(e.ctor.name, base, tuple(radices), count))
             base += count
     return FiniteBlock(tuple(entries), base), tuple(infinite)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import sig_path
-from godelgen import cli, sigmodel
+from godelgen import cli
 from godelgen.adequacy import AdequacyReport, ClassReport, Verdict
 
 LAMBDA = str(sig_path("lambda"))
@@ -110,17 +110,6 @@ class TestCheck:
             "error: p: the instances of index type p depend on index values"
             " of type p [index-type]"
         ]
-
-    def test_unstable_analysis_is_a_semantic_error(self, capsys, monkeypatch):
-        rounds = iter(range(1000))
-        monkeypatch.setattr(
-            sigmodel._Analyzer,
-            "_fixpoint",
-            lambda self: {("nat", sigmodel.UNIT_CLASS): sigmodel.finite(next(rounds))},
-        )
-        code, _, err = run(capsys, ["check", NAT])
-        assert code == 2
-        assert "did not stabilize" in err
 
 
 class TestEncode:
@@ -369,6 +358,20 @@ class TestFiniteIndexNames:
 
 
 class TestDriver:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", NAT, "--type", "nope", "z"],
+            ["decode", NAT, "--type", "nope", "0"],
+            ["enumerate", NAT, "--type", "nope", "3"],
+            ["compare", NAT, "--type", "nope", "z", "z"],
+            ["decode", NAT, "--type", "nope", "--index", "foo", "0"],
+        ],
+        ids=["encode", "decode", "enumerate", "compare", "named-index"],
+    )
+    def test_unknown_type_is_reported_once(self, capsys, argv):
+        assert run(capsys, argv) == (3, "", "error: unknown type 'nope'\n")
+
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as caught:
             cli.run([])

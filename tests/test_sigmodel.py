@@ -319,11 +319,42 @@ def test_cardinality_edge_cases(text, expected):
     assert {key: labels[key] for key in expected} == expected
 
 
-def test_index_type_counting_its_own_family_does_not_stabilize():
-    # q's classes are p's values, and mk counts p through q: while q has no
-    # classes p is finite, which gives q classes, which makes p infinite
-    diags = rejection("p : type. a : p. q : p -> type. qv : q N. mk : {N : p} q N -> p.")
-    assert [d.rule for d in diags] == ["analysis"]
+# c's values index k, k's terms count b, and b's values index g
+INDEX_CHAIN = (
+    "c : type. c0 : c. c1 : c. c2 : c. k : c -> type. kv : k X. b : type."
+    " b0 : k c0 -> b. b1 : k c1 -> b. b2 : k c2 -> b. g : b -> type. gv : g X."
+)
+
+
+@pytest.mark.parametrize(
+    "text, cyclic",
+    [
+        # p's block needs b's value, which needs p's block
+        ("p : type. a : p. b : p. q : p -> type. qv : q N. mk : q b -> p.", ["p"]),
+        # the same through r
+        (
+            "p : type. a : p. q : p -> type. r : type. qv : q N. rq : q a -> r. mk : r -> p.",
+            ["p"],
+        ),
+        # mk counts p through q's classes, which are p's values
+        ("p : type. a : p. q : p -> type. qv : q N. mk : {N : p} q N -> p.", ["p"]),
+        (INDEX_CHAIN, []),
+    ],
+    ids=["direct", "indirect", "abstraction", "chain"],
+)
+def test_finite_index_type_is_counted_before_the_families_it_indexes(text, cyclic):
+    # an index type that reaches a family it indexes is rejected, whatever
+    # the path, and nothing that only restates it is reported; two index
+    # types that reach each other: test_reject_index_types_indexed_through_each_other
+    if cyclic:
+        assert [(d.rule, d.subject, d.message) for d in rejection(text)] == [
+            ("index-type", x, f"the instances of index type {x} depend on index values of type {x}")
+            for x in cyclic
+        ]
+        return
+    v = check(text)
+    assert v.cardinality("b", UNIT_CLASS) == finite(3)
+    assert v.classes("g") == tuple(fin_class(i) for i in range(3))
 
 
 def test_cardinality_deterministic():
@@ -570,18 +601,6 @@ def test_constant_result_indices_in_range_are_kept():
     assert v.pattern("k1") == ("const", 1)
 
 
-def test_unstable_analysis_is_a_validation_error(monkeypatch):
-    rounds = iter(range(1000))
-    monkeypatch.setattr(
-        sigmodel._Analyzer,
-        "_fixpoint",
-        lambda self: {("nat", UNIT_CLASS): finite(next(rounds))},
-    )
-    diags = rejection(sig_text("nat"))
-    assert [d.rule for d in diags] == ["analysis"]
-    assert "did not stabilize" in diags[0].message
-
-
 def test_multiple_diagnostics_reported_together():
     diags = rejection(
         sig_text("nat")
@@ -645,6 +664,16 @@ LAYOUT_SIGS = {
     + "f : nat -> type. fz : f z. fs : f N -> f (s N). g : f (s (s N)) -> f N -> f N."
     " h : {m:nat} (f (s m) -> f (s (s N))) -> f 2 -> f (s N).",
 }
+
+
+@pytest.mark.parametrize("name", [*sorted(LAYOUT_SIGS), "chain"])
+def test_each_edge_is_built_once(monkeypatch, name):
+    built, edge = [], sigmodel._Analyzer._edge
+    monkeypatch.setattr(
+        sigmodel._Analyzer, "_edge", lambda self, c, k: built.append(c) or edge(self, c, k)
+    )
+    v = check(LAYOUT_SIGS.get(name, INDEX_CHAIN))
+    assert len(built) == sum(map(len, v.analysis.graph.values()))
 
 
 def assert_arg_targets_match_reference(v):
