@@ -24,6 +24,20 @@ for _i in range(256):
 _NIBBLE = [_i & 1 | _i >> 1 & 2 | _i >> 2 & 4 | _i >> 3 & 8 for _i in range(256)]
 _COMPACT = [_hi << 4 | _lo for _hi in _NIBBLE for _lo in _NIBBLE]
 
+# bytes.translate tables for wide operands: a byte's low and high nibble
+# spread to the even bits of a byte, and a byte's even bits gathered into
+# the low and the high nibble
+_SPREAD_LO = bytes([_SPREAD[_i & 15] for _i in range(256)])
+_SPREAD_HI = bytes([_SPREAD[_i >> 4] for _i in range(256)])
+_EVEN_LO = bytes(_NIBBLE)
+_EVEN_HI = bytes([_n << 4 for _n in _NIBBLE])
+
+# Operands wider than this many bits (for _compact, results that wide)
+# take the byte-string path: it costs a few fixed calls plus linear work,
+# while each step of the loop copies the whole remaining number.  On
+# CPython 3.11 the two cost the same at about 64 bits.
+_LOOP_BITS = 64
+
 
 def _check_nat(n: int, what: str) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
@@ -33,6 +47,13 @@ def _check_nat(n: int, what: str) -> None:
 
 
 def _spread(x: int) -> int:
+    if x >> _LOOP_BITS:
+        n = (x.bit_length() + 7) >> 3
+        data = x.to_bytes(n, "little")
+        out = bytearray(2 * n)
+        out[0::2] = data.translate(_SPREAD_LO)
+        out[1::2] = data.translate(_SPREAD_HI)
+        return int.from_bytes(out, "little")
     out = 0
     shift = 0
     while x:
@@ -43,6 +64,10 @@ def _spread(x: int) -> int:
 
 
 def _compact(x: int) -> int:
+    if x >> 2 * _LOOP_BITS:
+        data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+        low = int.from_bytes(data[0::2].translate(_EVEN_LO), "little")
+        return low | int.from_bytes(data[1::2].translate(_EVEN_HI), "little")
     out = 0
     shift = 0
     while x:
@@ -69,8 +94,11 @@ def mingle_fold(codes: Sequence[int]) -> int:
     """Left-fold ``mingle`` over a nonempty sequence of naturals."""
     if not codes:
         raise ValueError("mingle_fold requires at least one code")
-    for i, c in enumerate(codes):
-        _check_nat(c, f"codes[{i}]")
+    for c in codes:
+        if type(c) is not int or c < 0:  # name the first bad code
+            for i, c in enumerate(codes):
+                _check_nat(c, f"codes[{i}]")
+            break
     acc = codes[0]
     for c in codes[1:]:
         acc = (_spread(acc) << 1) | _spread(c)

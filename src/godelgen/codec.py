@@ -211,8 +211,8 @@ def _encode(plan, type_name, index, counts, term, memo=None):
     the node in the value keeps its id from being reused while the key is
     held."""
     vsig, stack = plan.vsig, []
-    ctors, classes, class_of = vsig.sig.ctors, plan.classes, vsig.class_of
-    arg_targets = vsig.arg_targets
+    ctors, arg_targets = vsig.sig.ctors, vsig.arg_targets
+    plans: dict[tuple[str, int | None], ClassPlan] = {}  # see _decode
     while True:
         code = None
         if isinstance(term, Var):
@@ -238,7 +238,9 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 if ctor is None or ctor.family != type_name:
                     raise TermError(f"constructor {term.ctor!r} does not construct {type_name}")
                 check_shape(ctor, term)
-                cp = classes[(type_name, class_of(type_name, index))]
+                cp = plans.get((type_name, index))
+                if cp is None:
+                    cp = plans[type_name, index] = plan.class_plan(type_name, index)
                 entry, tag = cp.finite.entry_for(term.ctor), None
                 if entry is None:
                     if term.ctor not in cp.tags:
@@ -320,8 +322,11 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None):
     A memo maps (type, index, counts, code) to (term, steps), steps being
     the fuel the term's decode spent; a hit is taken only if that much
     fuel is left, so fuel runs out at the same node as without a memo."""
-    vsig, stack = plan.vsig, []
-    classes, class_of, arg_targets = plan.classes, vsig.class_of, vsig.arg_targets
+    stack, arg_targets = [], plan.vsig.arg_targets
+    # the class plan of each (type, index) met, so a node hashes a name and
+    # an int, not an IndexClass; and one Var per (type, index, level)
+    plans: dict[tuple[str, int | None], ClassPlan] = {}
+    variables: dict[tuple[str, int | None, int], Var] = {}
     while True:
         term = key = start = None
         if memo is not None:
@@ -340,11 +345,15 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None):
             cell[0] -= 1
             if code < 0:
                 raise CodeOutOfRange(f"negative code {code}")
-            cp = classes[(type_name, class_of(type_name, index))]
+            cp = plans.get((type_name, index))
+            if cp is None:
+                cp = plans[type_name, index] = plan.class_plan(type_name, index)
             v = counts.get(type_name, index)
             c = code - v
             if c < 0:
-                term = Var(type_name, index, code)
+                term = variables.get((type_name, index, code))
+                if term is None:
+                    term = variables[type_name, index, code] = Var(type_name, index, code)
             elif c < cp.finite.total:
                 entry, offset = cp.finite.entry_at(c)
                 name, index_args, sub_codes = entry.ctor_name, (), []

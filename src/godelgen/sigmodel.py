@@ -97,44 +97,44 @@ def _token_error(tok: str) -> str | None:
 # A leaf records the position of its token in the parser's token list.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SName:
     name: str
     at: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNum:
     value: int
     at: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SApp:
     fn: "SExpr"
     args: tuple["SExpr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SArrow:
     arg: "SExpr"
     result: "SExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBind:
     var: str
     body: "SExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SPi:
     var: str
     var_type: "SExpr"
     body: "SExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SType:
     at: int = field(compare=False, default=0)
 
@@ -817,7 +817,7 @@ class _Analyzer:
         self.graph: dict[tuple[str, IndexClass], dict[str, Edge]] = {}
         self.card: dict[tuple[str, IndexClass], Cardinality] = {}  # of the graph last counted
         self.patterns: dict[str, tuple] = {}
-        self.rules: dict[str, tuple] = {}  # from each constructor's last edge
+        self.rules: dict[str, tuple] = {}  # compiled at each constructor's first edge
         self.diags: dict[Diagnostic, None] = {}  # in the order found
 
     def defer(self, rule: str, subject: str, message: str) -> None:
@@ -969,11 +969,15 @@ class _Analyzer:
         return frozenset((type_name, c) for c in self.classes[type_name]), False
 
     def _edge(self, ctor: Ctor, k: IndexClass) -> Edge:
-        rules = self.rules[ctor.name] = tuple([
-            (*self._rule(ctor, a.type_name, a.index),
-             tuple([self._rule(ctor, bt, bix) for bt, bix in a.binders]))
-            for a in ctor.args
-        ])
+        # a constructor's rules do not depend on k, and all its edges are
+        # built in one stratum, after the kinds they read are set
+        rules = self.rules.get(ctor.name)
+        if rules is None:
+            rules = self.rules[ctor.name] = tuple([
+                (*self._rule(ctor, a.type_name, a.index),
+                 tuple([self._rule(ctor, bt, bix) for bt, bix in a.binders]))
+                for a in ctor.args
+            ])
         args = []
         for *target, binders in rules:
             targets, pinned = self._classes(ctor, k, target)

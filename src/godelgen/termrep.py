@@ -34,14 +34,14 @@ from .sigmodel import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     type_name: str
     index: int | None
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermArg:
     """One constructor argument: the body with its bound-variable count."""
 
@@ -49,7 +49,7 @@ class TermArg:
     body: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Con:
     ctor: str
     index_args: tuple[int, ...] = ()
@@ -174,7 +174,7 @@ def _elab(
     e: SExpr,
     want_type: str,
     want_index: int | None,
-    scope: dict[str, tuple[str, int | None, int]],
+    scope: dict[str, Var],
     counts: CountVector,
 ) -> Term:
     """The term that surface e elaborates to at the wanted type, built in
@@ -185,13 +185,12 @@ def _elab(
         term = None
         if isinstance(e, SName):
             if e.name in scope:
-                t, ix, level = scope[e.name]
-                if (t, ix) != (want_type, want_index):
+                term = scope[e.name]  # every occurrence shares its binder's Var
+                if (term.type_name, term.index) != (want_type, want_index):
                     raise TermError(
-                        f"variable {e.name} has type {_describe(t, ix)},"
+                        f"variable {e.name} has type {_describe(term.type_name, term.index)},"
                         f" expected {_describe(want_type, want_index)}"
                     )
-                term = Var(t, ix, level)
             elif e.name in sig.abbrevs:
                 ab = sig.abbrevs[e.name]
                 kind, ab_index = vsig.index_kind(ab.type_name), None
@@ -263,7 +262,7 @@ def _elab(
                                 f" variable(s) with [name]"
                             )
                         bt, bix = key
-                        scope[e.var] = (bt, bix, outer.get(bt, bix) + keys[:i].count(key))
+                        scope[e.var] = Var(bt, bix, outer.get(bt, bix) + keys[:i].count(key))
                         e = e.body
                 if isinstance(e, SBind):
                     raise TermError(f"argument of {ctor.name} binds only {len(keys)} variable(s)")

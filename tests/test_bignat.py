@@ -1,5 +1,7 @@
 """Tests for the bit-interleaving pairing function."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,41 @@ def test_matches_naive_bit_loop_exhaustively():
     for a in range(64):
         for b in range(64):
             assert mingle(a, b) == naive_mingle(a, b)
+
+
+# Widths on both sides of the switch from the shift loop to the byte-string
+# path (64 operand bits), with odd byte lengths (65, 129 bits); hypothesis's
+# default integers rarely get this wide.
+WIDE_WIDTHS = [63, 64, 65, 127, 128, 129, 1024, 65536]
+
+
+def operand(bits: int, salt: str) -> int:
+    """A seeded natural of exactly this many bits."""
+    return random.Random(f"{bits}:{salt}").getrandbits(bits) | 1 << (bits - 1)
+
+
+@pytest.mark.parametrize("bits", WIDE_WIDTHS)
+def test_wide_operands_match_naive_bit_loop(bits):
+    a = operand(bits, "a")
+    # an equal, a narrower (odd byte length) and a wider operand, and zero
+    for b in (operand(bits, "b"), operand(bits // 2 + 3, "b"), operand(bits + 8, "b"), 0):
+        want = naive_mingle(a, b)
+        assert mingle(a, b) == want
+        assert mingle_fold([a, b]) == want
+        assert unmingle(want) == (a, b)
+        assert unmingle_fold(want, 2) == [a, b]
+    n = operand(bits, "n")
+    x, y = unmingle(n)
+    assert naive_mingle(x, y) == n
+    assert unmingle_fold(n, 2) == [x, y]
+
+
+@pytest.mark.parametrize("bits", [b for b in WIDE_WIDTHS if b <= 1024])
+def test_wide_folds_of_three_match_naive_bit_loop(bits):
+    codes = [operand(bits, "a"), operand(bits // 3 + 1, "b"), operand(bits - 2, "c")]
+    want = naive_mingle(naive_mingle(codes[0], codes[1]), codes[2])
+    assert mingle_fold(codes) == want
+    assert unmingle_fold(want, 3) == codes
 
 
 def test_round_trip_exhaustive_small():
@@ -118,3 +155,23 @@ def test_input_validation():
         mingle_fold([])
     with pytest.raises(ValueError):
         unmingle_fold(5, 0)
+
+
+@pytest.mark.parametrize("codes, error, message", [
+    ([0, -1], ValueError, "codes[1] must be nonnegative, got -1"),
+    ([-1, "x"], ValueError, "codes[0] must be nonnegative, got -1"),
+    ([True, 0], TypeError, "codes[0] must be an int, got bool"),
+    ([0, 2**100, "1"], TypeError, "codes[2] must be an int, got str"),
+    ([1, 1.0], TypeError, "codes[1] must be an int, got float"),
+])
+def test_fold_names_the_first_bad_code(codes, error, message):
+    with pytest.raises(error) as info:
+        mingle_fold(codes)
+    assert str(info.value) == message
+
+
+def test_fold_accepts_int_subclasses():
+    class Code(int):
+        pass
+
+    assert mingle_fold([Code(2), 3]) == mingle_fold([2, Code(3)]) == 13

@@ -1,12 +1,17 @@
 """Term parsing, printing, checking, and sizes."""
 
 import ast
+import copy
+import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
 
 from conftest import sig_text
+from godelgen.codec import decode_closed, encode_closed
 from godelgen.errors import TermError
+from godelgen.sigmodel import SApp, SArrow, SBind, SName, SNum, SPi, SType
 from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
@@ -297,6 +302,55 @@ def test_deep_terms(vsigs):
     check_term(v, "nat", None, EMPTY_COUNTS, t)
     printed = print_term(v, t)
     assert parse_term(v, "nat", None, printed) == t
+
+
+# ------------------------------------------------------------- term nodes
+
+
+NODES = [
+    Var("t", None, 2),
+    TermArg(1, Var("t", None, 0)),
+    Con("lam", (), (TermArg(1, Con("app", (), (TermArg(0, Var("t", None, 0)),) * 2)),)),
+    SName("x", at=3),
+    SNum(7, at=1),
+    SApp(SName("s"), (SNum(1),)),
+    SArrow(SName("t"), SName("t")),
+    SBind("x", SName("x")),
+    SPi("N", SName("nat"), SApp(SName("t"), (SName("N"),))),
+    SType(at=2),
+]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_are_slotted_and_frozen(node):
+    assert not hasattr(node, "__dict__")
+    name = dataclasses.fields(node)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, name, getattr(node, name))
+    assert pickle.loads(pickle.dumps(node)) == node
+    assert copy.deepcopy(node) == node
+
+
+def test_con_hash_is_the_hash_of_its_preorder():
+    z = Con("z")
+    one = Con("s", (), (TermArg(0, z),))
+    assert hash(z) == hash((("z", (), ()),))
+    assert hash(one) == hash((("s", (), (0,)), ("z", (), ())))
+    x = Var("term", 1, 0)
+    rec = Con("rec", (3,), (TermArg(1, x),))
+    assert hash(x) == hash(("term", 1, 0))
+    assert hash(rec) == hash((("rec", (3,), (1,)), x))
+
+
+def test_occurrences_of_a_bound_variable_share_one_var(vsigs, plans):
+    v = vsigs["lambda"]
+    term = parse_term(v, "t", None, "lam [x] app x x")
+    first, second = (ta.body for ta in term.args[0].body.args)
+    assert first is second
+    plan = plans["lambda"]
+    back = decode_closed(plan, "t", None, encode_closed(plan, "t", None, term))
+    first, second = (ta.body for ta in back.args[0].body.args)
+    assert back == term and first is second
 
 
 def test_the_library_runs_no_walk_driver_and_leaves_the_gc_alone():
