@@ -74,10 +74,12 @@ _NOT_NAME = _PUNCT | _OPERATORS | {"%abbrev", ""}  # every other token is a word
 
 
 def tokenize(text: str) -> list[str]:
-    """The tokens of text, then "" for its end.  A character that starts
-    no token, or a % declaration other than %abbrev, is a token of its
-    own; the parser rejects it."""
-    toks = list(filter(None, _LEXEME.findall(text)))
+    """The tokens of text, then "" for its end, one string object per
+    distinct token text.  A character that starts no token, or a %
+    declaration other than %abbrev, is a token of its own; the parser
+    rejects it."""
+    seen: dict[str, str] = {}
+    toks = [seen.setdefault(tok, tok) for tok in _LEXEME.findall(text) if tok]
     toks.append("")
     return toks
 
@@ -143,16 +145,18 @@ SExpr = SName | SNum | SApp | SArrow | SBind | SPi | SType
 
 
 class _Parser:
-    """A parser over the tokens of text.  Positions are worked out from
+    """A parser over the tokens of text, or over toks, tokens already read
+    from a text (an abbreviation's body).  Positions are worked out from
     the text only when an error or an abbreviation needs one."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, toks: list[str] | None = None):
         self.text = text
-        self.toks = tokenize(text)
+        self.toks = tokenize(text) if toks is None else toks
         self.i = 0
         self._offsets: list[int] | None = None  # of each token; see where
         self._line_starts: list[int] = []
-        errors = [tok for tok in set(self.toks) if _token_error(tok)]
+        self.distinct = set(self.toks)
+        errors = [tok for tok in self.distinct if _token_error(tok)]
         if errors:
             i = min(self.toks.index(tok) for tok in errors)
             self.fail(_token_error(self.toks[i]), i)
@@ -206,13 +210,8 @@ class _Parser:
         while True:
             tok = toks[self.i]
             if tok not in _NOT_NAME:
+                atoms.append(_word(tok, self.i))
                 self.i += 1
-                if tok == "type":
-                    atoms.append(SType(self.i - 1))
-                elif tok.isdecimal():
-                    atoms.append(SNum(int(tok), self.i - 1))
-                else:
-                    atoms.append(SName(tok, self.i - 1))
                 continue
             if tok == "(" or tok == "[" or (tok == "{" and not atoms):
                 self.i += 1
@@ -258,6 +257,30 @@ class _Parser:
             else:
                 return value
 
+    def atom(self) -> SExpr:
+        """The atom that starts at the next token: a word, a bracketed
+        expression, or a binder, which extends as far right as its
+        expression does."""
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        if tok == "[":
+            var = self.name("[")
+            self.expect("]")
+            return SBind(var, self.expr())
+        return _word(tok, self.i - 1)
+
+    def whole(self) -> SExpr:
+        """The whole text as one expression, as term text is read."""
+        self.i = 0
+        e = self.expr()
+        if self.peek():
+            self.fail(f"trailing input {self.peek()!r}")
+        return e
+
 
 def _build_arrows(parts: list[tuple[str | None, SExpr]]) -> SExpr:
     # '->' is right-associative; 'a <- b' is 'b -> a' with '<-' binding
@@ -283,13 +306,13 @@ def _build_arrows(parts: list[tuple[str | None, SExpr]]) -> SExpr:
     return result
 
 
-def parse_term_text(text: str) -> SExpr:
-    """Parse standalone term text into a surface expression."""
-    p = _Parser(text)
-    e = p.expr()
-    if p.peek():
-        p.fail(f"trailing input {p.peek()!r}")
-    return e
+def _word(tok: str, at: int) -> SExpr:
+    """The leaf that word tok, token at, spells."""
+    if tok == "type":
+        return SType(at)
+    if tok.isdecimal():
+        return SNum(int(tok), at)
+    return SName(tok, at)
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +369,7 @@ class Abbrev:
     type_name: str
     index: tuple[IndexExpr, ...]
     body: SExpr
+    toks: list[str]  # the body's tokens, then "" for its end
     line: int = 0
     col: int = 0
 
@@ -390,13 +414,16 @@ def _parse_abbrev(p: _Parser, sig: Signature) -> None:
     at, name = _declared_name(p, sig, "expected a name after %abbrev")
     type_expr = p.expr()
     p.expect("=")
+    start = p.i
     body = p.expr()
+    toks = p.toks[start:p.i]
+    toks.append("")
     p.expect(".")
     type_name, index = _to_typeapp(p, sig, type_expr, at)
     for e in index:
         for v in _expr_vars(e):
             p.fail(f"abbreviation type must be ground, found variable {v!r}", at)
-    sig.abbrevs[name] = Abbrev(name, type_name, index, body, *p.where(at))
+    sig.abbrevs[name] = Abbrev(name, type_name, index, body, toks, *p.where(at))
 
 
 def _abbrev_uses(sig: Signature, body: SExpr) -> list[str]:

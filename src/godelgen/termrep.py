@@ -6,11 +6,12 @@ concrete index it was introduced at, plus how many variables of that
 fixed at binding time and never shifted, so alpha-equivalent terms are
 structurally identical.
 
-Checking, printing and elaboration are each one loop over an explicit
-stack of frames, one per constructor whose arguments are in progress;
-a frame resumes at its next argument, so arguments are visited, and
-errors raised, left to right, and a term of any depth works at the
-default recursion limit.
+Checking, printing and reading term text are each one loop over an
+explicit stack of frames, one per constructor whose arguments are in
+progress; a frame resumes at its next argument, so arguments are
+visited, and errors raised, left to right, and a term of any depth works
+at the default recursion limit.  Term text is read straight from its
+tokens into the term, with no surface tree in between (see _read).
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from dataclasses import dataclass
 
 from .errors import SigSyntaxError, TermError
 from .sigmodel import (
+    _NOT_NAME,
     Ctor,
     IndexClass,
-    SApp,
-    SBind,
     SExpr,
-    SName,
-    SNum,
     ValidatedSignature,
+    _Parser,
     applies,
-    parse_term_text,
     to_index_expr,
 )
 
@@ -145,13 +143,21 @@ def _index_value(vsig: ValidatedSignature, e: SExpr, ixtype: str) -> int:
 def parse_term(
     vsig: ValidatedSignature, type_name: str, index: int | None, text: str
 ) -> Term:
-    """Parse closed term text against an expected type and index."""
+    """Parse closed term text against an expected type and index.
+
+    The text is read in one pass over its tokens that builds only the
+    term (see _read).  Only a text with a fault is also parsed by the
+    grammar, so that a syntax fault anywhere in it is the one reported."""
     _check_target(vsig, type_name, index)
     try:
-        surface = parse_term_text(text)
+        p = _Parser(text)
+        try:
+            return _read(vsig, p, type_name, index)
+        except TermError:
+            p.whole()
+            raise
     except SigSyntaxError as exc:
         raise TermError(f"term syntax error: {exc}") from None
-    return _elab(vsig, surface, type_name, index, {}, EMPTY_COUNTS)
 
 
 def _check_target(
@@ -169,122 +175,203 @@ def _describe(type_name: str, index: int | None) -> str:
     return type_name if index is None else f"{type_name} {index}"
 
 
-def _elab(
-    vsig: ValidatedSignature,
-    e: SExpr,
-    want_type: str,
-    want_index: int | None,
-    scope: dict[str, Var],
-    counts: CountVector,
+# tokens that cannot start an atom (a word, a "(" or a "[")
+_NO_ATOM = _NOT_NAME - {"(", "["}
+_CLOSE = ")"  # frame: a bracket to close when the expression in it ends
+_ABBREV = object()  # heads the frame of an abbreviation being expanded
+# a text holding none of these has no arrow and no abstraction
+_ARROWS = ("->", "<-", "{")
+
+
+def _read(
+    vsig: ValidatedSignature, p: _Parser, want_type: str, want_index: int | None
 ) -> Term:
-    """The term that surface e elaborates to at the wanted type, built in
-    a loop over a stack of _elab_con frames, one per constructor whose
-    arguments are being elaborated."""
-    sig, stack = vsig.sig, []
+    """The term that p's tokens spell at the wanted type, read as the
+    grammar reads them and elaborated as they are read.
+
+    One loop over the tokens, with a stack of frames: one per constructor
+    application whose atoms are being read (holding its scope and counts),
+    one per bracket still open, and one per abbreviation whose body is
+    being read.  An abbreviation's body is read from its own tokens
+    (Abbrev.toks), in an empty scope.  Arguments are read, and faults
+    raised, left to right; an application with too few or too many atoms
+    is reported at its end.  A token sequence that is no term raises
+    "invalid term", which parse_term replaces with the grammar's syntax
+    error.  Most checks need only the next token; the few that need the
+    extent of a bracket or of an arrow read a table (_structure) that is
+    built only for a text that needs it."""
+    ctors, abbrevs, lit = vsig.sig.ctors, vsig.sig.abbrevs, vsig.analysis.nat_literal
+    arg_targets = vsig.arg_targets
+    tables: dict[int, tuple] = {}
+    fits: set[tuple] = set()  # (constructor, type, index) checked to fit
+
+    def structure(src: _Parser) -> tuple[dict, set]:
+        if id(src) not in tables:
+            if src is p:
+                p.whole()  # the table reads grammatical tokens only
+            tables[id(src)] = _structure(src.toks)
+        return tables[id(src)]
+
+    def arrows_of(src: _Parser) -> set | None:
+        return None if src.distinct.isdisjoint(_ARROWS) else structure(src)[1]
+
+    sources: dict[str, _Parser] = {}  # a parser per abbreviation body read
+    src, i, stack = p, 0, []
+    toks, arrows = src.toks, arrows_of(src)
+    scope, counts = {}, EMPTY_COUNTS
+    # the argument being read: its binders, how many are read so far, the
+    # counts outside them, and its constructor (None outside arguments)
+    keys, k, outer, owner = (), 0, counts, None
+    start = True  # at the start of an expression, not of one atom
     while True:
-        term = None
-        if isinstance(e, SName):
-            if e.name in scope:
-                term = scope[e.name]  # every occurrence shares its binder's Var
-                if (term.type_name, term.index) != (want_type, want_index):
-                    raise TermError(
-                        f"variable {e.name} has type {_describe(term.type_name, term.index)},"
-                        f" expected {_describe(want_type, want_index)}"
-                    )
-            elif e.name in sig.abbrevs:
-                ab = sig.abbrevs[e.name]
-                kind, ab_index = vsig.index_kind(ab.type_name), None
-                if kind is not None:  # validate checked that the index has a value
-                    ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
-                if (ab.type_name, ab_index) != (want_type, want_index):
-                    raise TermError(
-                        f"abbreviation {e.name} has type {_describe(ab.type_name, ab_index)},"
-                        f" expected {_describe(want_type, want_index)}"
-                    )
-                # abbreviations expand where they occur; their bodies are
-                # closed, so the current scope never leaks in
-                e, scope = ab.body, {}
-                continue
-            elif e.name in sig.ctors:
-                stack.append(_elab_con(
-                    vsig, sig.ctors[e.name], (), want_type, want_index, scope, counts
-                ))
-            else:
-                raise TermError(f"unbound name {e.name!r}")
-        elif isinstance(e, SNum):
-            lit = vsig.analysis.nat_literal
-            if str(e.value) in sig.ctors:
-                stack.append(_elab_con(
-                    vsig, sig.ctors[str(e.value)], (), want_type, want_index, scope, counts
-                ))
+        tok, head, term = toks[i], None, None
+        if start:
+            if arrows is not None and i in arrows:
+                if k < len(keys):
+                    raise _must_bind(owner, keys)
+                raise TermError("invalid term")
+            if tok == "(":
+                match = structure(src)[0]
+                if toks[match[i] + 1] not in _NO_ATOM:
+                    # the bracket heads an application
+                    if k < len(keys):
+                        raise _must_bind(owner, keys)
+                    w = _bare_word(toks, match, i)
+                    if w is None:
+                        raise TermError("only constructors can be applied")
+                    head, i = toks[w], match[i] + 1
+            elif tok not in _NOT_NAME and toks[i + 1] not in _NO_ATOM:
+                head, i = tok, i + 1
+        if head is not None:
+            # an application: the head, then its index atoms and arguments
+            if k < len(keys):
+                raise _must_bind(owner, keys)
+            if head == "type":
+                raise TermError("only constructors can be applied")
+            name = str(int(head)) if head.isdecimal() else head
+            if name in scope:
+                raise TermError(f"variable {name} cannot be applied")
+            if name in abbrevs:
+                raise TermError(f"abbreviation {name} cannot be applied")
+            if name not in ctors:
+                raise TermError(f"unbound name {name!r}")
+            ctor = ctors[name]
+            if (name, want_type, want_index) not in fits:
+                _check_ctor(vsig, ctor, want_type, want_index)
+                fits.add((name, want_type, want_index))
+            values = []
+            for _, ptype, _ in ctor.pi_args:
+                if toks[i] in _NO_ATOM:
+                    raise _arity(ctor, len(values))
+                src.i = i
+                e = src.atom()
+                i = src.i
+                values.append(_index_value(vsig, e, ptype))
+            values = tuple(values)
+            stack.append((ctor, values, arg_targets(name, want_index, values), [], scope, counts))
+        elif tok == "(":
+            stack.append(_CLOSE)
+            i, start = i + 1, True
+            continue
+        elif tok == "[":
+            var = toks[i + 1]
+            if k == len(keys):
+                if owner is None:
+                    raise TermError(f"binder [{var}] is only allowed in constructor arguments")
+                raise TermError(f"argument of {owner} binds only {len(keys)} variable(s)")
+            if var in _NOT_NAME or toks[i + 2] != "]":
+                raise TermError("invalid term")
+            key = keys[k]
+            # every occurrence of the variable shares this Var
+            scope[var] = Var(*key, outer.get(*key) + keys[:k].count(key))
+            i, k, start = i + 3, k + 1, True
+            continue
+        elif k < len(keys):
+            raise _must_bind(owner, keys)
+        elif tok in _NOT_NAME or tok == "type":
+            raise TermError("invalid term")
+        elif tok.isdecimal():
+            name = str(int(tok))
+            if name in ctors:
+                term = _constant(vsig, ctors[name], want_type, want_index)
             elif lit is not None and want_type == lit.type_name:
                 term = Con("z")
-                for _ in range(e.value):
+                for _ in range(int(tok)):
                     term = Con("s", (), (TermArg(0, term),))
             else:
                 raise TermError(
-                    f"numeral {e.value} is only a term when the signature declares"
+                    f"numeral {int(tok)} is only a term when the signature declares"
                     " nat with z and s"
                 )
-        elif isinstance(e, SApp):
-            if not isinstance(e.fn, (SName, SNum)):
-                raise TermError("only constructors can be applied")
-            fname = e.fn.name if isinstance(e.fn, SName) else str(e.fn.value)
-            if fname in scope:
-                raise TermError(f"variable {fname} cannot be applied")
-            if fname in sig.abbrevs:
-                raise TermError(f"abbreviation {fname} cannot be applied")
-            if fname not in sig.ctors:
-                raise TermError(f"unbound name {fname!r}")
-            stack.append(_elab_con(
-                vsig, sig.ctors[fname], e.args, want_type, want_index, scope, counts
-            ))
-        elif isinstance(e, SBind):
-            raise TermError(f"binder [{e.var}] is only allowed in constructor arguments")
+            i += 1
+        elif tok in scope:
+            term = scope[tok]
+            if (term.type_name, term.index) != (want_type, want_index):
+                raise TermError(
+                    f"variable {tok} has type {_describe(term.type_name, term.index)},"
+                    f" expected {_describe(want_type, want_index)}"
+                )
+            i += 1
+        elif tok in abbrevs:
+            ab = abbrevs[tok]
+            kind, ab_index = vsig.index_kind(ab.type_name), None
+            if kind is not None:  # validate checked that the index has a value
+                ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
+            if (ab.type_name, ab_index) != (want_type, want_index):
+                raise TermError(
+                    f"abbreviation {tok} has type {_describe(ab.type_name, ab_index)},"
+                    f" expected {_describe(want_type, want_index)}"
+                )
+            # the body is closed, so the current scope never leaks in
+            stack.append((_ABBREV, src, i + 1, arrows))
+            if tok not in sources:
+                sources[tok] = _Parser("", ab.toks)
+            src, i, start = sources[tok], 0, True
+            toks, arrows = src.toks, arrows_of(src)
+            scope, keys, k, owner = {}, (), 0, None
+            continue
+        elif tok in ctors:
+            term = _constant(vsig, ctors[tok], want_type, want_index)
+            i += 1
         else:
-            raise TermError("invalid term")
-        # hand the term to the frames it completes, then start the next argument
+            raise TermError(f"unbound name {tok!r}")
+        # hand the term to the frames it completes, then start the next atom
         while stack:
-            ctor, index_values, targets, surface_args, args, scope, counts = stack[-1]
-            if term is not None:
-                args.append(TermArg(len(targets[len(args)][2]), term))
-            j = len(args)
-            if j < len(targets):
-                want_type, want_index, keys = targets[j]
-                e = surface_args[j]
-                if keys:
-                    outer = counts
-                    scope, counts = dict(scope), counts.bind(keys)
-                    for i, key in enumerate(keys):
-                        if not isinstance(e, SBind):
-                            raise TermError(
-                                f"argument of {ctor.name} must bind {len(keys)}"
-                                f" variable(s) with [name]"
-                            )
-                        bt, bix = key
-                        scope[e.var] = Var(bt, bix, outer.get(bt, bix) + keys[:i].count(key))
-                        e = e.body
-                if isinstance(e, SBind):
-                    raise TermError(f"argument of {ctor.name} binds only {len(keys)} variable(s)")
-                break
+            frame = stack[-1]
+            if frame is _CLOSE:
+                if toks[i] != ")":
+                    raise TermError("invalid term")
+                i += 1
+            elif frame[0] is _ABBREV:
+                if toks[i]:
+                    raise TermError("invalid term")
+                _, src, i, arrows = frame
+                toks = src.toks
+            else:
+                ctor, values, targets, args, scope, counts = frame
+                if term is not None:
+                    args.append(TermArg(len(targets[len(args)][2]), term))
+                j, opens = len(args), toks[i] not in _NO_ATOM
+                if j < len(targets):
+                    if not opens:
+                        raise _arity(ctor, len(values) + j)
+                    want_type, want_index, keys = targets[j]
+                    k, outer, owner, start = 0, counts, ctor.name, False
+                    if keys:
+                        scope, counts = dict(scope), counts.bind(keys)
+                    break
+                if opens:
+                    raise _arity(ctor, len(values) + j + _atoms(toks, i, structure(src)[0]))
+                term = Con(ctor.name, values, tuple(args))
             stack.pop()
-            term = Con(ctor.name, index_values, tuple(args))
         else:
+            if toks[i]:
+                raise TermError("invalid term")  # trailing input
             return term
 
 
-def _elab_con(
-    vsig: ValidatedSignature,
-    ctor: Ctor,
-    surface_args: tuple[SExpr, ...],
-    want_type: str,
-    want_index: int | None,
-    scope: dict,
-    counts: CountVector,
-) -> tuple:
-    """_elab's frame for ctor applied to surface_args: the constructor,
-    its index values, its arguments' targets and surface forms, the
-    arguments elaborated so far, and the scope and counts around it."""
+def _check_ctor(vsig: ValidatedSignature, ctor: Ctor, want_type: str, want_index: int | None):
+    """Raise TermError unless ctor constructs the wanted type and class."""
     if ctor.family != want_type:
         raise TermError(
             f"constructor {ctor.name} constructs {ctor.family},"
@@ -295,18 +382,67 @@ def _elab_con(
             f"constructor {ctor.name} cannot construct"
             f" {_describe(want_type, want_index)}"
         )
-    n_pi = len(ctor.pi_args)
-    if len(surface_args) != n_pi + len(ctor.args):
-        raise TermError(
-            f"constructor {ctor.name} expects {n_pi + len(ctor.args)}"
-            f" argument(s), got {len(surface_args)}"
-        )
-    index_values = ()
-    if n_pi:
-        pairs = zip(ctor.pi_args, surface_args)
-        index_values = tuple([_index_value(vsig, se, ptype) for (_, ptype, _), se in pairs])
-    targets = vsig.arg_targets(ctor.name, want_index, index_values)
-    return ctor, index_values, targets, surface_args[n_pi:], [], scope, counts
+
+
+def _constant(vsig: ValidatedSignature, ctor: Ctor, want_type: str, want_index: int | None):
+    """The term that ctor, written alone, is at the wanted type."""
+    _check_ctor(vsig, ctor, want_type, want_index)
+    if ctor.pi_args or ctor.args:
+        raise _arity(ctor, 0)
+    return Con(ctor.name)
+
+
+def _arity(ctor: Ctor, got: int) -> TermError:
+    return TermError(
+        f"constructor {ctor.name} expects {len(ctor.pi_args) + len(ctor.args)}"
+        f" argument(s), got {got}"
+    )
+
+
+def _must_bind(owner: str, keys: tuple) -> TermError:
+    return TermError(f"argument of {owner} must bind {len(keys)} variable(s) with [name]")
+
+
+def _structure(toks: list[str]) -> tuple[dict[int, int], set[int]]:
+    """For grammatical tokens: the position of the ")" that closes each
+    "(", and the start of each expression that is an arrow or an
+    abstraction, which the grammar builds whole before any part of it."""
+    match, arrows = {}, set()
+    opened = [(0, None)]  # expressions being read: start, and the bracket opening it
+    for i, tok in enumerate(toks):
+        if tok == "->" or tok == "<-" or tok == "{":
+            arrows.add(opened[-1][0])
+        if tok == "(" or tok == "{":
+            opened.append((i + 1, i))
+        elif tok == "[":
+            opened.append((i + 3, None))  # a binder's body ends with its expression
+        elif tok == ")" or tok == "}":
+            while opened[-1][1] is None:
+                opened.pop()
+            match[opened.pop()[1]] = i
+            if tok == "}":
+                opened.append((i + 1, None))  # and so does an abstraction's body
+    return match, arrows
+
+
+def _bare_word(toks: list[str], match: dict[int, int], i: int) -> int | None:
+    """The position of the word that the brackets opening at i hold and
+    nothing else, as in "((app))", if there is one."""
+    j = match[i]
+    while toks[i] == "(" and match[i] == j:
+        i, j = i + 1, j - 1
+    return i if i == j and toks[i] not in _NOT_NAME else None
+
+
+def _atoms(toks: list[str], i: int, match: dict[int, int]) -> int:
+    """How many atoms of an application start at i."""
+    n = 0
+    while toks[i] not in _NO_ATOM:
+        n += 1
+        if toks[i] == "[":
+            break  # a binder is the last atom of its application
+        i = match[i] + 1 if toks[i] == "(" else i + 1
+    return n
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,31 @@ def test_deep_nat_round_trips_at_the_default_limit():
     assert out == "ok\n"
 
 
+def test_term_text_nesting_at_the_default_limit():
+    # a chain of abbreviations, each defined through the next, and
+    # brackets nested around an application's head and around a term
+    out = run_fresh(
+        """
+        import sys
+        from godelgen import parse_signature, parse_term, term_size, validate
+
+        assert sys.getrecursionlimit() == 1000
+        n = int(sys.argv[2])
+        chain = "".join(f"%abbrev a{i} : nat = s a{i + 1}. " for i in range(n - 1))
+        text = open(sys.argv[1]).read() + chain + f"%abbrev a{n - 1} : nat = z."
+        vsig = validate(parse_signature(text))
+        term = parse_term(vsig, "nat", None, "a0")
+        assert term == parse_term(vsig, "nat", None, str(n - 1))
+        assert term_size(term) == n
+        deep = "(" * n + "s" + ")" * n + " " + "(" * n + "z" + ")" * n
+        assert parse_term(vsig, "nat", None, deep) == parse_term(vsig, "nat", None, "s z")
+        print("ok")
+        """,
+        str(sig_path("nat")), "3000",
+    )
+    assert out == "ok\n"
+
+
 def test_cli_decodes_a_deep_nat():
     done = subprocess.run(
         [sys.executable, "-m", "godelgen.cli", "decode", str(sig_path("nat")),

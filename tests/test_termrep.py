@@ -9,9 +9,21 @@ from pathlib import Path
 import pytest
 
 from conftest import sig_text
-from godelgen.codec import decode_closed, encode_closed
+from godelgen import sigmodel
+from godelgen.codec import assign_tags, decode_closed, encode_closed
 from godelgen.errors import TermError
-from godelgen.sigmodel import SApp, SArrow, SBind, SName, SNum, SPi, SType
+from godelgen.sigmodel import (
+    SApp,
+    SArrow,
+    SBind,
+    SName,
+    SNum,
+    SPi,
+    SType,
+    parse_signature,
+    tokenize,
+    validate,
+)
 from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
@@ -202,6 +214,140 @@ def test_out_of_scope_variable_type(vsigs):
     # x has type term 0 inside lam at 1; using it as term 1 must fail
     with pytest.raises(TermError, match="term 0"):
         parse_term(v, "term", 1, "lam [x] rec [f] app x f")
+
+
+# term text read in one pass: messages, accepted forms and fault order
+
+LAMBDA_ABBREVS = "%abbrev a : t = lam [x] x.\n%abbrev k : t = lam [x] lam [y] x.\n"
+EXISTS_ABBREVS = (
+    "%abbrev two : nat = s (s z).\n%abbrev e : term z = exists (s z) [x] app x unit.\n"
+)
+
+
+@pytest.fixture(scope="module")
+def lam_ab():
+    return validate(parse_signature(sig_text("lambda") + LAMBDA_ABBREVS))
+
+
+@pytest.fixture(scope="module")
+def ex_ab():
+    return validate(parse_signature(sig_text("exists") + EXISTS_ABBREVS))
+
+
+def message(vsig, type_name, index, text) -> str:
+    with pytest.raises(TermError) as info:
+        parse_term(vsig, type_name, index, text)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(lam [x] x) (lam [x] x)", "only constructors can be applied"),
+    ("(type) a", "only constructors can be applied"),
+    ("((app) a) a", "only constructors can be applied"),
+    ("a a", "abbreviation a cannot be applied"),
+    ("lam [x] x x", "variable x cannot be applied"),
+    ("lam [x] x lam", "variable x cannot be applied"),
+    ("[x] x", "binder [x] is only allowed in constructor arguments"),
+    ("t -> t", "invalid term"),
+    ("lam [x] x -> x", "invalid term"),
+    ("type", "invalid term"),
+    ("{N : nat} t", "invalid term"),
+    ("app (t -> t) (lam [x] y)", "invalid term"),
+    ("app ({N : nat} t) (lam [x] y)", "invalid term"),
+    ("app (lam [x] y) (t -> t)", "unbound name 'y'"),
+    ("lam [x] [y] x", "argument of lam binds only 1 variable(s)"),
+    ("app ([x] x) a", "argument of app binds only 0 variable(s)"),
+    ("lam (lam [x] x)", "argument of lam must bind 1 variable(s) with [name]"),
+    ("app x (", "term syntax error: 1:8: unexpected 'end of input'"),
+    ("lam [x] x )", "term syntax error: 1:11: trailing input ')'"),
+    ("lam [x] x ]", "term syntax error: 1:11: trailing input ']'"),
+])
+def test_term_text_messages(lam_ab, text, expected):
+    assert message(lam_ab, "t", None, text) == expected
+
+
+def test_abbreviation_of_another_type(ex_ab):
+    assert message(ex_ab, "term", 0, "two") == "abbreviation two has type nat, expected term 0"
+    assert message(ex_ab, "term", 1, "e") == "abbreviation e has type term 0, expected term 1"
+
+
+@pytest.mark.parametrize("text", [
+    "(app) (lam [x] x) (lam [x] x)",
+    "((app)) (lam [x] x) a",
+    "app ((lam [x] x)) ((a))",
+])
+def test_brackets_around_a_head_or_an_argument_change_nothing(lam_ab, text):
+    assert parse_term(lam_ab, "t", None, text) == parse_term(
+        lam_ab, "t", None, "app (lam [x] x) (lam [x] x)"
+    )
+
+
+@pytest.mark.parametrize("text", [
+    "lam ([x] x)", "lam [x] (x)", "((lam [x] x))", "lam [x] x %% a comment", "(a)",
+])
+def test_forms_of_the_identity(lam_ab, text):
+    assert parse_term(lam_ab, "t", None, text) == parse_term(lam_ab, "t", None, "lam [x] x")
+
+
+def test_a_syntax_fault_wins_over_an_earlier_term_fault(lam_ab):
+    assert message(lam_ab, "t", None, "lam [x] y )") == "term syntax error: 1:11: trailing input ')'"
+    assert message(lam_ab, "t", None, "app y (lam [x] x") == (
+        "term syntax error: 1:17: expected ')', found 'end of input'"
+    )
+
+
+def test_a_wrong_argument_count_is_found_at_the_end_of_its_application(lam_ab):
+    # the argument faults before the surplus atom are found first
+    assert message(lam_ab, "t", None, "app (lam [x] y) z w") == "unbound name 'y'"
+    assert message(lam_ab, "t", None, "app a a a") == "constructor app expects 2 argument(s), got 3"
+    assert message(lam_ab, "t", None, "app a (lam [x] x) (a) [y] y") == (
+        "constructor app expects 2 argument(s), got 4"
+    )
+    assert message(lam_ab, "t", None, "app a") == "constructor app expects 2 argument(s), got 1"
+
+
+@pytest.mark.parametrize("text, expanded, code", [
+    ("lam [z] app z k", "lam [z] app z (lam [x] lam [y] x)", 264),
+    ("lam [z] app k (app z a)", "lam [z] app (lam [x] lam [y] x) (app z (lam [x] x))", 844),
+    ("lam [u] lam [w] app (app w k) (app a u)",
+     "lam [u] lam [w] app (app w (lam [x] lam [y] x)) (app (lam [x] x) u)", 4229510),
+])
+def test_abbreviations_with_binders_under_outer_binders(lam_ab, text, expanded, code):
+    # the abbreviations' binders take levels above the outer ones
+    term = parse_term(lam_ab, "t", None, text)
+    assert term == parse_term(lam_ab, "t", None, expanded)
+    assert encode_closed(assign_tags(lam_ab), "t", None, term) == code
+
+
+@pytest.mark.parametrize("text, code", [
+    ("exists z [x] app (lam [y] x) unit", 54),
+    ("exists (s z) [x] app x unit", 12),
+    ("exists 2 [x] app (app x unit) unit", 90),
+    ("exists 1 [y] e", 12489),
+    ("exists (s z) [y] app (lam [q] app y (e)) unit", 18889178826985160064072),
+    ("exists two [x] app (app x e) e", 258704736090),
+])
+def test_index_arguments_and_indexed_abbreviations(ex_ab, text, code):
+    term = parse_term(ex_ab, "term", 0, text)
+    assert encode_closed(assign_tags(ex_ab), "term", 0, term) == code
+    assert parse_term(ex_ab, "term", 0, print_term(ex_ab, term, index=0)) == term
+
+
+def test_term_text_builds_no_surface_tree(vsigs, plans, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a surface node was built")
+
+    text = print_term(vsigs["lambda"], decode_closed(plans["lambda"], "t", None, 10**40))
+    for name in ("SName", "SApp", "SBind"):
+        monkeypatch.setattr(sigmodel, name, refuse)
+    term = parse_term(vsigs["lambda"], "t", None, text)
+    assert encode_closed(plans["lambda"], "t", None, term) == 10**40
+
+
+def test_tokens_share_one_string_per_text():
+    toks = tokenize("x0 y " + "x" + "0")
+    assert toks == ["x0", "y", "x0", ""]
+    assert toks[0] is toks[2]
 
 
 # --------------------------------------------------------------- checking
