@@ -44,7 +44,10 @@ from .termrep import (
 
 DEFAULT_FUEL = 100_000
 
-# enough for any base-case decode; a looping plan burns through it fast
+# enough for any base-case decode.  A trial stops early, with the same
+# verdict, when a node repeats the state of a node still open above it,
+# since that state would recur until the fuel ran out; a loop whose state
+# keeps changing, by growing counts or indices, still spends all of it
 _TRIAL_FUEL = 600
 
 
@@ -134,7 +137,9 @@ def _first_failing_class(
             for index in reps:
                 for code in codes:
                     try:
-                        decode(plan, decl.name, index, EMPTY_COUNTS, code, trial_fuel)
+                        _decode(
+                            plan, decl.name, index, EMPTY_COUNTS, code, [trial_fuel], path=set()
+                        )
                     except FuelExhausted:
                         return key
     return None
@@ -160,7 +165,10 @@ def assign_tags(vsig: ValidatedSignature, trial_fuel: int = _TRIAL_FUEL) -> Code
     candidates are its ordered pairs of infinite constructors at tags 0
     and 1, the rest in declaration order; the first is declaration order.
     A class whose trial runs out of fuel moves to its next candidate; one
-    that exhausts them fails.  A class may also fail through a later
+    that exhausts them fails.  A trial stops early, as if out of fuel, when
+    a node repeats the state (type, index, counts, code) of a node still
+    open above it; the repeat would recur until the fuel ran out, so the
+    verdict is unchanged (see _decode).  A class may also fail through a later
     class's loop, so failures start another round, keeping the other
     classes' orders, until a round fails no fewer classes than the last.
     """
@@ -314,14 +322,19 @@ def decode(
     return _decode(plan, type_name, index, counts, code, [fuel])
 
 
-def _decode(plan, type_name, index, counts, code, cell, memo=None):
+def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
     """The term of this code, debiting the fuel cell once per node, in a
     loop over a stack of frames, one per Con whose arguments are being
     decoded: its name, index arguments, arguments' targets and codes, the
     arguments decoded so far, its counts, memo key and fuel at its start.
     A memo maps (type, index, counts, code) to (term, steps), steps being
     the fuel the term's decode spent; a hit is taken only if that much
-    fuel is left, so fuel runs out at the same node as without a memo."""
+    fuel is left, so fuel runs out at the same node as without a memo.
+
+    A path set (the tag search's trials) holds the state (type, index,
+    counts, code) of each open frame.  A node whose state is open raises
+    FuelExhausted at once: decoding a state reads nothing else, so every
+    step since the first visit would recur until the fuel ran out."""
     stack, arg_targets = [], plan.vsig.arg_targets
     # the class plan of each (type, index) met, so a node hashes a name and
     # an int, not an IndexClass; and one Var per (type, index, level)
@@ -329,6 +342,13 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None):
     variables: dict[tuple[str, int | None, int], Var] = {}
     while True:
         term = key = start = None
+        if path is not None:
+            key = (type_name, index, counts, code)
+            if key in path:
+                raise FuelExhausted(
+                    f"decode repeats {type_name} code {code} below itself;"
+                    " the plan is not well founded here"
+                )
         if memo is not None:
             key = (type_name, index, counts, code)
             hit = memo.get(key)
@@ -383,6 +403,8 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None):
                     sub_codes = [next(fin_vals) if r else next(inf_vals) for r in slot_kinds]
             if term is None:
                 targets = arg_targets(name, index, index_args)
+                if path is not None:
+                    path.add(key)
                 stack.append((name, index_args, targets, sub_codes, [], counts, key, start))
         # hand the term to the frames it completes, then start the next argument
         while stack:
@@ -399,6 +421,8 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None):
             term = Con(name, index_args, tuple(args))
             if memo is not None:
                 memo[key] = (term, start - cell[0])
+            if path is not None:
+                path.remove(key)
         else:
             return term
 

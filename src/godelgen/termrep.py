@@ -192,8 +192,10 @@ def _read(
     One loop over the tokens, with a stack of frames: one per constructor
     application whose atoms are being read (holding its scope and counts),
     one per bracket still open, and one per abbreviation whose body is
-    being read.  An abbreviation's body is read from its own tokens
-    (Abbrev.toks), in an empty scope.  Arguments are read, and faults
+    being read.  A binder writes its variable into the scope and logs the
+    entry it shadows, which is put back when its argument ends, so no
+    scope is copied.  An abbreviation's body is read from its own tokens
+    (Abbrev.toks), in a new empty scope.  Arguments are read, and faults
     raised, left to right; an application with too few or too many atoms
     is reported at its end.  A token sequence that is no term raises
     "invalid term", which parse_term replaces with the grammar's syntax
@@ -219,6 +221,7 @@ def _read(
     src, i, stack = p, 0, []
     toks, arrows = src.toks, arrows_of(src)
     scope, counts = {}, EMPTY_COUNTS
+    shadowed: list[tuple[str, Var | None]] = []  # per binder in scope, the entry it hid
     # the argument being read: its binders, how many are read so far, the
     # counts outside them, and its constructor (None outside arguments)
     keys, k, outer, owner = (), 0, counts, None
@@ -283,6 +286,7 @@ def _read(
                 raise TermError("invalid term")
             key = keys[k]
             # every occurrence of the variable shares this Var
+            shadowed.append((var, scope.get(var)))
             scope[var] = Var(*key, outer.get(*key) + keys[:k].count(key))
             i, k, start = i + 3, k + 1, True
             continue
@@ -350,7 +354,14 @@ def _read(
             else:
                 ctor, values, targets, args, scope, counts = frame
                 if term is not None:
-                    args.append(TermArg(len(targets[len(args)][2]), term))
+                    n_bound = len(targets[len(args)][2])
+                    args.append(TermArg(n_bound, term))
+                    for _ in range(n_bound):  # the argument's binders leave scope
+                        var, hidden = shadowed.pop()
+                        if hidden is None:
+                            del scope[var]
+                        else:
+                            scope[var] = hidden
                 j, opens = len(args), toks[i] not in _NO_ATOM
                 if j < len(targets):
                     if not opens:
@@ -358,7 +369,7 @@ def _read(
                     want_type, want_index, keys = targets[j]
                     k, outer, owner, start = 0, counts, ctor.name, False
                     if keys:
-                        scope, counts = dict(scope), counts.bind(keys)
+                        counts = counts.bind(keys)
                     break
                 if opens:
                     raise _arity(ctor, len(values) + j + _atoms(toks, i, structure(src)[0]))
@@ -506,11 +517,14 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
 
     out: list[str] = []  # the text's pieces, joined once at the end
     emit = out.append
-    # per Con being printed, its arguments still to print; and a ")" to
-    # emit once the argument it closes is printed
+    # per Con being printed, its arguments still to print; a ")" to emit
+    # once the argument it closes is printed; and, below that, for an
+    # argument with binders, the length the log had when it began
     stack: list = []
     arg_targets = vsig.arg_targets
-    t, env, counts = term, {}, EMPTY_COUNTS
+    # one name per (type, index, level) in scope; every write logs the
+    # name it hides, and a binder's argument undoes its writes as it ends
+    t, env, log, counts = term, {}, [], EMPTY_COUNTS
     while True:
         if isinstance(t, Var):
             key = (t.type_name, t.index, t.level)
@@ -518,6 +532,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
             if name is None:
                 # free variable of an open term; name it like its binder would
                 name = env[key] = fresh(*key)
+                log.append((key, None))
             emit(name)
         else:
             emit(t.ctor)
@@ -525,13 +540,22 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 for (_, ptype, _), value in zip(vsig.sig.ctors[t.ctor].pi_args, t.index_args):
                     emit(" " + index_value_text(ptype, value))
             targets = arg_targets(t.ctor, index, t.index_args)
-            stack.append((enumerate(zip(targets, t.args)), len(t.args) - 1, env, counts))
+            stack.append((enumerate(zip(targets, t.args)), len(t.args) - 1, counts))
         while stack:
             frame = stack[-1]
             if frame == ")":
                 emit(stack.pop())
                 continue
-            todo, last, env, counts = frame
+            if frame.__class__ is int:
+                del stack[-1]
+                while len(log) > frame:
+                    key, hidden = log.pop()
+                    if hidden is None:
+                        del env[key]
+                    else:
+                        env[key] = hidden
+                continue
+            todo, last, counts = frame
             step = next(todo, None)
             if step is None:
                 stack.pop()
@@ -542,14 +566,15 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 # a binder reaches to the end, so only a last one goes bare
                 paren = j != last
                 emit(" (" if paren else " ")
-                inner_env, inner_counts = dict(env), counts.bind(keys)
+                stack.append(len(log))
                 for i, key in enumerate(keys):
                     bt, bix = key
                     level = counts.get(bt, bix) + keys[:i].count(key)
                     name = fresh(bt, bix, level)
-                    inner_env[(bt, bix, level)] = name
+                    log.append(((bt, bix, level), env.get((bt, bix, level))))
+                    env[bt, bix, level] = name
                     emit(f"[{name}] ")
-                env, counts = inner_env, inner_counts
+                counts = counts.bind(keys)
             else:
                 paren = not isinstance(t, Var) and bool(t.args or t.index_args)
                 emit(" (" if paren else " ")

@@ -11,6 +11,8 @@ from godelgen.adequacy import EnumBudget, verify_all
 from godelgen.bignat import unmingle_fold
 from godelgen.codec import (
     DEFAULT_FUEL,
+    _TRIAL_FUEL,
+    _decode,
     _first_failing_class,
     assign_tags,
     build_plan,
@@ -132,6 +134,23 @@ def _next_permutation(seq: list[str], pos: dict[str, int]) -> bool:
     return True
 
 
+def oracle_failing_class(plan, trial_fuel, skip):
+    # the first class, in declaration order, whose code 0 or 1 runs public
+    # decode out of fuel; shares no loop check with the tag search
+    vsig = plan.vsig
+    for decl in vsig.decls:
+        for cls, reps in vsig.class_reps(decl.name):
+            if (decl.name, cls) in skip:
+                continue
+            for index in reps:
+                for code in vsig.cardinality(decl.name, cls).codes_below(2):
+                    try:
+                        decode(plan, decl.name, index, EMPTY_COUNTS, code, trial_fuel)
+                    except FuelExhausted:
+                        return (decl.name, cls)
+    return None
+
+
 def permutation_search(vsig, trial_fuel=600):
     """Reference tag search: a failing class steps through every
     permutation of its infinite constructors in lexicographic order."""
@@ -146,7 +165,7 @@ def permutation_search(vsig, trial_fuel=600):
     failed = []
     while True:
         plan = build_plan(vsig, order)
-        offender = _first_failing_class(plan, trial_fuel, set(failed))
+        offender = oracle_failing_class(plan, trial_fuel, set(failed))
         if offender is None:
             if failed:
                 raise NoWellFoundedPlan([str(key) for key in failed])
@@ -251,16 +270,21 @@ lit : nat -> exp.
 
 
 def plans_tried(monkeypatch, vsig):
-    calls = []
+    # the search's plan (None when it finds none) and every plan it built
+    built = []
 
-    def counting(*args):
-        calls.append(args)
-        return build_plan(*args)
+    def recording(*args):
+        built.append(build_plan(*args))
+        return built[-1]
 
-    monkeypatch.setattr(codec, "build_plan", counting)
-    plan = assign_tags(vsig)
-    monkeypatch.undo()
-    return plan, len(calls)
+    monkeypatch.setattr(codec, "build_plan", recording)
+    try:
+        plan = assign_tags(vsig)
+    except NoWellFoundedPlan:
+        plan = None
+    finally:
+        monkeypatch.undo()
+    return plan, built
 
 
 @pytest.mark.parametrize("name", SIG_NAMES + ["chain5"])
@@ -328,14 +352,14 @@ def test_wide_tags_and_plan_count(monkeypatch):
     assert plan.classes[("exp", UNIT_CLASS)].tags == (
         "lam", "add", "mul", "let", "app", "lit"
     )
-    assert tried == 16
+    assert len(tried) == 16
 
 
 @pytest.mark.parametrize("k", [2, 5, 7, 12])
 def test_plan_count_is_quadratic_in_constructors(monkeypatch, k):
     plan, tried = plans_tried(monkeypatch, validate(parse_signature(chain_signature(k))))
     assert plan.classes[("t", UNIT_CLASS)].tags[0] == "b"
-    assert tried == (k - 1) ** 2 + 1 <= k * (k - 1) + 1
+    assert len(tried) == (k - 1) ** 2 + 1 <= k * (k - 1) + 1
 
 
 @pytest.mark.parametrize("k", [13, 16])
@@ -344,6 +368,100 @@ def test_more_than_twelve_infinite_constructors_plan_and_verify(k):
     assert plan.classes[("t", UNIT_CLASS)].tags[0] == "b"
     report = verify_all(plan, EnumBudget(max_size=3, max_code=200))
     assert report.passed, report.json_dict(f"chain{k}")
+
+
+T012 = (
+    "t0 : type. t1 : type. t2 : type."
+    " t0c0 : t0 -> t0 -> t0. t0c1 : t1 -> t2 -> t0. t0c2 : t2 -> t0. t0c3 : t2 -> t0."
+    " t1c0 : t2 -> t1. t1c1 : nat -> t1. t2c0 : t0 -> t2 -> t2. t2c1 : nat -> t2."
+)
+
+
+def test_t012_has_a_plan_among_the_candidates():
+    vsig = validate(parse_signature(sig_text("nat") + T012))
+    plan = build_plan(vsig, {
+        ("t0", UNIT_CLASS): ("t0c1", "t0c0", "t0c2", "t0c3"),
+        ("t2", UNIT_CLASS): ("t2c1", "t2c0"),
+    })
+    assert oracle_failing_class(plan, _TRIAL_FUEL, set()) is None
+    assert verify_all(plan, EnumBudget(max_size=3, max_code=100)).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoWellFoundedPlan,
+    reason="the search moves only the first failing class; a class blamed"
+    " for another's loop uses up its candidates (ROADMAP item 6)",
+)
+def test_t012_plans():
+    plan = assign_tags(validate(parse_signature(sig_text("nat") + T012)))
+    assert verify_all(plan, EnumBudget(max_size=3, max_code=100)).passed
+
+
+# ------------------------------------------------------- trial loop check
+
+
+def trial(plan, type_name, index, code, fuel=_TRIAL_FUEL):
+    # a tag-search trial's outcome (a term or FuelExhausted) and fuel spent
+    cell = [fuel]
+    try:
+        out = _decode(plan, type_name, index, EMPTY_COUNTS, code, cell, path=set())
+    except FuelExhausted:
+        out = FuelExhausted
+    return out, fuel - cell[0]
+
+
+def plain(plan, type_name, index, code, fuel=_TRIAL_FUEL):
+    try:
+        return decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
+    except FuelExhausted:
+        return FuelExhausted
+
+
+def test_trial_verdicts_match_plain_decode_on_generated_signatures(monkeypatch):
+    rng = random.Random(3)
+    searched = trials = early = 0
+    for make in [random_signature, random_indexed_signature] * 30:
+        try:
+            vsig = validate(parse_signature(make(rng)))
+        except SigValidationError:
+            continue
+        searched += 1
+        for plan in plans_tried(monkeypatch, vsig)[1]:
+            assert _first_failing_class(plan, _TRIAL_FUEL, set()) == oracle_failing_class(
+                plan, _TRIAL_FUEL, set()
+            )
+            for decl in vsig.decls:
+                for cls, reps in vsig.class_reps(decl.name):
+                    for index in reps:
+                        for code in vsig.cardinality(decl.name, cls).codes_below(2):
+                            out, spent = trial(plan, decl.name, index, code)
+                            assert out == plain(plan, decl.name, index, code)
+                            trials += 1
+                            early += out is FuelExhausted and spent < _TRIAL_FUEL
+    assert searched >= 30 and trials >= 1000 and early >= 100
+
+
+def test_trial_stops_at_the_first_repeated_state(vsigs):
+    # frac at tag 0: rat code 0 decodes to frac z r, r being rat code 0 again
+    flip = build_plan(vsigs["ratflip"])
+    out, spent = trial(flip, "rat", None, 0)
+    assert out is FuelExhausted and spent <= 2
+    cell = [_TRIAL_FUEL]
+    with pytest.raises(FuelExhausted):
+        _decode(flip, "rat", None, EMPTY_COUNTS, 0, cell)
+    assert cell == [0]
+
+
+def test_loop_with_growing_counts_burns_the_trial_fuel():
+    # f at tag 0: b code 0 is f of b code 0 under one more nat variable,
+    # so no state repeats and only the fuel stops the trial
+    vsig = validate(parse_signature(
+        sig_text("nat") + "b : type. f : (nat -> b) -> b. g : nat -> b."
+    ))
+    out, spent = trial(build_plan(vsig), "b", None, 0)
+    assert out is FuelExhausted and spent == _TRIAL_FUEL
+    assert assign_tags(vsig).classes[("b", UNIT_CLASS)].tags == ("g", "f")
 
 
 # --------------------------------------------------------- encode anchors

@@ -99,6 +99,29 @@ def test_term_text_nesting_at_the_default_limit():
     assert out == "ok\n"
 
 
+def test_binder_nest_round_trips_in_linear_time():
+    # each binder used to copy the whole scope, so parse and print took
+    # 24 s and 39 s at this depth
+    out = run_fresh(
+        """
+        import sys, time
+        from godelgen import parse_signature, parse_term, print_term, validate
+
+        n = int(sys.argv[2])
+        vsig = validate(parse_signature(open(sys.argv[1]).read()))
+        text = "".join(f"lam [x{i}] " for i in range(n)) + "x0"
+        start = time.perf_counter()
+        term = parse_term(vsig, "t", None, text)
+        assert print_term(vsig, term) == text
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10, elapsed
+        print("ok")
+        """,
+        str(sig_path("lambda")), "20000",
+    )
+    assert out == "ok\n"
+
+
 def test_cli_decodes_a_deep_nat():
     done = subprocess.run(
         [sys.executable, "-m", "godelgen.cli", "decode", str(sig_path("nat")),

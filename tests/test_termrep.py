@@ -89,6 +89,18 @@ def test_levels_fixed_at_binding(vsigs):
     assert t2.args[0].body.args[0].body.level == 1
 
 
+def test_a_shadowing_binder_leaves_scope_with_its_argument(vsigs):
+    v = vsigs["lambda"]
+    outer, inner = Var("t", None, 0), Var("t", None, 1)
+    t = parse_term(v, "t", None, "lam [x] app (lam [x] x) x")
+    assert t == Con("lam", (), (TermArg(1, Con("app", (), (
+        TermArg(0, Con("lam", (), (TermArg(1, inner),))),
+        TermArg(0, outer),
+    ))),))
+    # a namer that reuses one name prints the same shadowing back
+    assert print_term(v, t, namer=lambda *_: "x") == "lam [x] app (lam [x] x) x"
+
+
 def test_parse_indexed(vsigs):
     v = vsigs["termfam"]
     roundtrip(v, "term", 0, "unit")
