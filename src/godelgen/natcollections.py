@@ -4,25 +4,41 @@ A set of naturals is stored as its gap sequence: the first element,
 then the count of missing numbers before each later element.  Every
 gap sequence denotes a set and every set has exactly one sequence, so
 equality is plain sequence equality.  Maps interleave a value with
-each gap; term sets store the codes of their members.
+each gap; term sets store the codes of their members.  A set derives
+its ascending elements once, for bisection, outside equality and repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 from typing import Any, Iterable, Iterator
 
 from .codec import CodecPlan, decode_closed, encode_closed
 from .termrep import Term
 
 
-def _regap(elements: Iterable[int]) -> tuple[int, ...]:
-    gaps = []
-    prev = -1
-    for e in elements:
-        gaps.append(e - prev - 1)
-        prev = e
-    return tuple(gaps)
+def _naturals(xs: Iterable, what: str) -> tuple[int, ...]:
+    """The distinct values of xs, ascending, if each is an int of at least 0."""
+    xs = tuple(xs)
+    if all(x.__class__ is int for x in xs) and min(xs, default=0) >= 0:
+        return tuple(sorted(set(xs)))
+    raise ValueError(f"{what} must be naturals")
+
+
+def _gaps(elements: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """Gaps i..j-1 of the set with these ascending elements."""
+    window = elements[i:j]
+    return tuple(map(sub, window, (elements[i - 1] + 1 if i else 0, *[e + 1 for e in window])))
+
+
+def _built(cls, **parts):
+    """An instance of cls holding parts already derived; __init__ would derive them again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(parts)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -30,96 +46,73 @@ class GapSet:
     """Finite set of naturals in gap form, e.g. {4, 11, 96} as (4, 6, 84)."""
 
     gaps: tuple[int, ...] = ()
+    _elements: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gaps", tuple(self.gaps))
+        sums = accumulate([g + 1 for g in self.gaps])  # each element plus 1
+        object.__setattr__(self, "_elements", tuple([e - 1 for e in sums]))
 
     @staticmethod
     def from_elements(xs: Iterable[int]) -> "GapSet":
-        elements = sorted(set(xs))
-        if elements and elements[0] < 0:
-            raise ValueError("set elements must be naturals")
-        return GapSet(_regap(elements))
+        elements = _naturals(xs, "set elements")
+        return _built(GapSet, gaps=_gaps(elements, 0, len(elements)), _elements=elements)
 
     def iter_elements(self) -> Iterator[int]:
-        prev = -1
-        for gap in self.gaps:
-            prev += gap + 1
-            yield prev
+        return iter(self._elements)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(self.iter_elements())
+        return self._elements
 
     def size(self) -> int:
         return len(self.gaps)
 
+    def _at(self, x: int) -> tuple[int, bool]:
+        """Where x is or would go among the elements, and whether it is there."""
+        i = bisect_left(self._elements, x)
+        return i, i < len(self._elements) and self._elements[i] == x
+
     def member(self, x: int) -> bool:
-        for e in self.iter_elements():
-            if e == x:
-                return True
-            if e > x:
-                return False
-        return False
+        return self._at(x)[1]
+
+    __contains__ = member
 
     def insert(self, x: int) -> "GapSet":
-        if x < 0:
-            raise ValueError("set elements must be naturals")
-        return GapSet(_regap(_merge_union(self.iter_elements(), iter((x,)))))
+        _naturals((x,), "set elements")
+        i, found = self._at(x)
+        if found:
+            return self
+        elements = self._elements[:i] + (x,) + self._elements[i:]
+        gaps = self.gaps[:i] + _gaps(elements, i, i + 2) + self.gaps[i + 1 :]  # x splits gap i
+        return _built(GapSet, gaps=gaps, _elements=elements)
 
     def remove(self, x: int) -> "GapSet":
-        return GapSet(_regap(e for e in self.iter_elements() if e != x))
+        i, found = self._at(x)
+        if not found:
+            return self
+        elements = self._elements[:i] + self._elements[i + 1 :]
+        gaps = self.gaps[:i] + _gaps(elements, i, i + 1) + self.gaps[i + 2 :]  # x's gaps join
+        return _built(GapSet, gaps=gaps, _elements=elements)
 
     def union(self, other: "GapSet") -> "GapSet":
-        return GapSet(_regap(_merge_union(self.iter_elements(), other.iter_elements())))
+        return GapSet.from_elements(self._elements + other._elements)
 
     def intersection(self, other: "GapSet") -> "GapSet":
-        return GapSet(
-            _regap(_merge_common(self.iter_elements(), other.iter_elements(), True))
-        )
+        return GapSet.from_elements(set(self._elements).intersection(other._elements))
 
     def difference(self, other: "GapSet") -> "GapSet":
-        return GapSet(
-            _regap(_merge_common(self.iter_elements(), other.iter_elements(), False))
-        )
+        return GapSet.from_elements(set(self._elements).difference(other._elements))
 
     def subset(self, other: "GapSet") -> bool:
-        return self.intersection(other) == self
-
-    def __contains__(self, x: int) -> bool:
-        return self.member(x)
+        return set(self._elements).issubset(other._elements)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(g) for g in self.gaps) + "]"
 
 
-def _merge_union(a: Iterator[int], b: Iterator[int]) -> Iterator[int]:
-    x = next(a, None)
-    y = next(b, None)
-    while x is not None or y is not None:
-        if y is None or (x is not None and x < y):
-            yield x
-            x = next(a, None)
-        elif x is None or y < x:
-            yield y
-            y = next(b, None)
-        else:
-            yield x
-            x = next(a, None)
-            y = next(b, None)
-
-
-def _merge_common(a: Iterator[int], b: Iterator[int], keep_common: bool) -> Iterator[int]:
-    # elements of a that are (keep_common) or are not (difference) in b
-    x = next(a, None)
-    y = next(b, None)
-    while x is not None:
-        while y is not None and y < x:
-            y = next(b, None)
-        if (y == x) == keep_common:
-            yield x
-        x = next(a, None)
-
-
 def set_literal(s: GapSet) -> str:
     """Element form for command-line I/O, e.g. {4,11,96}."""
-    return "{" + ",".join(str(e) for e in s.iter_elements()) + "}"
+    return "{" + ",".join(str(e) for e in s.elements()) + "}"
 
 
 def parse_set_literal(text: str) -> GapSet:
@@ -140,60 +133,54 @@ class GapMap:
     """Finite map from naturals, keys in gap form with values alongside."""
 
     entries: tuple[tuple[int, Any], ...] = ()
+    _keys: GapSet = field(init=False, repr=False, compare=False)  # where each key is
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple([(g, v) for g, v in self.entries]))
+        object.__setattr__(self, "_keys", GapSet([g for g, _ in self.entries]))
 
     @staticmethod
     def from_items(items: Iterable[tuple[int, Any]]) -> "GapMap":
-        picked: dict[int, Any] = {}
-        for k, v in items:
-            if k < 0:
-                raise ValueError("map keys must be naturals")
-            picked[k] = v
-        return GapMap(_regap_items(sorted(picked.items())))
+        items = tuple(items)
+        keys = GapSet.from_elements(_naturals([k for k, _ in items], "map keys"))
+        entries = tuple(zip(keys.gaps, map(dict(items).__getitem__, keys._elements)))
+        return _built(GapMap, entries=entries, _keys=keys)
+
+    def _spliced(self, keys: GapSet, i: int, values: list, j: int) -> "GapMap":
+        """The map with these keys, entries i..j-1 replaced by values at their gaps."""
+        window = tuple(zip(keys.gaps[i : i + len(values)], values))
+        return _built(GapMap, entries=self.entries[:i] + window + self.entries[j:], _keys=keys)
 
     def iter_items(self) -> Iterator[tuple[int, Any]]:
-        prev = -1
-        for gap, value in self.entries:
-            prev += gap + 1
-            yield prev, value
+        return iter(self.items())
 
     def items(self) -> tuple[tuple[int, Any], ...]:
-        return tuple(self.iter_items())
+        return tuple(zip(self._keys._elements, [v for _, v in self.entries]))
 
     def size(self) -> int:
         return len(self.entries)
 
     def lookup(self, k: int, default: Any = None) -> Any:
-        for key, value in self.iter_items():
-            if key == k:
-                return value
-            if key > k:
-                return default
-        return default
+        i, found = self._keys._at(k)
+        return self.entries[i][1] if found else default
 
     def insert(self, k: int, v: Any) -> "GapMap":
-        if k < 0:
-            raise ValueError("map keys must be naturals")
-        kept = [(key, value) for key, value in self.iter_items() if key != k]
-        kept.append((k, v))
-        kept.sort(key=lambda kv: kv[0])
-        return GapMap(_regap_items(kept))
+        _naturals((k,), "map keys")
+        i, found = self._keys._at(k)
+        # unless k is a key, it splits the gap of entry i, if there is one
+        moved = () if found else self.entries[i : i + 1]
+        return self._spliced(self._keys.insert(k), i, [v, *[value for _, value in moved]], i + 1)
 
     def remove(self, k: int) -> "GapMap":
-        return GapMap(
-            _regap_items([(key, value) for key, value in self.iter_items() if key != k])
-        )
+        i, found = self._keys._at(k)
+        if not found:
+            return self
+        # entry i + 1, if there is one, takes over the gap of entry i
+        moved = [value for _, value in self.entries[i + 1 : i + 2]]
+        return self._spliced(self._keys.remove(k), i, moved, i + 2)
 
     def keys(self) -> GapSet:
-        return GapSet(tuple(gap for gap, _value in self.entries))
-
-
-def _regap_items(items: list[tuple[int, Any]]) -> tuple[tuple[int, Any], ...]:
-    out = []
-    prev = -1
-    for k, v in items:
-        out.append((k - prev - 1, v))
-        prev = k
-    return tuple(out)
+        return self._keys
 
 
 # ------------------------------------------------------------- term sets
@@ -220,13 +207,10 @@ class TermSet:
     def _like(self, codes: GapSet) -> "TermSet":
         return TermSet(self.plan, self.type_name, self.index, codes)
 
-    def _compatible(self, other: "TermSet") -> None:
-        if (self.plan, self.type_name, self.index) != (
-            other.plan,
-            other.type_name,
-            other.index,
-        ):
+    def _codes_of(self, other: "TermSet") -> GapSet:
+        if (self.plan, self.type_name, self.index) != (other.plan, other.type_name, other.index):
             raise ValueError("term sets belong to different classes")
+        return other.codes
 
     def insert(self, term: Term) -> "TermSet":
         return self._like(self.codes.insert(_code(self, term)))
@@ -238,16 +222,13 @@ class TermSet:
         return self.codes.member(_code(self, term))
 
     def union(self, other: "TermSet") -> "TermSet":
-        self._compatible(other)
-        return self._like(self.codes.union(other.codes))
+        return self._like(self.codes.union(self._codes_of(other)))
 
     def intersection(self, other: "TermSet") -> "TermSet":
-        self._compatible(other)
-        return self._like(self.codes.intersection(other.codes))
+        return self._like(self.codes.intersection(self._codes_of(other)))
 
     def difference(self, other: "TermSet") -> "TermSet":
-        self._compatible(other)
-        return self._like(self.codes.difference(other.codes))
+        return self._like(self.codes.difference(self._codes_of(other)))
 
     def size(self) -> int:
         return self.codes.size()
@@ -255,7 +236,7 @@ class TermSet:
     def elements(self) -> tuple[Term, ...]:
         return tuple(
             decode_closed(self.plan, self.type_name, self.index, code)
-            for code in self.codes.iter_elements()
+            for code in self.codes.elements()
         )
 
 
@@ -268,18 +249,17 @@ class TermMap:
     index: int | None = None
     entries: GapMap = GapMap()
 
+    def _like(self, entries: GapMap) -> "TermMap":
+        return TermMap(self.plan, self.type_name, self.index, entries)
+
     def insert(self, term: Term, value: Any) -> "TermMap":
-        return TermMap(
-            self.plan, self.type_name, self.index, self.entries.insert(_code(self, term), value)
-        )
+        return self._like(self.entries.insert(_code(self, term), value))
 
     def lookup(self, term: Term, default: Any = None) -> Any:
         return self.entries.lookup(_code(self, term), default)
 
     def remove(self, term: Term) -> "TermMap":
-        return TermMap(
-            self.plan, self.type_name, self.index, self.entries.remove(_code(self, term))
-        )
+        return self._like(self.entries.remove(_code(self, term)))
 
     def size(self) -> int:
         return self.entries.size()

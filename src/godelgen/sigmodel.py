@@ -746,6 +746,7 @@ class Analysis:
     nat_literal: NatIndex | None
     graph: dict[tuple[str, IndexClass], dict[str, Edge]]  # class -> ctor -> edge
     rules: dict[str, tuple]  # per constructor; see _layout
+    blocks: dict[str, FiniteBlock]  # the instance block of each finite unindexed type
 
 
 def _nat_shape(decl: TypeDecl) -> NatIndex | None:
@@ -843,6 +844,7 @@ class _Analyzer:
         self.classes: dict[str, tuple[IndexClass, ...]] = dict.fromkeys(sig.by_name, ())
         self.graph: dict[tuple[str, IndexClass], dict[str, Edge]] = {}
         self.card: dict[tuple[str, IndexClass], Cardinality] = {}  # of the graph last counted
+        self.blocks: dict[str, FiniteBlock] = {}  # each set when its type is counted
         self.patterns: dict[str, tuple] = {}
         self.rules: dict[str, tuple] = {}  # compiled at each constructor's first edge
         self.diags: dict[Diagnostic, None] = {}  # in the order found
@@ -910,17 +912,10 @@ class _Analyzer:
             return ("invalid",)
         # finite index: a concrete value
         value = _constant(
-            self.sig, self.nat_shapes, self._index_block, self.defer,
+            self.sig, self.nat_shapes, self.blocks.get, self.defer,
             ctor.name, ctor.family, kind, expr,
         )
         return ("invalid",) if value is None else ("const", value)
-
-    def _index_block(self, t: str) -> FiniteBlock | None:
-        """Instance block of finite type t, once t is counted."""
-        card = self.card.get((t, UNIT_CLASS))
-        if card is None or not card.is_finite:
-            return None
-        return _partition(self.graph[(t, UNIT_CLASS)].values(), self.card)[0]
 
     def _rule(self, ctor: Ctor, type_name: str, index: tuple[IndexExpr, ...]) -> tuple:
         """(type, slot, offset) for an index of type_name in ctor.  The
@@ -940,7 +935,7 @@ class _Analyzer:
             expr, succs = _succ_chain(expr, kind)
         if not isinstance(expr, IxVar):
             value = _constant(
-                self.sig, self.nat_shapes, self._index_block, self.defer, ctor.name,
+                self.sig, self.nat_shapes, self.blocks.get, self.defer, ctor.name,
                 type_name, kind, index[0],
             )
             if value is None or isinstance(kind, FiniteIndex) and value >= kind.count:
@@ -1019,6 +1014,11 @@ class _Analyzer:
             ck: EMPTY if ck not in inhab else INFINITE if ck in infinite else finite(counts[ck])
             for ck in self.graph
         }
+        # a type's count and block read only the strata it reaches, which
+        # a later count leaves as they are
+        for (t, k), edges in self.graph.items():
+            if k == UNIT_CLASS and t not in self.blocks and self.card[(t, k)].is_finite:
+                self.blocks[t] = _partition(edges.values(), self.card)[0]
 
     def run(self) -> Analysis:
         """One pass over strata, building each edge once: first the types
@@ -1072,6 +1072,7 @@ class _Analyzer:
             nat_literal=nat_literal,
             graph=self.graph,
             rules=self.rules,
+            blocks=self.blocks,
         )
 
 
@@ -1276,7 +1277,7 @@ class ValidatedSignature:
     ) -> int | None:
         """Value of an index expression of type ixtype, None if ill-formed."""
         return _index_value(
-            self.sig, self.analysis.nat_shapes, self._index_block, ixtype, expr, binding
+            self.sig, self.analysis.nat_shapes, self.analysis.blocks.get, ixtype, expr, binding
         )
 
     def arg_targets(
@@ -1289,9 +1290,6 @@ class ValidatedSignature:
         if applied is not None:
             return applied
         return _apply_layout(rules, (index, *index_args))
-
-    def _index_block(self, type_name: str) -> FiniteBlock:
-        return self.partitions[(type_name, UNIT_CLASS)][0]
 
     def ctors_for_class(
         self, type_name: str, cls: IndexClass
@@ -1374,16 +1372,14 @@ def validate(sig: Signature) -> ValidatedSignature:
 
     partitions = {ck: _partition(edges.values(), ana.card) for ck, edges in ana.graph.items()}
 
-    def block_of(t: str) -> FiniteBlock | None:
-        finite = ana.card.get((t, UNIT_CLASS), EMPTY).is_finite
-        return partitions[(t, UNIT_CLASS)][0] if finite else None
-
     # an abbreviation's index follows a constructor's result-index rules
     for ab in sig.abbrevs.values():
         kind = ana.kinds[ab.type_name]
         if ab.type_name not in analyzed or kind is None:
             continue
-        _constant(sig, ana.nat_shapes, block_of, add, ab.name, ab.type_name, kind, ab.index[0])
+        _constant(
+            sig, ana.nat_shapes, ana.blocks.get, add, ab.name, ab.type_name, kind, ab.index[0]
+        )
 
     # uniformity: every class of an indexed family has the same cardinality
     for decl in sig.decls:

@@ -485,6 +485,11 @@ class _Namer:
 _INFER = object()
 
 
+def _unknown_ctor(name: str) -> TermError:
+    """The error for a term node whose constructor the signature lacks."""
+    return TermError(f"unknown constructor {name!r}")
+
+
 def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -> str:
     """Render a term as parseable text.
 
@@ -521,7 +526,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
     # once the argument it closes is printed; and, below that, for an
     # argument with binders, the length the log had when it began
     stack: list = []
-    arg_targets = vsig.arg_targets
+    ctors, arg_targets = vsig.sig.ctors, vsig.arg_targets
     # one name per (type, index, level) in scope; every write logs the
     # name it hides, and a binder's argument undoes its writes as it ends
     t, env, log, counts = term, {}, [], EMPTY_COUNTS
@@ -535,9 +540,12 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 log.append((key, None))
             emit(name)
         else:
+            ctor = ctors.get(t.ctor)
+            if ctor is None:
+                raise _unknown_ctor(t.ctor)
             emit(t.ctor)
             if t.index_args:
-                for (_, ptype, _), value in zip(vsig.sig.ctors[t.ctor].pi_args, t.index_args):
+                for (_, ptype, _), value in zip(ctor.pi_args, t.index_args):
                     emit(" " + index_value_text(ptype, value))
             targets = arg_targets(t.ctor, index, t.index_args)
             stack.append((enumerate(zip(targets, t.args)), len(t.args) - 1, counts))
@@ -588,6 +596,8 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
 def _infer_index(vsig: ValidatedSignature, term: Term) -> int | None:
     if isinstance(term, Var):
         return term.index
+    if term.ctor not in vsig.sig.ctors:
+        raise _unknown_ctor(term.ctor)
     pat = vsig.pattern(term.ctor)
     if pat[0] == "unit":
         return None
@@ -638,7 +648,7 @@ def _check(vsig, type_name, index, counts, term, memo=None):
         elif memo is None or memo.get((id(term), type_name, index, counts)) is None:
             ctor = ctors.get(term.ctor)
             if ctor is None:
-                raise TermError(f"unknown constructor {term.ctor!r}")
+                raise _unknown_ctor(term.ctor)
             if ctor.family != type_name:
                 raise TermError(
                     f"constructor {term.ctor} constructs {ctor.family},"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,8 @@ FIGURES = [
 ]
 
 elements_lists = st.lists(st.integers(min_value=0, max_value=120), max_size=30)
+# small naturals, so that operations meet, and a few huge ones
+naturals = st.one_of(st.integers(0, 60), st.integers(10**100, 10**100 + 3))
 
 
 class TestGapForm:
@@ -63,10 +66,33 @@ class TestGapForm:
         assert GapSet.from_elements([5, 0, 5, 0, 3]) == GapSet.from_elements([0, 3, 5])
 
     def test_rejects_negative_elements(self):
-        with pytest.raises(ValueError):
-            GapSet.from_elements([3, -1])
-        with pytest.raises(ValueError):
-            GapSet().insert(-2)
+        # anything but an int of at least 0, at every entry point
+        for bad in [-1, -2, 2.5, 1.5, "a", True, None, (1,)]:
+            for make in (
+                lambda: GapSet.from_elements([3, bad]),
+                lambda: GapSet.from_elements([bad]),
+                lambda: GapSet().insert(bad),
+                lambda: GapSet.from_elements([4, 11]).insert(bad),
+            ):
+                with pytest.raises(ValueError, match="^set elements must be naturals$"):
+                    make()
+
+    def test_lists_are_stored_as_tuples(self):
+        s = GapSet([3, 1])
+        assert s == GapSet((3, 1)) and s.gaps == (3, 1)
+        assert hash(s) == hash(GapSet((3, 1)))
+        assert s.insert(0).gaps == (0, 2, 1) and s.remove(3).gaps == (5,)
+        m = GapMap([[2, "x"], (0, "y")])
+        assert m == GapMap(((2, "x"), (0, "y"))) and hash(m) == hash(GapMap(m.entries))
+        assert m.insert(0, "z").entries == ((0, "z"), (1, "x"), (0, "y"))
+
+    def test_derived_elements_stay_out_of_equality_and_repr(self):
+        s = GapSet.from_elements([4, 11, 96])
+        built = GapSet().insert(96).insert(4).insert(11)
+        assert repr(s) == repr(built) == "GapSet(gaps=(4, 6, 84))"
+        assert s == built == GapSet((4, 6, 84))
+        assert hash(s) == hash(built) == hash(GapSet((4, 6, 84)))
+        assert repr(GapMap.from_items([(4, "a")])) == "GapMap(entries=((4, 'a'),))"
 
     @given(elements_lists)
     def test_from_elements_matches_python_set(self, xs):
@@ -128,6 +154,31 @@ class TestSetOps:
         assert a.intersection(b).elements() == tuple(sorted(sa & sb))
         assert a.difference(b).elements() == tuple(sorted(sa - sb))
         assert a.subset(b) == (sa <= sb)
+
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "remove", "member"]), naturals)))
+    def test_op_sequences_match_python_set(self, ops):
+        # insert and remove splice the gaps and elements they touch
+        s, ref = GapSet(), set()
+        for op, x in ops:
+            if op == "insert":
+                s, _ = s.insert(x), ref.add(x)
+            elif op == "remove":
+                s, _ = s.remove(x), ref.discard(x)
+            else:
+                assert s.member(x) == (x in ref) == (x in s)
+            assert s.elements() == tuple(sorted(ref)) == GapSet(s.gaps).elements()
+            assert s == GapSet.from_elements(ref) and s.size() == len(ref)
+
+    def test_eight_thousand_inserts_and_members_are_fast(self):
+        xs = random.Random(15).sample(range(10**6), 8000)
+        t0 = time.perf_counter()
+        s = GapSet()
+        for x in xs:
+            s = s.insert(x)
+        assert all(s.member(x) for x in xs)
+        spent = time.perf_counter() - t0
+        assert s.elements() == tuple(sorted(xs))
+        assert spent < 3.0, f"8,000 inserts and members took {spent:.2f} s"
 
     def test_algebraic_laws_on_random_sets(self):
         rng = random.Random(20260823)
@@ -194,8 +245,15 @@ class TestGapMap:
             assert tuple(gap for gap, _ in m.entries) == s.gaps
 
     def test_rejects_negative_keys(self):
-        with pytest.raises(ValueError):
-            GapMap().insert(-1, "x")
+        for bad in [-1, 1.5, "a", True, None]:
+            for make in (
+                lambda: GapMap().insert(bad, "x"),
+                lambda: GapMap.from_items([(bad, "x")]),
+                lambda: GapMap.from_items([(1, "y"), (bad, "x")]),
+                lambda: GapMap.from_items([(4, "y")]).insert(bad, "x"),
+            ):
+                with pytest.raises(ValueError, match="^map keys must be naturals$"):
+                    make()
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 9)), max_size=25))
     def test_matches_python_dict(self, items):
@@ -203,6 +261,21 @@ class TestGapMap:
         d = dict(items)
         assert m.items() == tuple(sorted(d.items()))
         assert all(m.lookup(k) == v for k, v in d.items())
+
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "remove", "lookup"]), naturals,
+                              st.integers(0, 9))))
+    def test_op_sequences_match_python_dict(self, ops):
+        m, ref = GapMap(), {}
+        for op, k, v in ops:
+            if op == "insert":
+                m, ref[k] = m.insert(k, v), v
+            elif op == "remove":
+                m, _ = m.remove(k), ref.pop(k, None)
+            else:
+                assert m.lookup(k) == ref.get(k) and m.lookup(k, "d") == ref.get(k, "d")
+            assert m.items() == tuple(sorted(ref.items()))
+            assert m == GapMap.from_items(ref.items()) == GapMap(m.entries)
+            assert m.keys() == GapSet.from_elements(ref) and m.size() == len(ref)
 
 
 class TestTermCollections:

@@ -452,6 +452,22 @@ def test_print_open_term(vsigs):
     assert text == "app x0 x1"
 
 
+def test_print_rejects_unknown_constructors(vsigs):
+    # as check_term does: at the head, whose index is inferred from its
+    # pattern or given, with index arguments, and inside an argument
+    v = vsigs["lambda"]
+    inner = Con("lam", (), (TermArg(1, Con("nope")),))
+    calls = [
+        lambda: print_term(v, Con("nope")),
+        lambda: print_term(v, Con("nope"), None),
+        lambda: print_term(vsigs["termfam"], Con("nope", (3,)), 0),
+        lambda: print_term(v, inner),
+    ]
+    for call in calls:
+        with pytest.raises(TermError, match="^unknown constructor 'nope'$"):
+            call()
+
+
 def test_deep_terms(vsigs):
     v = vsigs["nat"]
     text = "1024"
