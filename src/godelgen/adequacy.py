@@ -3,11 +3,12 @@
 Four properties per (type, index class), checked against an
 independent structural enumerator rather than the codec itself:
 total (every term encodes), unique (alpha-variants and reprints
-encode alike), onto (every code decodes and round-trips), and
-one-to-one (no two terms share a code).
+encode alike), onto (every code decodes to a well-typed term and
+round-trips), and one-to-one (no two terms share a code).
 
-The onto sweep calls the codec's and checker's loops directly, with a
-bounded memo each, and every decode spends at most the budget's fuel.
+The onto sweep calls the codec's decode and encode loops directly, with
+a bounded memo each; encode tests each node as check_term does.  Every
+decode spends at most the budget's fuel.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .termrep import (
     Term,
     TermArg,
     Var,
-    _check,
     parse_term,
     print_term,
 )
@@ -302,16 +302,15 @@ class _SweepMemo:
 
 
 def _check_code(plan, type_name, index, code, fuel, memos):
-    decoded, checked, encoded = memos
+    decoded, encoded = memos
     try:
         term = _decode(plan, type_name, index, EMPTY_COUNTS, code, [fuel], decoded)
     except FuelExhausted as exc:
         return f"code {code} did not decode: {type(exc).__name__}: {exc}"
-    try:
-        _check(plan.vsig, type_name, index, EMPTY_COUNTS, term, checked)
+    try:  # encode tests each node as check_term does, with its messages
+        back = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
     except TermError as exc:
         return f"code {code} decoded to an ill-typed term: {exc}"
-    back = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
     if back != code:
         return f"code {code} decoded to a term that re-encodes to {back}"
     return None
@@ -323,21 +322,22 @@ def verify_onto(
     index: int | None,
     budget: EnumBudget,
 ) -> Verdict:
-    """Every code up to the budget decodes, checks, and round-trips.
+    """Every code up to the budget decodes to a well-typed term that round-trips.
 
     The first failing code is reported; a decode that does not terminate
-    is reported when it runs out of fuel, as public decode would.  The
-    sweep keeps bounded memos (see _SweepMemo) of the nodes it decoded,
-    checked and encoded, so a subterm shared by many codes, such as code
-    n - 1 inside nat code n, is done once per context rather than once
-    per code: a chain sweep costs linear, not quadratic, time.  Every
-    code is still decoded, checked and re-encoded, and a memo hit charges
-    the fuel the subterm's own decode spent.  The memos are dropped when
-    the sweep returns.
+    is reported when it runs out of fuel, as public decode would, and an
+    ill-typed term with check_term's message, as encode tests each node.
+    The sweep keeps bounded memos (see _SweepMemo) of the nodes it decoded
+    and encoded, so a subterm shared by many codes, such as code n - 1
+    inside nat code n, is done once per context rather than once per
+    code: a chain sweep costs linear, not quadratic, time.  Every code is
+    still decoded and re-encoded, and a memo hit charges the fuel the
+    subterm's own decode spent.  The memos are dropped when the sweep
+    returns.
     """
     cp = plan.class_plan(type_name, index)
     codes = cp.cardinality.codes_below(budget.code_for(type_name, cp.index_class.label))
-    memos = (_SweepMemo(), _SweepMemo(), _SweepMemo())
+    memos = (_SweepMemo(), _SweepMemo())
     for code in codes:
         problem = _check_code(plan, type_name, index, code, budget.fuel, memos)
         if problem is not None:

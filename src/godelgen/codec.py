@@ -37,9 +37,10 @@ from .termrep import (
     Term,
     TermArg,
     Var,
+    _check_con,
     _check_target,
+    _check_var,
     binder_mismatch,
-    check_shape,
 )
 
 DEFAULT_FUEL = 100_000
@@ -214,26 +215,18 @@ def _encode(plan, type_name, index, counts, term, memo=None):
     """term's code, in a loop over a stack of frames, one per Con whose
     arguments are being encoded: the node, its counts, variable count,
     class plan, finite entry (or None) and tag, its arguments' targets
-    and their codes so far, and its memo key.  A memo maps (id(node),
-    type, index, counts) to (node, code) for Con nodes already encoded;
-    the node in the value keeps its id from being reused while the key is
-    held."""
+    and their codes so far, and its memo key.  Nodes are tested by
+    check_term's tests (_check_var, _check_con), so encode fails where it
+    does, with its message.  A memo maps (id(node), type, index, counts)
+    to (node, code) for Con nodes already encoded; the node in the value
+    keeps its id from being reused while the key is held."""
     vsig, stack = plan.vsig, []
-    ctors, arg_targets = vsig.sig.ctors, vsig.arg_targets
+    arg_targets, fits = vsig.arg_targets, set()
     plans: dict[tuple[str, int | None], ClassPlan] = {}  # see _decode
     while True:
         code = None
         if isinstance(term, Var):
-            if (term.type_name, term.index) != (type_name, index):
-                raise TermError(
-                    f"variable of type {term.type_name} does not fit {type_name}"
-                )
-            v = counts.get(type_name, index)
-            if not 0 <= term.level < v:
-                raise TermError(
-                    f"variable level {term.level} out of scope ({v} in context)"
-                )
-            code = term.level
+            code = _check_var(term, type_name, index, counts)
         else:
             key = None
             if memo is not None:
@@ -242,17 +235,13 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 if hit is not None:
                     code = hit[1]
             if code is None:
-                ctor = ctors.get(term.ctor)
-                if ctor is None or ctor.family != type_name:
-                    raise TermError(f"constructor {term.ctor!r} does not construct {type_name}")
-                check_shape(ctor, term)
+                _check_con(vsig, fits, type_name, index, term)
                 cp = plans.get((type_name, index))
                 if cp is None:
                     cp = plans[type_name, index] = plan.class_plan(type_name, index)
+                # a constructor that fits the class is in its finite block or its tags
                 entry, tag = cp.finite.entry_for(term.ctor), None
                 if entry is None:
-                    if term.ctor not in cp.tags:
-                        raise TermError(f"constructor {term.ctor} cannot construct {cp.label}")
                     tag = cp.tags.index(term.ctor)
                 targets = arg_targets(term.ctor, index, term.index_args)
                 v = counts.get(type_name, index)

@@ -49,8 +49,11 @@ class GapSet:
     _elements: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gaps", tuple(self.gaps))
-        sums = accumulate([g + 1 for g in self.gaps])  # each element plus 1
+        gaps = tuple(self.gaps)
+        if not all(g.__class__ is int for g in gaps) or min(gaps, default=0) < 0:
+            raise ValueError("set gaps must be naturals")
+        object.__setattr__(self, "gaps", gaps)
+        sums = accumulate([g + 1 for g in gaps])  # each element plus 1
         object.__setattr__(self, "_elements", tuple([e - 1 for e in sums]))
 
     @staticmethod

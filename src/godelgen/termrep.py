@@ -618,52 +618,22 @@ def check_term(
     counts: CountVector,
     term: Term,
 ) -> None:
-    """Raise TermError unless term is well-typed at (type, index) under counts."""
+    """Raise TermError unless term is well-typed at (type, index) under
+    counts.  A loop over a stack of frames, one per Con whose arguments
+    are being checked: the node, its remaining (target, argument) pairs
+    and its counts.  Each node is tested as encode tests it."""
     _check_target(vsig, type_name, index)
-    _check(vsig, type_name, index, counts, term)
-
-
-def _check(vsig, type_name, index, counts, term, memo=None):
-    """Raise TermError unless term is well-typed here.  A loop over a
-    stack of frames, one per Con whose arguments are being checked: the
-    node, its remaining (target, argument) pairs, its counts and memo key.
-    A memo maps (id(node), type, index, counts) to the node for Con nodes
-    already checked; the node in the value keeps its id from being reused."""
-    ctors, pattern, class_of, arg_targets = (
-        vsig.sig.ctors, vsig.pattern, vsig.class_of, vsig.arg_targets
-    )
+    arg_targets, fits = vsig.arg_targets, set()
     stack = []
     while True:
         if isinstance(term, Var):
-            if (term.type_name, term.index) != (type_name, index):
-                raise TermError(
-                    f"variable of type {_describe(term.type_name, term.index)},"
-                    f" expected {_describe(type_name, index)}"
-                )
-            if not 0 <= term.level < counts.get(type_name, index):
-                raise TermError(
-                    f"variable level {term.level} out of scope"
-                    f" ({counts.get(type_name, index)} in context)"
-                )
-        elif memo is None or memo.get((id(term), type_name, index, counts)) is None:
-            ctor = ctors.get(term.ctor)
-            if ctor is None:
-                raise _unknown_ctor(term.ctor)
-            if ctor.family != type_name:
-                raise TermError(
-                    f"constructor {term.ctor} constructs {ctor.family},"
-                    f" expected {_describe(type_name, index)}"
-                )
-            if not applies(pattern(ctor.name), class_of(type_name, index)):
-                raise TermError(
-                    f"constructor {term.ctor} cannot construct {_describe(type_name, index)}"
-                )
-            check_shape(ctor, term)
+            _check_var(term, type_name, index, counts)
+        else:
+            _check_con(vsig, fits, type_name, index, term)
             targets = arg_targets(term.ctor, index, term.index_args)
-            key = None if memo is None else (id(term), type_name, index, counts)
-            stack.append((term, zip(targets, term.args), counts, key))
+            stack.append((term, zip(targets, term.args), counts))
         while stack:
-            node, todo, node_counts, key = stack[-1]
+            node, todo, node_counts = stack[-1]
             step = next(todo, None)
             if step is not None:
                 (type_name, index, keys), ta = step
@@ -673,16 +643,38 @@ def _check(vsig, type_name, index, counts, term, memo=None):
                 term = ta.body
                 break
             stack.pop()
-            if memo is not None:
-                memo[key] = node
         else:
             return
 
 
-def check_shape(ctor: Ctor, term: Con) -> None:
-    """Raise TermError unless term has ctor's argument and index-argument
-    counts and its index arguments are naturals.  The loops over the
-    arguments check each one's binder count (see binder_mismatch)."""
+def _check_var(term: Var, type_name: str, index: int | None, counts: CountVector) -> int:
+    """term's level, unless the variable does not fit (type, index) under counts."""
+    if term.type_name != type_name or term.index != index:
+        raise TermError(
+            f"variable of type {_describe(term.type_name, term.index)},"
+            f" expected {_describe(type_name, index)}"
+        )
+    if not 0 <= term.level < counts.get(type_name, index):
+        raise TermError(
+            f"variable level {term.level} out of scope"
+            f" ({counts.get(type_name, index)} in context)"
+        )
+    return term.level
+
+
+def _check_con(vsig: ValidatedSignature, fits: set, type_name: str, index: int | None, term: Con):
+    """Raise TermError unless the node term fits (type, index): its
+    constructor is known and passes _check_ctor (once per walk for each
+    (constructor, type, index) in fits, as _read does), it has the
+    constructor's argument and index-argument counts, and its index
+    arguments are naturals.  The loops over the arguments check each
+    one's binder count (see binder_mismatch)."""
+    ctor = vsig.sig.ctors.get(term.ctor)
+    if ctor is None:
+        raise _unknown_ctor(term.ctor)
+    if (term.ctor, type_name, index) not in fits:
+        _check_ctor(vsig, ctor, type_name, index)
+        fits.add((term.ctor, type_name, index))
     if len(term.index_args) != len(ctor.pi_args):
         raise TermError(
             f"constructor {term.ctor} takes {len(ctor.pi_args)} index"

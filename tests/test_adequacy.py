@@ -1,5 +1,6 @@
 """Tests for the bounded bijection verifier and its term enumerator."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from godelgen.adequacy import (
 )
 from godelgen.codec import (
     DEFAULT_FUEL,
+    CodecPlan,
     _decode,
     _encode,
     assign_tags,
@@ -30,7 +32,6 @@ from godelgen.termrep import (
     Con,
     TermArg,
     Var,
-    _check,
     check_term,
     print_term,
     term_size,
@@ -237,6 +238,28 @@ class TestFailureDetection:
         rat_row = [r for r in data["classes"] if r["type"] == "rat"][0]
         assert "counterexample" in rat_row
 
+    def test_ill_typed_decode_fails_onto_with_check_terms_message(self, plans):
+        # natlist's tag 0 names s, a nat constructor, so code 1 decodes to
+        # s z at natlist; encode's tests report it as check_term does
+        plan = plans["natlist"]
+        vsig = plan.vsig
+        key = ("natlist", vsig.class_of("natlist", None))
+        cp = plan.classes[key]
+        assert cp.tags == ("natlist/+",)
+        bad_cp = replace(cp, tags=("s",), steps=(("s", (0,), 0),))
+        bad = CodecPlan(vsig, {**plan.classes, key: bad_cp})
+        term = _decode(bad, "natlist", None, EMPTY_COUNTS, 1, [DEFAULT_FUEL])
+        assert term == Con("s", (), (TermArg(0, Con("z")),))
+        with pytest.raises(TermError) as info:
+            check_term(vsig, "natlist", None, EMPTY_COUNTS, term)
+        assert str(info.value) == "constructor s constructs nat, expected natlist"
+        budget = EnumBudget.with_overrides(max_code=50)
+        verdict = verify_onto(bad, "natlist", None, budget)
+        assert verdict == reference_onto(bad, "natlist", None, budget)
+        assert verdict == Verdict(
+            False, 1, f"code 1 decoded to an ill-typed term: {info.value}"
+        )
+
 
 # ---------------------------------------------------------------------
 # The onto sweep's memo against a sweep without one.
@@ -320,14 +343,12 @@ class TestSweepMemo:
         two = one.extend("t", None)
         x0 = Var("t", None, 0)
         term = Con("app", (), (TermArg(0, x0), TermArg(0, x0)))
-        checked = _SweepMemo()
-        _check(plan.vsig, "t", None, one, term, checked)
-        with pytest.raises(TermError, match="out of scope"):
-            _check(plan.vsig, "t", None, EMPTY_COUNTS, term, checked)
         encoded, decoded = _SweepMemo(), _SweepMemo()
         for counts in (one, two, one):
             code = _encode(plan, "t", None, counts, term, encoded)
             assert code == encode(plan, "t", None, counts, term)
+        with pytest.raises(TermError, match="out of scope"):
+            _encode(plan, "t", None, EMPTY_COUNTS, term, encoded)
         for counts in (one, EMPTY_COUNTS, two, one):
             got = _decode(plan, "t", None, counts, 9, [DEFAULT_FUEL], decoded)
             assert got == decode(plan, "t", None, counts, 9)

@@ -563,10 +563,11 @@ def first_errors(cases):
 
 
 def test_first_error_of_ill_fitting_terms(vsigs, plans):
+    # encode and check_term test each node alike, so they agree
     not_natural = "index argument {} of exists is not a natural"
     assert first_errors(ill_fitting_terms(vsigs, plans)) == [
-        ("constructor unit cannot construct term[s]", "constructor unit cannot construct term 1"),
-        ("constructor lam cannot construct term[z]", "constructor lam cannot construct term 0"),
+        ("constructor unit cannot construct term 1",) * 2,
+        ("constructor lam cannot construct term 0",) * 2,
         *[(f"constructor mk takes 2 argument(s), got {n}",) * 2 for n in (1, 0, 3)],
         ("constructor mk takes 0 index argument(s), got 1",) * 2,
         ("constructor true takes 0 argument(s), got 1",) * 2,
@@ -607,14 +608,13 @@ def test_first_error_is_the_leftmost_in_depth_first_order(vsigs, plans):
     assert first_errors(cases) == [
         ("argument 0 of lam binds 1 variable(s), term has 0",) * 2,
         ("variable level 3 out of scope (0 in context)",) * 2,
-        ("constructor 'nosuch' does not construct t", "unknown constructor 'nosuch'"),
+        ("unknown constructor 'nosuch'",) * 2,
         ("constructor true takes 0 argument(s), got 1",) * 2,
-        ("constructor 'maybe' does not construct bool", "unknown constructor 'maybe'"),
-        ("constructor unit cannot construct term[s]", "constructor unit cannot construct term 2"),
-        ("variable of type term does not fit term", "variable of type term 1, expected term 0"),
-        ("variable of type term does not fit term", "variable of type term 2, expected term 1"),
-        ("constructor 'natlist/0' does not construct nat",
-         "constructor natlist/0 constructs natlist, expected nat"),
+        ("unknown constructor 'maybe'",) * 2,
+        ("constructor unit cannot construct term 2",) * 2,
+        ("variable of type term 1, expected term 0",) * 2,
+        ("variable of type term 2, expected term 1",) * 2,
+        ("constructor natlist/0 constructs natlist, expected nat",) * 2,
     ]
     texts = [
         ("lambda", "t", None, "app (lam [x] y) (lam [x] z)"),
@@ -640,6 +640,76 @@ def test_first_error_is_the_leftmost_in_depth_first_order(vsigs, plans):
         "constructor natlist/0 constructs natlist, expected nat",
         "constructor natlist/+ expects 2 argument(s), got 3",
     ]
+
+
+def _replace_node(term, pos, fn):
+    """term with its pos-th node in pre-order replaced by fn(node)."""
+    seen = [-1]
+
+    def walk(t):
+        seen[0] += 1
+        if seen[0] == pos:
+            return fn(t)
+        if isinstance(t, Var):
+            return t
+        return Con(t.ctor, t.index_args, tuple(TermArg(a.binder_count, walk(a.body)) for a in t.args))
+
+    return walk(term)
+
+
+def _node_count(term) -> int:
+    return 1 + sum(_node_count(a.body) for a in term.args) if isinstance(term, Con) else 1
+
+
+MUTATED = [("lambda", "t", None), ("termfam", "term", 0), ("termfam", "term", 2),
+           ("exists", "term", 0), ("exists", "term", 1), ("natlist", "natlist", None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_encode_fails_exactly_where_check_term_does(vsigs, plans, data):
+    # a decoded term with one node changed: a swapped constructor, a
+    # variable of another type or level, another binder count, or other
+    # index arguments
+    sig, type_name, index = data.draw(st.sampled_from(MUTATED))
+    vsig, plan = vsigs[sig], plans[sig]
+    term = decode_closed(plan, type_name, index, data.draw(st.integers(0, 5000)))
+    types, levels = sorted(vsig.sig.by_name), st.integers(-1, 3)
+    kind = data.draw(st.sampled_from(["ctor", "var", "binders", "index_args"]))
+
+    def mutate(node):
+        if kind == "var":
+            ix = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+            return Var(data.draw(st.sampled_from(types)), ix, data.draw(levels))
+        if isinstance(node, Var):
+            return node
+        ctor, index_args, args = node.ctor, node.index_args, node.args
+        if kind == "ctor":
+            ctor = data.draw(st.sampled_from([*sorted(vsig.sig.ctors), "nosuch"]))
+        elif kind == "binders" and args:
+            j = data.draw(st.integers(0, len(args) - 1))
+            swapped = TermArg(data.draw(st.integers(0, 3)), args[j].body)
+            args = args[:j] + (swapped,) + args[j + 1:]
+        elif kind == "index_args":
+            values = st.one_of(st.integers(-1, 4), st.just(True))
+            index_args = tuple(data.draw(st.lists(values, max_size=2)))
+        return Con(ctor, index_args, args)
+
+    pos = data.draw(st.integers(0, _node_count(term) - 1))
+    mutated = _replace_node(term, pos, mutate)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except TermError as exc:
+            return str(exc)
+
+    checked = outcome(check_term, vsig, type_name, index, EMPTY_COUNTS, mutated)
+    code = outcome(encode_closed, plan, type_name, index, mutated)
+    if checked is None:
+        assert decode_closed(plan, type_name, index, code) == mutated
+    else:
+        assert code == checked
 
 
 def test_containers_and_compare_reject_ill_fitting_terms(vsigs, plans):

@@ -77,6 +77,23 @@ class TestGapForm:
                 with pytest.raises(ValueError, match="^set elements must be naturals$"):
                     make()
 
+    def test_rejects_gaps_that_are_not_naturals(self):
+        # a negative or non-int gap denotes no set; GapMap's keys are a GapSet
+        for make in (
+            lambda: GapSet((5, -3)),
+            lambda: GapSet((1.5,)),
+            lambda: GapSet((True,)),
+            lambda: GapSet([0, "a"]),
+            lambda: GapMap(((-1, "a"),)),
+            lambda: GapMap(((2, "a"), (0.0, "b"))),
+        ):
+            with pytest.raises(ValueError, match="^set gaps must be naturals$"):
+                make()
+        for gaps in [(), (0,), (5, 3), (0, 0, 0), (10**100, 0)]:
+            assert GapSet(gaps).gaps == gaps
+            assert GapSet.from_elements(GapSet(gaps).elements()) == GapSet(gaps)
+            assert GapMap(tuple((g, None) for g in gaps)).keys() == GapSet(gaps)
+
     def test_lists_are_stored_as_tuples(self):
         s = GapSet([3, 1])
         assert s == GapSet((3, 1)) and s.gaps == (3, 1)
