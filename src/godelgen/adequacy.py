@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 from .codec import DEFAULT_FUEL, CodecPlan, _decode, _encode, decode, encode
 from .errors import FuelExhausted, TermError
-from .sigmodel import IndexClass, ValidatedSignature, applies
+from .sigmodel import IndexClass, ValidatedSignature
 from .termrep import (
     EMPTY_COUNTS,
     Con,
-    CountVector,
     Term,
     TermArg,
     Var,
@@ -155,38 +154,35 @@ class AdequacyReport:
 
 
 def enumerate_terms(
-    vsig: ValidatedSignature,
-    type_name: str,
-    index: int | None,
-    max_size: int,
-    counts: CountVector = EMPTY_COUNTS,
+    vsig: ValidatedSignature, type_name: str, index: int | None, max_size: int
 ) -> list[Term]:
-    """All well-typed terms of at most max_size nodes, smallest first.
+    """All closed well-typed terms of at most max_size nodes, smallest first.
 
-    Purely structural: picks a constructor and distributes the
-    remaining size over its slots, so it never consults the codec.
+    Purely structural: picks a constructor from the class graph and
+    distributes the remaining size over its slots, so it never consults
+    the codec.
     """
     memo: dict = {}
     out: list[Term] = []
     for size in range(1, max_size + 1):
-        out.extend(_terms_at(vsig, type_name, index, size, counts, memo))
+        out.extend(_terms_at(vsig, type_name, index, size, EMPTY_COUNTS, memo))
     return out
 
 
 def _terms_at(vsig, type_name, index, size, counts, memo):
+    """The terms of exactly size nodes at (type, index) under these
+    variable counts: a variable, or each constructor of the class's graph
+    edges, in declaration order, over each split of the size."""
     key = (type_name, index, size, counts)
     found = memo.get(key)
     if found is not None:
         return found
-    cls = vsig.class_of(type_name, index)
     results: list[Term] = []
     if size == 1:
         for level in range(counts.get(type_name, index)):
             results.append(Var(type_name, index, level))
-    decl = vsig.decl(type_name)
-    for ctor in decl.ctors:
-        if not applies(vsig.pattern(ctor.name), cls):
-            continue
+    for edge in vsig.analysis.graph[(type_name, vsig.class_of(type_name, index))].values():
+        ctor = edge.ctor
         for pi_values, left in _pi_values(len(ctor.pi_args), size - 1, len(ctor.args)):
             targets = vsig.arg_targets(ctor.name, index, pi_values)
             for args in _fill_args(vsig, targets, 0, left, counts, memo):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 from operator import sub
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .codec import CodecPlan, decode_closed, encode_closed
 from .termrep import Term
@@ -58,11 +58,7 @@ class GapSet:
 
     @staticmethod
     def from_elements(xs: Iterable[int]) -> "GapSet":
-        elements = _naturals(xs, "set elements")
-        return _built(GapSet, gaps=_gaps(elements, 0, len(elements)), _elements=elements)
-
-    def iter_elements(self) -> Iterator[int]:
-        return iter(self._elements)
+        return _ascending(_naturals(xs, "set elements"))
 
     def elements(self) -> tuple[int, ...]:
         return self._elements
@@ -98,19 +94,24 @@ class GapSet:
         return _built(GapSet, gaps=gaps, _elements=elements)
 
     def union(self, other: "GapSet") -> "GapSet":
-        return GapSet.from_elements(self._elements + other._elements)
+        return _ascending(tuple(sorted({*self._elements, *other._elements})))
 
     def intersection(self, other: "GapSet") -> "GapSet":
-        return GapSet.from_elements(set(self._elements).intersection(other._elements))
+        return _ascending(tuple(filter(set(other._elements).__contains__, self._elements)))
 
     def difference(self, other: "GapSet") -> "GapSet":
-        return GapSet.from_elements(set(self._elements).difference(other._elements))
+        return _ascending(tuple(filterfalse(set(other._elements).__contains__, self._elements)))
 
     def subset(self, other: "GapSet") -> bool:
         return set(self._elements).issubset(other._elements)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(g) for g in self.gaps) + "]"
+
+
+def _ascending(elements: tuple[int, ...]) -> GapSet:
+    """The set of these distinct naturals, given in ascending order."""
+    return _built(GapSet, gaps=_gaps(elements, 0, len(elements)), _elements=elements)
 
 
 def set_literal(s: GapSet) -> str:
@@ -153,9 +154,6 @@ class GapMap:
         """The map with these keys, entries i..j-1 replaced by values at their gaps."""
         window = tuple(zip(keys.gaps[i : i + len(values)], values))
         return _built(GapMap, entries=self.entries[:i] + window + self.entries[j:], _keys=keys)
-
-    def iter_items(self) -> Iterator[tuple[int, Any]]:
-        return iter(self.items())
 
     def items(self) -> tuple[tuple[int, Any], ...]:
         return tuple(zip(self._keys._elements, [v for _, v in self.entries]))

@@ -1228,9 +1228,6 @@ class ValidatedSignature:
     def decls(self) -> list[TypeDecl]:
         return self.sig.decls
 
-    def decl(self, type_name: str) -> TypeDecl:
-        return self.sig.by_name[type_name]
-
     def has_type(self, type_name: str) -> bool:
         return type_name in self.sig.by_name
 
@@ -1363,14 +1360,13 @@ def validate(sig: Signature) -> ValidatedSignature:
                 )
 
     analyzed = {d.name for d in sig.decls if ana.kinds[d.name] not in ("multi", "invalid")}
+    partitions = {ck: _partition(edges.values(), ana.card) for ck, edges in ana.graph.items()}
 
     for decl in sig.decls:
         if decl.name not in analyzed:
             continue
         for ctor in decl.ctors:
-            _validate_ctor(ana, ctor, add)
-
-    partitions = {ck: _partition(edges.values(), ana.card) for ck, edges in ana.graph.items()}
+            _validate_ctor(ana, partitions, ctor, add)
 
     # an abbreviation's index follows a constructor's result-index rules
     for ab in sig.abbrevs.values():
@@ -1471,7 +1467,7 @@ def _partition(edges, card_map) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
     return FiniteBlock(tuple(entries), base), tuple(infinite)
 
 
-def _validate_ctor(ana: Analysis, ctor: Ctor, add) -> None:
+def _validate_ctor(ana: Analysis, partitions: dict, ctor: Ctor, add) -> None:
     seen_vars = set()
     pat = ana.patterns[ctor.name]
     if pat[0] in ("var", "succ"):
@@ -1521,9 +1517,9 @@ def _validate_ctor(ana: Analysis, ctor: Ctor, add) -> None:
                         f"an argument that binds variables must target an"
                         f" infinite type; {a.type_name} is not",
                     )
-        # an infinite-partition constructor none of whose instances exist
-        # would still occupy a tag and break surjectivity
-        if edge.unmet and _is_infinite_partition(ana, ctor):
+        # a constructor that takes a tag at k but has no instances there
+        # would leave that tag's codes without terms
+        if edge.unmet and ctor in partitions[(ctor.family, k)][1]:
             add(
                 "dead-ctor",
                 ctor.name,
@@ -1531,12 +1527,3 @@ def _validate_ctor(ana: Analysis, ctor: Ctor, add) -> None:
                 f"[{k.label}]: some argument type is uninhabited",
             )
 
-
-def _is_infinite_partition(ana: Analysis, ctor: Ctor) -> bool:
-    if ctor.pi_args or any(a.binders for a in ctor.args):
-        return True
-    for a in ctor.args:
-        cards = [ana.card.get((a.type_name, k)) for k in ana.classes.get(a.type_name, ())]
-        if any(c is not None and c.is_infinite for c in cards):
-            return True
-    return False

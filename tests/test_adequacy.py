@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from conftest import SIG_NAMES, sig_text
+from corpus import load_contract, report_digest
+from godelgen import adequacy
 from godelgen.adequacy import (
     MEMO_GENERATION,
     EnumBudget,
@@ -13,7 +15,9 @@ from godelgen.adequacy import (
     _SweepMemo,
     enumerate_terms,
     verify_all,
+    verify_one_to_one,
     verify_onto,
+    verify_total_unique,
 )
 from godelgen.codec import (
     DEFAULT_FUEL,
@@ -162,6 +166,7 @@ class TestVerifyAll:
         for row in report.classes:
             assert row.terms_checked > 0 or row.codes_checked >= 0
             assert row.counterexample is None
+        assert report_digest(report.json_dict(name)) == load_contract()["verify"][name]
 
     def test_report_shape_for_indexed_family(self, plans):
         report = verify_all(plans["termfam"], BUDGETS["termfam"])
@@ -259,6 +264,53 @@ class TestFailureDetection:
         assert verdict == Verdict(
             False, 1, f"code 1 decoded to an ill-typed term: {info.value}"
         )
+
+
+def _refuse(*_):
+    raise TermError("refused")
+
+
+def _starve(*_):
+    raise FuelExhausted()
+
+
+def _counter():
+    codes = iter(range(100))
+    return lambda *_: next(codes)
+
+
+# the term-side verdicts, each reached through an encode or a decode that
+# misbehaves (a factory makes a fresh fake per run); bool's terms are
+# true (code 0) and then false (code 1)
+TERM_FAULTS = {
+    "fails-to-encode": (
+        "encode", lambda: _refuse, verify_total_unique,
+        (Verdict(False, 0, "term 'true' failed to encode: refused"), Verdict(True, 0)),
+    ),
+    "variant-differs": (
+        "encode", _counter, verify_total_unique,
+        (Verdict(True, 0), Verdict(False, 0, "variant 'true' encoded to 1, not 0")),
+    ),
+    "shared-code": (
+        "encode", lambda: lambda *_: 0, verify_one_to_one,
+        Verdict(False, 1, "terms 'true' and 'false' share code 0"),
+    ),
+    "no-decode-back": (
+        "decode", lambda: _starve, verify_one_to_one,
+        Verdict(False, 0, "code 0 of term 'true' did not decode back: FuelExhausted"),
+    ),
+    "no-round-trip": (
+        "decode", lambda: lambda *_: Con("false"), verify_one_to_one,
+        Verdict(False, 0, "term 'true' did not round-trip"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TERM_FAULTS))
+def test_term_side_failure_verdicts(plans, monkeypatch, fault):
+    name, fake, verifier, expected = TERM_FAULTS[fault]
+    monkeypatch.setattr(adequacy, name, fake())
+    assert verifier(plans["bool"], "bool", None, EnumBudget()) == expected
 
 
 # ---------------------------------------------------------------------

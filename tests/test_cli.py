@@ -255,6 +255,16 @@ class TestVerify:
         assert "t: ok" in out
         assert "300 codes" in out
 
+    def test_text_lines_of_an_indexed_family(self, capsys):
+        code, out, _ = run(
+            capsys, ["verify", TERMFAM, "--max-size", "3", "--max-code", "20"]
+        )
+        assert (code, out.splitlines()) == (0, [
+            "nat: ok (3 terms, 20 codes)",
+            "term[z]: ok (6 terms, 20 codes)",
+            "term[s]: ok (17 terms, 40 codes)",
+        ])
+
     def test_json_output_is_byte_identical(self, capsys):
         argv = ["verify", BOOL, "--json"]
         _, first, _ = run(capsys, argv)
@@ -355,6 +365,18 @@ class TestFiniteIndexNames:
         )
         assert code == 3
         assert "cannot resolve index" in err
+
+    def test_name_of_several_instances(self, capsys, tmp_path):
+        path = tmp_path / "pair.sig"
+        path.write_text(
+            "c : type. c0 : c. c1 : c. b : type. b0 : b. bp : c -> b."
+            " g : b -> type. g0 : g X."
+        )
+        code, out, err = run(
+            capsys, ["encode", str(path), "--type", "g", "--index", "bp", "g0"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: index name bp covers 2 instances; give a decimal index\n"
 
 
 class TestDriver:

@@ -50,6 +50,7 @@ from godelgen.termrep import (
 )
 
 from conftest import SIG_NAMES, sig_text
+from corpus import chain_signature, random_indexed_signature, random_signature
 
 
 def enc(vsigs, plans, sig, type_name, index, text):
@@ -180,81 +181,6 @@ def permutation_search(vsig, trial_fuel=600):
 
 def tags_of(plan):
     return {key: cp.tags for key, cp in plan.classes.items()}
-
-
-def chain_signature(k):
-    # one base constructor declared after k - 1 recursive ones
-    return "\n".join(
-        [sig_text("nat"), "t : type."]
-        + [f"r{i} : t -> t -> t." for i in range(k - 1)]
-        + ["b : nat -> t."]
-    )
-
-
-def random_signature(rng):
-    # up to five infinite constructors per class, the base one anywhere
-    types = [f"t{i}" for i in range(rng.randint(1, 3))]
-    lines = [sig_text("nat")] + [f"{t} : type." for t in types]
-    for t in types:
-        ctors = []
-        for _ in range(rng.randint(1, 4)):
-            args = [rng.choice(types + [t]) for _ in range(rng.randint(1, 2))]
-            if rng.random() < 0.2:
-                args[0] = f"({rng.choice(types)} -> {t})"
-            ctors.append(args)
-        if rng.random() < 0.8:
-            ctors.insert(rng.randint(0, len(ctors)), ["nat"])
-        for j, args in enumerate(ctors):
-            lines.append(f"{t}c{j} : " + "".join(a + " -> " for a in args) + t + ".")
-    return "\n".join(lines)
-
-
-def random_indexed_signature(rng):
-    # nat-indexed families f0, f1 with zero, successor and variable result
-    # patterns, explicit abstractions and binders, plus g indexed by the
-    # finite type b, whose values may be pairs of c's
-    lines = [sig_text("nat"), "c : type. c0 : c. c1 : c.", "b : type."]
-    bvals = [f"b{j}" for j in range(rng.randint(1, 2))]
-    lines += [f"{v} : b." for v in bvals]
-    if rng.random() < 0.4:
-        lines.append("bp : c -> c -> b.")
-        bvals.append(f"(bp {rng.choice(['c0', 'c1'])} {rng.choice(['c0', 'c1'])})")
-    fams = [f"f{i}" for i in range(rng.randint(1, 2))]
-    lines += [f"{f} : nat -> type." for f in fams] + ["g : b -> type."]
-
-    def nat_ix(scope):
-        ix = rng.choice(["z", *scope])
-        return f"(s {ix})" if rng.random() < 0.3 else ix
-
-    def fin_ix(scope):
-        return rng.choice(bvals + scope)
-
-    def arg(nat_scope, fin_scope):
-        r = rng.random()
-        if r < 0.15:
-            return "nat"
-        if r < 0.3:
-            return f"g {fin_ix(fin_scope)}"
-        return f"{rng.choice(fams)} {nat_ix(nat_scope)}"
-
-    for fam in fams + ["g"]:
-        for j in range(rng.randint(1, 4)):
-            nat_scope, fin_scope, pi = [], [], ""
-            if fam == "g":
-                result = rng.choice(bvals + ["X"])
-                fin_scope = ["X"] if result == "X" else []
-            else:
-                result = rng.choice(["z", "(s N)", "N"])
-                nat_scope = ["N"] if "N" in result else []
-            if rng.random() < 0.2:
-                pi, nat_scope = "{M : nat} ", nat_scope + ["M"]
-            args = [arg(nat_scope, fin_scope) for _ in range(rng.randint(0, 2))]
-            if args and rng.random() < 0.25:
-                bound = rng.choice(fams)
-                args[0] = f"{bound} {nat_ix(nat_scope)} -> {args[0]}"
-            arrows = "".join(f"({a}) -> " for a in args)
-            lines.append(f"{fam}c{j} : {pi}{arrows}{fam} {result}.")
-    return "\n".join(lines)
 
 
 WIDE = """

@@ -331,6 +331,14 @@ class TestTermCollections:
         assert a.difference(b).member(terms[0])
         assert not a.difference(b).member(terms[1])
 
+    def test_remove(self, plans):
+        plan = plans["lambda"]
+        vsig = plan.vsig
+        ident, other = (parse_term(vsig, "t", None, s) for s in ("lam [x] x", "lam [x] lam [y] x"))
+        ts = TermSet(plan, "t").insert(ident).insert(other)
+        assert ts.remove(parse_term(vsig, "t", None, "lam [y] y")).elements() == (other,)
+        assert ts.remove(ident).remove(ident).remove(other).size() == 0
+
     def test_mismatched_classes_refuse_to_mix(self, plans):
         plan = plans["termfam"]
         a = TermSet(plan, "term", 0)

@@ -26,7 +26,7 @@ from godelgen.sigmodel import (
 )
 
 from conftest import SIG_NAMES, sig_text
-from test_codec import random_indexed_signature
+from corpus import random_indexed_signature
 
 
 def check(text):
@@ -535,6 +535,39 @@ def test_reject_dead_infinite_ctor():
         sig_text("nat") + "e : type. t : type. base : t. c : t -> nat -> e -> t."
     )
     assert any(d.rule == "dead-ctor" and d.subject == "c" for d in diags)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "b : type. b0 : b. g : b -> type. g0 : g b0. f : nat -> type. fc : g N -> f N.",
+            ["fc: index variable 'N' has type nat, used where b is required [wrong-index-type]"],
+        ),
+        # bp has no instances, so b counts as finite, but its abstraction stays
+        (
+            "e : type. b : type. b0 : b. bp : {M:nat} e -> b. g : b -> type. g0 : g X.",
+            [
+                "g: index type b may not use binders [index-type]",
+                "bp: constructor can never be applied at b[-]:"
+                " some argument type is uninhabited [dead-ctor]",
+            ],
+        ),
+        # gc's argument f z is empty, so gc sits in g's finite block at
+        # count 0 and takes no tag: it is not dead
+        (
+            "f : nat -> type. fb : f (s N). fs : f N -> f (s N)."
+            " g : type. gb : g. gc : f z -> g -> g.",
+            [
+                "f: indexed types must be uniform across index classes"
+                " (z: Empty, s: Infinite) [uniform]"
+            ],
+        ),
+    ],
+    ids=["wrong-index-type", "abstraction-in-index-type", "untagged-empty-ctor"],
+)
+def test_diagnostics_exactly(text, expected):
+    assert [str(d) for d in rejection(sig_text("nat") + text)] == expected
 
 
 def test_reject_count_overflow_without_infinite_ctor():

@@ -221,6 +221,37 @@ def test_parse_errors(vsigs):
             parse_term(ex, "term", 0, f"exists {bad_index} [x] x")
 
 
+def test_binder_given_as_an_explicit_index(vsigs):
+    # a binder is no index expression at all, of any index type
+    assert message(vsigs["exists"], "term", 0, "exists [x] x unit") == "invalid index value"
+
+
+def test_explicit_index_values_print_with_the_index_types_constructors():
+    # num is nat-shaped but not named nat, so its values print as terms
+    v = validate(parse_signature(
+        "num : type. zero : num. succ : num -> num."
+        " w : num -> type. wb : w zero. ex : {M : num} w M -> w N."
+    ))
+    t, printed = roundtrip(v, "w", 3, "ex (succ (succ zero)) (ex zero wb)")
+    assert t.index_args == (2,)
+    assert printed == "ex (succ (succ zero)) (ex zero wb)"
+
+
+def test_print_term_infers_the_index_of_zero_and_constant_patterns(vsigs):
+    assert print_term(vsigs["termfam"], Con("unit")) == "unit"
+    reg = validate(parse_signature(
+        "flag : type. lo : flag. hi : flag."
+        " reg : flag -> type. rlo : reg lo. rhi : reg hi. step : reg F -> reg F."
+    ))
+    assert print_term(reg, Con("rhi")) == "rhi"
+    with pytest.raises(TermError) as info:
+        print_term(reg, Con("step", (), (TermArg(0, Con("rhi")),)))
+    assert str(info.value) == (
+        "the index of a term headed by step is not determined by its pattern;"
+        " pass index= explicitly"
+    )
+
+
 def test_out_of_scope_variable_type(vsigs):
     v = vsigs["termfam"]
     # x has type term 0 inside lam at 1; using it as term 1 must fail
