@@ -297,21 +297,6 @@ class _SweepMemo:
         self.young[key] = value
 
 
-def _check_code(plan, type_name, index, code, fuel, memos):
-    decoded, encoded = memos
-    try:
-        term = _decode(plan, type_name, index, EMPTY_COUNTS, code, [fuel], decoded)
-    except FuelExhausted as exc:
-        return f"code {code} did not decode: {type(exc).__name__}: {exc}"
-    try:  # encode tests each node as check_term does, with its messages
-        back = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
-    except TermError as exc:
-        return f"code {code} decoded to an ill-typed term: {exc}"
-    if back != code:
-        return f"code {code} decoded to a term that re-encodes to {back}"
-    return None
-
-
 def verify_onto(
     plan: CodecPlan,
     type_name: str,
@@ -333,11 +318,18 @@ def verify_onto(
     """
     cp = plan.class_plan(type_name, index)
     codes = cp.cardinality.codes_below(budget.code_for(type_name, cp.index_class.label))
-    memos = (_SweepMemo(), _SweepMemo())
+    decoded, encoded = _SweepMemo(), _SweepMemo()
     for code in codes:
-        problem = _check_code(plan, type_name, index, code, budget.fuel, memos)
-        if problem is not None:
-            return Verdict(False, code, problem)
+        try:
+            term = _decode(plan, type_name, index, EMPTY_COUNTS, code, [budget.fuel], decoded)
+        except FuelExhausted as exc:
+            return Verdict(False, code, f"code {code} did not decode: {type(exc).__name__}: {exc}")
+        try:  # encode tests each node as check_term does, with its messages
+            back = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
+        except TermError as exc:
+            return Verdict(False, code, f"code {code} decoded to an ill-typed term: {exc}")
+        if back != code:
+            return Verdict(False, code, f"code {code} decoded to a term that re-encodes to {back}")
     return Verdict(True, len(codes))
 
 

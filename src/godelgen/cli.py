@@ -91,10 +91,8 @@ def _resolve_index(vsig, type_name: str, text: str | None) -> int | None:
 
 
 def _target(vsig, args: argparse.Namespace) -> tuple[str, int | None]:
-    type_name = args.type_name
-    index = _resolve_index(vsig, type_name, args.index)
-    check_target(vsig, type_name, index)
-    return type_name, index
+    """The --type and --index flags; parse_term, encode and decode check them."""
+    return args.type_name, _resolve_index(vsig, args.type_name, args.index)
 
 
 # -------------------------------------------------------------- commands
@@ -137,6 +135,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
     type_name, index = _target(vsig, args)
+    check_target(vsig, type_name, index)  # class_plan does not
     for code in plan.class_plan(type_name, index).cardinality.codes_below(args.count):
         term = decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
         print(f"{code}\t{print_term(vsig, term, index=index)}")

@@ -158,7 +158,7 @@ def _tag_candidates(names: tuple[str, ...]) -> list[tuple[str, ...]]:
     ]
 
 
-def assign_tags(vsig: ValidatedSignature, trial_fuel: int = _TRIAL_FUEL) -> CodecPlan:
+def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
     """Choose a tag order whose decode terminates on codes 0 and 1.
 
     Those trial codes reach only payloads, digits and subterm codes of at
@@ -183,7 +183,7 @@ def assign_tags(vsig: ValidatedSignature, trial_fuel: int = _TRIAL_FUEL) -> Code
     last_failed = len(candidates) + 1  # more than any round can fail
     while True:
         plan = build_plan(vsig, {key: candidates[key][i] for key, i in choice.items()})
-        offender = _first_failing_class(plan, trial_fuel, set(failed))
+        offender = _first_failing_class(plan, _TRIAL_FUEL, set(failed))
         if offender is not None:
             choice[offender] = (choice[offender] + 1) % len(candidates[offender])
             if choice[offender] == 0:

@@ -155,8 +155,7 @@ class _Parser:
         self.i = 0
         self._offsets: list[int] | None = None  # of each token; see where
         self._line_starts: list[int] = []
-        self.distinct = set(self.toks)
-        errors = [tok for tok in self.distinct if _token_error(tok)]
+        errors = [tok for tok in set(self.toks) if _token_error(tok)]
         if errors:
             i = min(self.toks.index(tok) for tok in errors)
             self.fail(_token_error(self.toks[i]), i)
@@ -449,25 +448,16 @@ def _abbrev_uses(sig: Signature, body: SExpr) -> list[str]:
 
 def _check_abbrev_cycles(sig: Signature) -> None:
     """Raise SigSyntaxError if an abbreviation's term expands through
-    itself, which would never finish."""
-    done: set[str] = set()
-    for root in sig.abbrevs:
-        if root in done:
-            continue
-        # a depth-first search: each abbreviation being expanded, in order,
-        # with the uses in its body still to follow
-        expanding = {root: iter(_abbrev_uses(sig, sig.abbrevs[root].body))}
-        while expanding:
-            name = next(next(reversed(expanding.values())), None)
-            if name is None:
-                done.add(expanding.popitem()[0])
-            elif name in expanding:
-                ab = sig.abbrevs[name]
-                raise SigSyntaxError(
-                    f"abbreviation {name!r} is defined in terms of itself", ab.line, ab.col
-                )
-            elif name not in done:
-                expanding[name] = iter(_abbrev_uses(sig, sig.abbrevs[name].body))
+    itself, which would never finish: a strongly connected component of
+    the uses between abbreviations (_sccs) that has more than one member
+    or uses itself, reported at its member reached first."""
+    uses = {name: _abbrev_uses(sig, ab.body) for name, ab in sig.abbrevs.items()}
+    for comp in _sccs(uses):
+        if len(comp) > 1 or comp[0] in uses[comp[0]]:
+            ab = sig.abbrevs[comp[-1]]
+            raise SigSyntaxError(
+                f"abbreviation {ab.name!r} is defined in terms of itself", ab.line, ab.col
+            )
 
 
 def _parse_decl(p: _Parser, sig: Signature) -> None:

@@ -100,9 +100,6 @@ class CountVector:
             counts[key] = counts.get(key, 0) + 1
         return new
 
-    def items(self):
-        return self._counts.items()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CountVector) and self._counts == other._counts
 
@@ -110,9 +107,6 @@ class CountVector:
         if self._hash is None:
             self._hash = hash(frozenset(self._counts.items()))
         return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._counts)
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -179,8 +173,6 @@ def _describe(type_name: str, index: int | None) -> str:
 _NO_ATOM = _NOT_NAME - {"(", "["}
 _CLOSE = ")"  # frame: a bracket to close when the expression in it ends
 _ABBREV = object()  # heads the frame of an abbreviation being expanded
-# a text holding none of these has no arrow and no abstraction
-_ARROWS = ("->", "<-", "{")
 
 
 def _read(
@@ -196,30 +188,29 @@ def _read(
     entry it shadows, which is put back when its argument ends, so no
     scope is copied.  An abbreviation's body is read from its own tokens
     (Abbrev.toks), in a new empty scope.  Arguments are read, and faults
-    raised, left to right; an application with too few or too many atoms
-    is reported at its end.  A token sequence that is no term raises
-    "invalid term", which parse_term replaces with the grammar's syntax
-    error.  Most checks need only the next token; the few that need the
-    extent of a bracket or of an arrow read a table (_structure) that is
-    built only for a text that needs it."""
+    raised, left to right, so the fault read first is the one reported;
+    an application with too few or too many atoms is reported at its end.
+    A token sequence that is no term raises "invalid term", which
+    parse_term replaces with the grammar's syntax error.  An arrow or an
+    abstraction is no term: it is found where it is read, or where an
+    application it follows still lacks arguments.  Most checks need only
+    the next token; the few that need the extent of a bracket read a
+    table of bracket matches (_structure) built when first needed."""
     ctors, abbrevs, lit = vsig.sig.ctors, vsig.sig.abbrevs, vsig.analysis.nat_literal
     arg_targets = vsig.arg_targets
-    tables: dict[int, tuple] = {}
+    tables: dict[int, dict] = {}
     fits: set[tuple] = set()  # (constructor, type, index) checked to fit
 
-    def structure(src: _Parser) -> tuple[dict, set]:
+    def structure(src: _Parser) -> dict[int, int]:
         if id(src) not in tables:
             if src is p:
                 p.whole()  # the table reads grammatical tokens only
             tables[id(src)] = _structure(src.toks)
         return tables[id(src)]
 
-    def arrows_of(src: _Parser) -> set | None:
-        return None if src.distinct.isdisjoint(_ARROWS) else structure(src)[1]
-
     sources: dict[str, _Parser] = {}  # a parser per abbreviation body read
     src, i, stack = p, 0, []
-    toks, arrows = src.toks, arrows_of(src)
+    toks = src.toks
     scope, counts = {}, EMPTY_COUNTS
     shadowed: list[tuple[str, Var | None]] = []  # per binder in scope, the entry it hid
     # the argument being read: its binders, how many are read so far, the
@@ -228,13 +219,11 @@ def _read(
     start = True  # at the start of an expression, not of one atom
     while True:
         tok, head, term = toks[i], None, None
+        if k < len(keys) and tok != "[" and tok != "(":
+            raise _must_bind(owner, keys)
         if start:
-            if arrows is not None and i in arrows:
-                if k < len(keys):
-                    raise _must_bind(owner, keys)
-                raise TermError("invalid term")
             if tok == "(":
-                match = structure(src)[0]
+                match = structure(src)
                 if toks[match[i] + 1] not in _NO_ATOM:
                     # the bracket heads an application
                     if k < len(keys):
@@ -243,12 +232,13 @@ def _read(
                     if w is None:
                         raise TermError("only constructors can be applied")
                     head, i = toks[w], match[i] + 1
-            elif tok not in _NOT_NAME and toks[i + 1] not in _NO_ATOM:
-                head, i = tok, i + 1
+            elif tok not in _NOT_NAME:
+                if toks[i + 1] == "->" or toks[i + 1] == "<-":
+                    raise TermError("invalid term")  # an arrow is no term
+                if toks[i + 1] not in _NO_ATOM:
+                    head, i = tok, i + 1
         if head is not None:
             # an application: the head, then its index atoms and arguments
-            if k < len(keys):
-                raise _must_bind(owner, keys)
             if head == "type":
                 raise TermError("only constructors can be applied")
             name = str(int(head)) if head.isdecimal() else head
@@ -265,7 +255,7 @@ def _read(
             values = []
             for _, ptype, _ in ctor.pi_args:
                 if toks[i] in _NO_ATOM:
-                    raise _arity(ctor, len(values))
+                    raise _short(ctor, len(values), toks[i])
                 src.i = i
                 e = src.atom()
                 i = src.i
@@ -290,8 +280,6 @@ def _read(
             scope[var] = Var(*key, outer.get(*key) + keys[:k].count(key))
             i, k, start = i + 3, k + 1, True
             continue
-        elif k < len(keys):
-            raise _must_bind(owner, keys)
         elif tok in _NOT_NAME or tok == "type":
             raise TermError("invalid term")
         elif tok.isdecimal():
@@ -327,11 +315,11 @@ def _read(
                     f" expected {_describe(want_type, want_index)}"
                 )
             # the body is closed, so the current scope never leaks in
-            stack.append((_ABBREV, src, i + 1, arrows))
+            stack.append((_ABBREV, src, i + 1))
             if tok not in sources:
                 sources[tok] = _Parser("", ab.toks)
             src, i, start = sources[tok], 0, True
-            toks, arrows = src.toks, arrows_of(src)
+            toks = src.toks
             scope, keys, k, owner = {}, (), 0, None
             continue
         elif tok in ctors:
@@ -349,7 +337,7 @@ def _read(
             elif frame[0] is _ABBREV:
                 if toks[i]:
                     raise TermError("invalid term")
-                _, src, i, arrows = frame
+                _, src, i = frame
                 toks = src.toks
             else:
                 ctor, values, targets, args, scope, counts = frame
@@ -365,14 +353,14 @@ def _read(
                 j, opens = len(args), toks[i] not in _NO_ATOM
                 if j < len(targets):
                     if not opens:
-                        raise _arity(ctor, len(values) + j)
+                        raise _short(ctor, len(values) + j, toks[i])
                     want_type, want_index, keys = targets[j]
                     k, outer, owner, start = 0, counts, ctor.name, False
                     if keys:
                         counts = counts.bind(keys)
                     break
                 if opens:
-                    raise _arity(ctor, len(values) + j + _atoms(toks, i, structure(src)[0]))
+                    raise _arity(ctor, len(values) + j + _atoms(toks, i, structure(src)))
                 term = Con(ctor.name, values, tuple(args))
             stack.pop()
         else:
@@ -410,30 +398,25 @@ def _arity(ctor: Ctor, got: int) -> TermError:
     )
 
 
+def _short(ctor: Ctor, got: int, tok: str) -> TermError:
+    """The error for an application of ctor that ends at tok with got atoms,
+    too few: if an arrow follows, the application is its operand."""
+    return TermError("invalid term") if tok == "->" or tok == "<-" else _arity(ctor, got)
+
+
 def _must_bind(owner: str, keys: tuple) -> TermError:
     return TermError(f"argument of {owner} must bind {len(keys)} variable(s) with [name]")
 
 
-def _structure(toks: list[str]) -> tuple[dict[int, int], set[int]]:
-    """For grammatical tokens: the position of the ")" that closes each
-    "(", and the start of each expression that is an arrow or an
-    abstraction, which the grammar builds whole before any part of it."""
-    match, arrows = {}, set()
-    opened = [(0, None)]  # expressions being read: start, and the bracket opening it
+def _structure(toks: list[str]) -> dict[int, int]:
+    """For grammatical tokens: the position of the ")" that closes each "("."""
+    match, opened = {}, []
     for i, tok in enumerate(toks):
-        if tok == "->" or tok == "<-" or tok == "{":
-            arrows.add(opened[-1][0])
-        if tok == "(" or tok == "{":
-            opened.append((i + 1, i))
-        elif tok == "[":
-            opened.append((i + 3, None))  # a binder's body ends with its expression
-        elif tok == ")" or tok == "}":
-            while opened[-1][1] is None:
-                opened.pop()
-            match[opened.pop()[1]] = i
-            if tok == "}":
-                opened.append((i + 1, None))  # and so does an abstraction's body
-    return match, arrows
+        if tok == "(":
+            opened.append(i)
+        elif tok == ")":
+            match[opened.pop()] = i
+    return match
 
 
 def _bare_word(toks: list[str], match: dict[int, int], i: int) -> int | None:

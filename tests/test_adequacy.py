@@ -15,6 +15,7 @@ from godelgen.adequacy import (
     _SweepMemo,
     enumerate_terms,
     verify_all,
+    verify_class,
     verify_one_to_one,
     verify_onto,
     verify_total_unique,
@@ -30,7 +31,7 @@ from godelgen.codec import (
     encode,
 )
 from godelgen.errors import FuelExhausted, TermError
-from godelgen.sigmodel import parse_signature, validate
+from godelgen.sigmodel import S_CLASS, parse_signature, validate
 from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
@@ -303,6 +304,10 @@ TERM_FAULTS = {
         "decode", lambda: lambda *_: Con("false"), verify_one_to_one,
         Verdict(False, 0, "term 'true' did not round-trip"),
     ),
+    "re-encodes-elsewhere": (
+        "_encode", lambda: lambda *_: 7, verify_onto,
+        Verdict(False, 0, "code 0 decoded to a term that re-encodes to 7"),
+    ),
 }
 
 
@@ -311,6 +316,23 @@ def test_term_side_failure_verdicts(plans, monkeypatch, fault):
     name, fake, verifier, expected = TERM_FAULTS[fault]
     monkeypatch.setattr(adequacy, name, fake())
     assert verifier(plans["bool"], "bool", None, EnumBudget()) == expected
+
+
+def test_a_class_reports_its_first_failing_representative(plans, monkeypatch):
+    # term[s] is checked at indices 1 and 2, and both fail here
+    monkeypatch.setattr(
+        adequacy, "verify_onto", lambda plan, t, index, budget: Verdict(False, index, f"at {index}")
+    )
+    report = verify_class(plans["termfam"], "term", S_CLASS, EnumBudget(max_size=2, max_code=4))
+    assert report.onto == Verdict(False, 1, "at 1")
+    assert report.total.passed and report.one_to_one.passed
+
+
+def test_variants_avoid_constructor_names():
+    # the u-variant of "lam [x] u0" must not bind u0 over the constant u0
+    vsig = validate(parse_signature(sig_text("lambda") + "u0 : t. w0 : t."))
+    total, unique = verify_total_unique(assign_tags(vsig), "t", None, EnumBudget(max_size=3))
+    assert total == unique == Verdict(True, 13)
 
 
 # ---------------------------------------------------------------------

@@ -62,6 +62,37 @@ class TestCheck:
         assert code == 2
         assert "[" in err  # diagnostics carry their rule tag
 
+    @pytest.mark.parametrize(
+        "text, out, err",
+        [
+            # x has the term c (mk [v] v), yet x and y count 0 (see
+            # test_diagnostics_exactly in test_sigmodel.py)
+            (
+                "e : type. y : type. mk : (e -> e) -> y. x : type. c : y -> x."
+                " g : x -> type. g0 : g X.",
+                "e: Empty\ny: Finite(0)\nx: Finite(0)\n",
+                "error: g: index type x is uninhabited [index-type]\n",
+            ),
+            (
+                "e : type. x : type. mk : (e -> e) -> x. g : x -> type. g0 : g X.",
+                "e: Empty\nx: Finite(0)\n",
+                "error: g: index type x may not use binders [index-type]\n"
+                "g: index type x is uninhabited [index-type]\n",
+            ),
+        ],
+        ids=["through-another-type", "with-binders"],
+    )
+    def test_index_type_counted_uninhabited(self, capsys, tmp_path, text, out, err):
+        path = tmp_path / "uninhabited.sig"
+        path.write_text(text)
+        binder_faults = (
+            "mk: variables can only be of infinite type; e is not infinite in every"
+            " reachable class [finite-binder]\n"
+            "mk: an argument that binds variables must target an infinite type;"
+            " e is not [binder-target]\n"
+        )
+        assert run(capsys, ["check", str(path)]) == (2, out, err + binder_faults)
+
     def test_syntax_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sig"
         bad.write_text("t : .\n")
@@ -365,6 +396,17 @@ class TestFiniteIndexNames:
         )
         assert code == 3
         assert "cannot resolve index" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["encode", "rlo"], ["decode", "0"], ["enumerate", "3"], ["compare", "rlo", "rlo"]],
+        ids=["encode", "decode", "enumerate", "compare"],
+    )
+    def test_index_past_the_range(self, capsys, sig, command):
+        argv = [command[0], sig, "--type", "reg", "--index", "5", *command[1:]]
+        assert run(capsys, argv) == (
+            3, "", "error: index 5 out of range for type reg (0..1)\n"
+        )
 
     def test_name_of_several_instances(self, capsys, tmp_path):
         path = tmp_path / "pair.sig"

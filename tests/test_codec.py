@@ -95,9 +95,10 @@ def test_build_plan_rejects_non_permutation(vsigs):
         build_plan(vsigs["lambda"], {("t", UNIT_CLASS): ("lam", "lam")})
 
 
-def test_no_plan_when_trials_cannot_pass(vsigs):
+def test_no_plan_when_trials_cannot_pass(vsigs, monkeypatch):
+    monkeypatch.setattr(codec, "_TRIAL_FUEL", 0)
     with pytest.raises(NoWellFoundedPlan) as e:
-        assign_tags(vsigs["lambda"], trial_fuel=0)
+        assign_tags(vsigs["lambda"])
     assert e.value.failed_classes == ["t"]
 
 
@@ -254,7 +255,8 @@ def test_generated_indexed_signatures_round_trip():
     assert planned >= 30
 
 
-def test_tags_match_permutation_search_on_generated_signatures():
+def test_tags_match_permutation_search_on_generated_signatures(monkeypatch):
+    monkeypatch.setattr(codec, "_TRIAL_FUEL", 100)
     rng = random.Random(0)
     compared = 0
     for _ in range(60):
@@ -267,7 +269,7 @@ def test_tags_match_permutation_search_on_generated_signatures():
             expected = tags_of(permutation_search(vsig, trial_fuel=100))
         except NoWellFoundedPlan:
             continue
-        assert tags_of(assign_tags(vsig, trial_fuel=100)) == expected
+        assert tags_of(assign_tags(vsig)) == expected
         compared += 1
     assert compared >= 40
 

@@ -212,6 +212,14 @@ SYNTAX_ERRORS = [
      "index variable 'N' cannot be applied", 1, 55),
     ("nat : type. z : nat. s : nat -> nat. t : nat z -> type.",
      "type 'nat' expects 0 index argument(s), got 1", 1, 42),
+    ("nat : type. z : nat. term : nat -> type. unit : term z.\n%abbrev u : term N = unit.",
+     "abbreviation type must be ground, found variable 'N'", 2, 9),
+    ("t : type. k : (t -> t) -> type.", "index kinds must be type names", 1, 11),
+    ("t : type. k : foo -> type.", "unknown type 'foo'", 1, 11),
+    ("nat : type. z : nat. t : type. base : t. c : t -> {M:nat} t.",
+     "explicit abstraction must precede all arguments", 1, 42),
+    ("nat : type. z : nat. %abbrev w : nat = [x] x.\nf : nat -> type. fw : f w.",
+     "abbreviation 'w' cannot be used in an index expression", 2, 18),
 ]
 
 
@@ -563,8 +571,42 @@ def test_reject_dead_infinite_ctor():
                 " (z: Empty, s: Infinite) [uniform]"
             ],
         ),
+        (
+            "b : type. b0 : b. b1 : b. g : b -> type. g0 : g b0. g1 : g b1."
+            " t : type. tb : t. c : g 5 -> t -> t.",
+            ["c: index 5 out of range for type g [index-out-of-range]"],
+        ),
+        # x has the term c (mk [v] v), but its count, and y's, is 0: a
+        # binder-filled argument is counted by its closed count, and e is
+        # empty (binder-target makes both signatures invalid regardless)
+        (
+            "e : type. y : type. mk : (e -> e) -> y. x : type. c : y -> x."
+            " g : x -> type. g0 : g X.",
+            [
+                "g: index type x is uninhabited [index-type]",
+                "mk: variables can only be of infinite type; e is not infinite"
+                " in every reachable class [finite-binder]",
+                "mk: an argument that binds variables must target an infinite"
+                " type; e is not [binder-target]",
+            ],
+        ),
+        (
+            "e : type. x : type. mk : (e -> e) -> x. g : x -> type. g0 : g X.",
+            [
+                "g: index type x may not use binders [index-type]",
+                "g: index type x is uninhabited [index-type]",
+                "mk: variables can only be of infinite type; e is not infinite"
+                " in every reachable class [finite-binder]",
+                "mk: an argument that binds variables must target an infinite"
+                " type; e is not [binder-target]",
+            ],
+        ),
     ],
-    ids=["wrong-index-type", "abstraction-in-index-type", "untagged-empty-ctor"],
+    ids=[
+        "wrong-index-type", "abstraction-in-index-type", "untagged-empty-ctor",
+        "argument-index-out-of-range", "uninhabited-index-type",
+        "uninhabited-index-type-with-binders",
+    ],
 )
 def test_diagnostics_exactly(text, expected):
     assert [str(d) for d in rejection(sig_text("nat") + text)] == expected

@@ -304,9 +304,40 @@ def message(vsig, type_name, index, text) -> str:
     ("app x (", "term syntax error: 1:8: unexpected 'end of input'"),
     ("lam [x] x )", "term syntax error: 1:11: trailing input ')'"),
     ("lam [x] x ]", "term syntax error: 1:11: trailing input ']'"),
+    ("foo a", "unbound name 'foo'"),
+    ("5", "numeral 5 is only a term when the signature declares nat with z and s"),
+    ("app", "constructor app expects 2 argument(s), got 0"),
+    ("lam ((app) a a)", "argument of lam must bind 1 variable(s) with [name]"),
+    # an arrow is found where it is read, so a fault read before it wins
+    ("app y a -> a", "unbound name 'y'"),
+    ("lam a -> a", "argument of lam must bind 1 variable(s) with [name]"),
+    ("app a -> a", "invalid term"),
+    ("lam [x] app x <- x", "invalid term"),
+    ("(a) -> a", "invalid term"),
 ])
 def test_term_text_messages(lam_ab, text, expected):
     assert message(lam_ab, "t", None, text) == expected
+
+
+def test_index_arguments_and_numeral_names_in_term_text():
+    two = validate(parse_signature(
+        sig_text("nat") + "t : type. base : t. two : {M:nat} {N:nat} t -> t."
+    ))
+    assert message(two, "t", None, "two z") == "constructor two expects 3 argument(s), got 1"
+    assert message(two, "t", None, "two z -> base") == "invalid term"
+    # a numeral names a constructor, as in a signature, before it names a nat
+    digits = validate(parse_signature("b : type. 0 : b. 1 : b."))
+    assert parse_term(digits, "b", None, "01") == Con("1")
+
+
+def test_an_abbreviation_whose_body_is_no_term_fails_where_it_is_used():
+    # the signature takes any expression as a body; it is read at each use
+    v = validate(parse_signature(
+        sig_text("lambda") + LAMBDA_ABBREVS + "%abbrev f : t = app a a -> a.\n"
+        "%abbrev g : t = (a) -> a.\n"
+    ))
+    assert message(v, "t", None, "lam [x] f") == "invalid term"
+    assert message(v, "t", None, "app g a") == "invalid term"
 
 
 def test_abbreviation_of_another_type(ex_ab):
@@ -481,6 +512,17 @@ def test_print_open_term(vsigs):
     open_term = Con("app", (), (TermArg(0, Var("t", None, 0)), TermArg(0, Var("t", None, 1))))
     text = print_term(v, open_term)
     assert text == "app x0 x1"
+    assert print_term(v, Var("t", None, 0)) == "x0"  # the index of a Var is its own
+    # a binder at the free variable's level hides its name only in its argument
+    shadowing = Con("app", (), (
+        TermArg(0, Con("app", (), (
+            TermArg(0, Var("t", None, 0)),
+            TermArg(0, Con("lam", (), (TermArg(1, Var("t", None, 0)),))),
+        ))),
+        TermArg(0, Var("t", None, 0)),
+    ))
+    by_ordinal = print_term(v, shadowing, namer=lambda ty, ix, lvl, ord: f"v{ord}")
+    assert by_ordinal == "app (app v0 (lam [v1] v1)) v0"
 
 
 def test_print_rejects_unknown_constructors(vsigs):
