@@ -25,6 +25,7 @@ from .termrep import (
     Term,
     TermArg,
     Var,
+    binder_name,
     parse_term,
     print_term,
 )
@@ -223,15 +224,7 @@ def _fill_args(vsig, targets, j, budget, counts, memo):
 
 
 def _variant_namer(vsig: ValidatedSignature, stem: str):
-    taken = set(vsig.sig.ctors) | set(vsig.sig.abbrevs) | set(vsig.sig.by_name)
-
-    def name(_type: str, _index: int | None, _level: int, ordinal: int) -> str:
-        candidate = f"{stem}{ordinal}"
-        while candidate in taken:
-            candidate += "'"
-        return candidate
-
-    return name
+    return lambda _type, _index, _level, ordinal: binder_name(vsig, f"{stem}{ordinal}")
 
 
 def verify_total_unique(
@@ -346,7 +339,11 @@ def verify_one_to_one(
     seen: dict[int, Term] = {}
     checked = 0
     for term in terms:
-        code = encode(plan, type_name, index, EMPTY_COUNTS, term)
+        try:
+            code = encode(plan, type_name, index, EMPTY_COUNTS, term)
+        except TermError as exc:
+            shown = print_term(vsig, term, index=index)
+            return Verdict(False, checked, f"term {shown!r} failed to encode: {exc}")
         clash = seen.get(code)
         if clash is not None:
             a = print_term(vsig, clash, index=index)

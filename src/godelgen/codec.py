@@ -120,7 +120,7 @@ def _step(vsig: ValidatedSignature, ctor_name: str) -> tuple[str, tuple[int, ...
     ctor = vsig.sig.ctors[ctor_name]
     kinds = []
     for arg in ctor.args:
-        card = vsig.family_card[arg.type_name]
+        card = vsig.cardinality(arg.type_name, vsig.classes(arg.type_name)[0])
         kinds.append(0 if card.is_infinite else card.count)
     return ctor_name, tuple(kinds), len(ctor.pi_args)
 

@@ -30,11 +30,14 @@ carrying the classes of its abstractions, arguments and bound variables:
   products, a count above COUNT_CUTOFF being infinite.
 
 The counts of finite index types give the classes of the families they
-index, so the analysis counts finite index types first, in strata (see
-_Analyzer.run), and builds each edge once; a finite index type that
-reaches a family it indexes is an index-type error.  Validation then
-enforces the rules that make a per-class bijection with N derivable,
-reading the same graph and reporting one diagnostic per violated rule.
+index, so the analysis (one Analysis object, built by its constructor)
+counts finite index types first, in strata, and builds each edge once; a
+finite index type that reaches a family it indexes is an index-type
+error.  Each class is partitioned once, when its stratum is counted, and
+each type's index-kind faults are recorded where its kind is decided.
+Validation then enforces the rules that make a per-class bijection with
+N derivable: it reports the faults the analysis found and reads the same
+graph, counts and partitions, one diagnostic per violated rule.
 
 Each index in a constructor's arguments compiles to one rule, (type,
 slot, offset): a constant, or the parent's index or an explicit index
@@ -725,20 +728,6 @@ class Edge:
     unmet: set[int] = field(default_factory=set)  # needs no inhabited class met
 
 
-@dataclass
-class Analysis:
-    kinds: dict[str, object]  # None | NatIndex | FiniteIndex | 'multi' | 'invalid'
-    classes: dict[str, tuple[IndexClass, ...]]
-    card: dict[tuple[str, IndexClass], Cardinality]
-    patterns: dict[str, tuple]
-    nat_shapes: dict[str, NatIndex]  # the types with a zero and a successor
-    deferred: list[Diagnostic]
-    nat_literal: NatIndex | None
-    graph: dict[tuple[str, IndexClass], dict[str, Edge]]  # class -> ctor -> edge
-    rules: dict[str, tuple]  # per constructor; see _layout
-    blocks: dict[str, FiniteBlock]  # the instance block of each finite unindexed type
-
-
 def _nat_shape(decl: TypeDecl) -> NatIndex | None:
     """Detect a type with exactly a zero and a self-successor constructor."""
     if decl.index_types or len(decl.ctors) != 2 or any(c.pi_args for c in decl.ctors):
@@ -811,63 +800,141 @@ def _index_value(
     return entry.base + offset
 
 
-def _constant(sig, nat_shapes, block_of, report, subject, type_name, kind, expr):
-    """The value of expr as a constant index of type_name, whose index
-    kind is kind, or None; evaluated as _index_value does.  report(rule,
-    subject, message) is told when expr has no value or lies out of range."""
-    value = _index_value(sig, nat_shapes, block_of, kind.type_name, expr, {})
-    if value is None:
-        report("index-expr", subject, f"invalid index expression for type {type_name}")
-    elif isinstance(kind, FiniteIndex) and value >= kind.count:
-        report("index-out-of-range", subject, f"index {value} out of range for type {type_name}")
-    return value
+class Analysis:
+    """The index analysis of a signature, run by the constructor in one
+    pass over strata that builds each edge once.  First come the types
+    that an index type other than a nat-shaped one reaches, one strongly
+    connected component of their dependencies at a time, each after those
+    it reaches; then every other type, in declaration order.  A type
+    depends on its index type and on the types of its constructors'
+    abstractions, arguments and bound variables, so a finite index type is
+    counted before the families it indexes get classes.
 
+    kinds: per type, None (unindexed), a NatIndex or a FiniteIndex, or
+    'multi' or 'invalid'; classes: its index classes; graph: class ->
+    constructor -> Edge; card and partitions: each class's cardinality
+    and its finite-instance block and infinite constructors (_partition);
+    patterns and rules: per constructor (see _rule); kind_faults: per
+    type, in declaration order, what makes its index kind unusable;
+    deferred: the other faults, in the order found."""
 
-class _Analyzer:
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.nat_shapes = {
+        self.nat_shapes: dict[str, NatIndex] = {
             d.name: shape for d in sig.decls if (shape := _nat_shape(d)) is not None
         }
+        shape = self.nat_shapes.get("nat")
+        self.nat_literal = shape if shape and (shape.zero, shape.succ) == ("z", "s") else None
         # in declaration order, each set when its stratum is reached
         self.kinds: dict[str, object] = dict.fromkeys(sig.by_name)
         self.classes: dict[str, tuple[IndexClass, ...]] = dict.fromkeys(sig.by_name, ())
+        self.kind_faults: dict[str, list[Diagnostic]] = dict.fromkeys(sig.by_name, ())
         self.graph: dict[tuple[str, IndexClass], dict[str, Edge]] = {}
         self.card: dict[tuple[str, IndexClass], Cardinality] = {}  # of the graph last counted
-        self.blocks: dict[str, FiniteBlock] = {}  # each set when its type is counted
+        self.partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]] = {}
         self.patterns: dict[str, tuple] = {}
         self.rules: dict[str, tuple] = {}  # compiled at each constructor's first edge
-        self.diags: dict[Diagnostic, None] = {}  # in the order found
+        self.deferred: dict[Diagnostic, None] = {}  # in the order found
+
+        deps: dict[str, list[str]] = {}
+        todo = [x for d in sig.decls for x in d.index_types if x not in self.nat_shapes]
+        while todo:
+            t = todo.pop()
+            if t not in deps:
+                decl = sig.by_name[t]
+                deps[t] = [*decl.index_types]
+                for c in decl.ctors:
+                    deps[t] += [p for _, p, _ in c.pi_args]
+                    for a in c.args:
+                        deps[t] += [a.type_name, *(bt for bt, _ in a.binders)]
+                todo += deps[t]
+        for stratum in [*_sccs(deps), [d.name for d in sig.decls if d.name not in deps]]:
+            for t in stratum:
+                self._set_kind(sig.by_name[t])
+            for t in stratum:
+                for k in self.classes[t]:
+                    self.graph[(t, k)] = {
+                        c.name: self._edge(c, k)
+                        for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k)
+                    }
+        self.graph = {
+            (d.name, k): self.graph[(d.name, k)] for d in sig.decls for k in self.classes[d.name]
+        }
+        self._count()
+        # the patterns of families without classes are worked out here, last
+        for c in sig.ctors.values():
+            self.pattern_of(c)
 
     def defer(self, rule: str, subject: str, message: str) -> None:
-        self.diags.setdefault(Diagnostic(rule, subject, message))
+        self.deferred.setdefault(Diagnostic(rule, subject, message))
+
+    def block_of(self, type_name: str) -> FiniteBlock | None:
+        """The instance block of a finite unindexed type, or None while its
+        count is unknown or if it is not finite."""
+        ck = (type_name, UNIT_CLASS)
+        if ck in self.partitions and self.card[ck].is_finite:
+            return self.partitions[ck][0]
+        return None
 
     def _set_kind(self, d: TypeDecl) -> None:
-        """d's index kind and classes.  A finite index type is counted
-        before the families it indexes, unless it lies in their stratum."""
-        kind, classes = "multi", ()
+        """d's index kind and classes, and the faults that make its index
+        type unusable: more than one index, an index type that is indexed,
+        not nat-shaped or finite, uses binders or is uninhabited.  A finite
+        index type is counted before the families it indexes, unless it
+        lies in their stratum, which is deferred as an index-type fault."""
+        kind, classes, faults = "invalid", (), []
+        fault = lambda message, rule="index-type": faults.append(Diagnostic(rule, d.name, message))
+        x = d.index_types[0] if d.index_types else None
         if not d.index_types:
             kind, classes = None, (UNIT_CLASS,)
-        elif len(d.index_types) == 1:
-            x = d.index_types[0]
-            if self.sig.by_name[x].index_types:
-                kind = "invalid"
-            elif x in self.nat_shapes:
-                kind, classes = self.nat_shapes[x], (Z_CLASS, S_CLASS)
-            elif (x, UNIT_CLASS) not in self.graph:  # x lies in d's stratum
-                self.defer(
-                    "index-type",
-                    x,
-                    f"the instances of index type {x} depend on index values of type {x}",
-                )
-                kind = "invalid"
+        elif len(d.index_types) > 1:
+            kind = "multi"
+            fault(
+                f"indexed types must take exactly one index, {d.name} takes {len(d.index_types)}",
+                "single-index",
+            )
+        elif self.sig.by_name[x].index_types:
+            fault(
+                f"index type {x} is itself indexed; indices must be"
+                " nat-shaped or finite unindexed types"
+            )
+        elif x in self.nat_shapes:
+            kind, classes = self.nat_shapes[x], (Z_CLASS, S_CLASS)
+        elif (x, UNIT_CLASS) not in self.graph:  # x lies in d's stratum
+            self.defer(
+                "index-type",
+                x,
+                f"the instances of index type {x} depend on index values of type {x}",
+            )
+        else:
+            if (x, UNIT_CLASS) not in self.card:
+                self._count()  # the strata before d's
+            xcard = self.card[(x, UNIT_CLASS)]
+            if not xcard.is_finite:
+                fault(f"index type {x} must be nat-shaped or finite ({xcard})")
             else:
-                if (x, UNIT_CLASS) not in self.card:
-                    self._count()  # the strata before d's
-                xcard = self.card[(x, UNIT_CLASS)]
-                kind = FiniteIndex(x, xcard.count) if xcard.is_finite else "invalid"
-                classes = tuple(fin_class(v) for v in range(xcard.count or 0))
-        self.kinds[d.name], self.classes[d.name] = kind, classes
+                kind = FiniteIndex(x, xcard.count)
+                classes = tuple(fin_class(v) for v in range(xcard.count))
+                ctors = self.sig.by_name[x].ctors
+                if any(c.pi_args or any(a.binders for a in c.args) for c in ctors):
+                    fault(f"index type {x} may not use binders")
+                if not xcard.count:
+                    fault(f"index type {x} is uninhabited")
+        self.kinds[d.name], self.classes[d.name], self.kind_faults[d.name] = kind, classes, faults
+
+    def constant(self, report, subject: str, type_name: str, expr: IndexExpr) -> int | None:
+        """The value of expr as a constant index of type_name, or None;
+        evaluated as _index_value does.  report(rule, subject, message) is
+        told when expr has no value or lies out of range."""
+        kind = self.kinds[type_name]
+        value = _index_value(self.sig, self.nat_shapes, self.block_of, kind.type_name, expr, {})
+        if value is None:
+            report("index-expr", subject, f"invalid index expression for type {type_name}")
+        elif isinstance(kind, FiniteIndex) and value >= kind.count:
+            report(
+                "index-out-of-range", subject, f"index {value} out of range for type {type_name}"
+            )
+        return value
 
     def pattern_of(self, ctor: Ctor) -> tuple:
         if ctor.name not in self.patterns:
@@ -901,10 +968,7 @@ class _Analyzer:
             )
             return ("invalid",)
         # finite index: a concrete value
-        value = _constant(
-            self.sig, self.nat_shapes, self.blocks.get, self.defer,
-            ctor.name, ctor.family, kind, expr,
-        )
+        value = self.constant(self.defer, ctor.name, ctor.family, expr)
         return ("invalid",) if value is None else ("const", value)
 
     def _rule(self, ctor: Ctor, type_name: str, index: tuple[IndexExpr, ...]) -> tuple:
@@ -924,10 +988,7 @@ class _Analyzer:
         if isinstance(kind, NatIndex):
             expr, succs = _succ_chain(expr, kind)
         if not isinstance(expr, IxVar):
-            value = _constant(
-                self.sig, self.nat_shapes, self.blocks.get, self.defer, ctor.name,
-                type_name, kind, index[0],
-            )
+            value = self.constant(self.defer, ctor.name, type_name, index[0])
             if value is None or isinstance(kind, FiniteIndex) and value >= kind.count:
                 return type_name, -1, succs
             return type_name, None, value
@@ -1004,66 +1065,11 @@ class _Analyzer:
             ck: EMPTY if ck not in inhab else INFINITE if ck in infinite else finite(counts[ck])
             for ck in self.graph
         }
-        # a type's count and block read only the strata it reaches, which
-        # a later count leaves as they are
-        for (t, k), edges in self.graph.items():
-            if k == UNIT_CLASS and t not in self.blocks and self.card[(t, k)].is_finite:
-                self.blocks[t] = _partition(edges.values(), self.card)[0]
-
-    def run(self) -> Analysis:
-        """One pass over strata, building each edge once: first the types
-        that an index type other than a nat-shaped one reaches, one strongly
-        connected component of their dependencies at a time, each after
-        those it reaches; then every other type, in declaration order.  A
-        type depends on its index type and on the types of its constructors'
-        abstractions, arguments and bound variables, so a finite index type
-        is counted before the families it indexes get classes."""
-        sig = self.sig
-        deps: dict[str, list[str]] = {}
-        todo = [x for d in sig.decls for x in d.index_types if x not in self.nat_shapes]
-        while todo:
-            t = todo.pop()
-            if t not in deps:
-                decl = sig.by_name[t]
-                deps[t] = [*decl.index_types]
-                for c in decl.ctors:
-                    deps[t] += [p for _, p, _ in c.pi_args]
-                    for a in c.args:
-                        deps[t] += [a.type_name, *(bt for bt, _ in a.binders)]
-                todo += deps[t]
-        for stratum in [*_sccs(deps), [d.name for d in sig.decls if d.name not in deps]]:
-            for t in stratum:
-                self._set_kind(sig.by_name[t])
-            for t in stratum:
-                for k in self.classes[t]:
-                    self.graph[(t, k)] = {
-                        c.name: self._edge(c, k)
-                        for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k)
-                    }
-        self.graph = {
-            (d.name, k): self.graph[(d.name, k)] for d in sig.decls for k in self.classes[d.name]
-        }
-        self._count()
-        # the patterns of families without classes are worked out here, last
-        patterns = {c.name: self.pattern_of(c) for c in sig.ctors.values()}
-
-        nat_literal = None
-        shape = self.nat_shapes.get("nat")
-        if shape is not None and shape.zero == "z" and shape.succ == "s":
-            nat_literal = shape
-
-        return Analysis(
-            kinds=self.kinds,
-            classes=self.classes,
-            card=self.card,
-            patterns=patterns,
-            nat_shapes=self.nat_shapes,
-            deferred=list(self.diags),
-            nat_literal=nat_literal,
-            graph=self.graph,
-            rules=self.rules,
-            blocks=self.blocks,
-        )
+        # a class's count and partition read only the strata it reaches,
+        # which a later count leaves as they are
+        for ck, edges in self.graph.items():
+            if ck not in self.partitions:
+                self.partitions[ck] = _partition(edges.values(), self.card)
 
 
 def _productive(graph) -> set[tuple[str, IndexClass]]:
@@ -1198,7 +1204,7 @@ def _sccs(succ: dict) -> list[list]:
 
 def compute_cardinality(sig: Signature) -> Signature:
     """Fill in per-class cardinalities.  Returns the same signature."""
-    sig.analysis = _Analyzer(sig).run()
+    sig.analysis = Analysis(sig)
     return sig
 
 
@@ -1210,9 +1216,8 @@ def compute_cardinality(sig: Signature) -> Signature:
 class ValidatedSignature:
     sig: Signature
     analysis: Analysis
-    partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]]
-    family_card: dict[str, Cardinality]  # uniformity: one per family
     layouts: dict[str, tuple]  # per constructor; see _layout
+    abbrev_index: dict[str, int | None]  # per abbreviation, its type's index
 
     @property
     def decls(self) -> list[TypeDecl]:
@@ -1259,13 +1264,10 @@ class ValidatedSignature:
             return [(Z_CLASS, [0]), (S_CLASS, [1, 2])]
         return [(fin_class(v), [v]) for v in range(kind.count)]
 
-    def index_value(
-        self, ixtype: str, expr: IndexExpr, binding: dict[str, int]
-    ) -> int | None:
-        """Value of an index expression of type ixtype, None if ill-formed."""
-        return _index_value(
-            self.sig, self.analysis.nat_shapes, self.analysis.blocks.get, ixtype, expr, binding
-        )
+    def index_value(self, ixtype: str, expr: IndexExpr) -> int | None:
+        """Value of a closed index expression of type ixtype, None if ill-formed."""
+        ana = self.analysis
+        return _index_value(self.sig, ana.nat_shapes, ana.block_of, ixtype, expr, {})
 
     def arg_targets(
         self, ctor_name: str, index: int | None, index_args: tuple[int, ...] = ()
@@ -1282,95 +1284,45 @@ class ValidatedSignature:
         self, type_name: str, cls: IndexClass
     ) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
         """Finite-instance block and ordered infinite constructors of a class."""
-        return self.partitions[(type_name, cls)]
+        return self.analysis.partitions[(type_name, cls)]
 
 
 def validate(sig: Signature) -> ValidatedSignature:
     """Check every well-formedness rule; raise SigValidationError listing
-    all violations, or return the signature paired with its analysis."""
+    all violations, or return the signature paired with its analysis.
+    The faults the analysis found come first, then each type's index-kind
+    faults in declaration order, then the rules read here from the
+    analysis' graph, counts and partitions."""
     if sig.analysis is None:
         compute_cardinality(sig)
     ana = sig.analysis
-    diags: list[Diagnostic] = list(ana.deferred)
+    diags = dict(ana.deferred)
     # an index type whose instances need its own index values has no
     # instance block; the checks that evaluate its indices only restate that
     self_indexed = [d for d in diags if d.rule == "index-type"]
     if self_indexed:
         raise SigValidationError(self_indexed)
+    diags.update(dict.fromkeys(chain.from_iterable(ana.kind_faults.values())))
 
     def add(rule: str, subject: str, message: str) -> None:
-        d = Diagnostic(rule, subject, message)
-        if d not in diags:
-            diags.append(d)
+        diags.setdefault(Diagnostic(rule, subject, message))
 
-    for decl in sig.decls:
-        kind = ana.kinds[decl.name]
-        if kind == "multi":
-            add(
-                "single-index",
-                decl.name,
-                f"indexed types must take exactly one index,"
-                f" {decl.name} takes {len(decl.index_types)}",
-            )
-            continue
-        if kind == "invalid":
-            xname = decl.index_types[0]
-            xdecl = sig.by_name.get(xname)
-            if xdecl is not None and xdecl.index_types:
-                add(
-                    "index-type",
-                    decl.name,
-                    f"index type {xname} is itself indexed; indices must be"
-                    " nat-shaped or finite unindexed types",
-                )
-            else:
-                xcard = ana.card.get((xname, UNIT_CLASS))
-                detail = f" ({xcard})" if xcard is not None else ""
-                add(
-                    "index-type",
-                    decl.name,
-                    f"index type {xname} must be nat-shaped or finite{detail}",
-                )
-            continue
-        if isinstance(kind, FiniteIndex):
-            xdecl = sig.by_name[kind.type_name]
-            if any(a.binders for c in xdecl.ctors for a in c.args) or any(
-                c.pi_args for c in xdecl.ctors
-            ):
-                add(
-                    "index-type",
-                    decl.name,
-                    f"index type {kind.type_name} may not use binders",
-                )
-            if kind.count == 0:
-                add(
-                    "index-type",
-                    decl.name,
-                    f"index type {kind.type_name} is uninhabited",
-                )
-
-    analyzed = {d.name for d in sig.decls if ana.kinds[d.name] not in ("multi", "invalid")}
-    partitions = {ck: _partition(edges.values(), ana.card) for ck, edges in ana.graph.items()}
-
-    for decl in sig.decls:
-        if decl.name not in analyzed:
-            continue
+    analyzed = [d for d in sig.decls if ana.kinds[d.name] not in ("multi", "invalid")]
+    for decl in analyzed:
         for ctor in decl.ctors:
-            _validate_ctor(ana, partitions, ctor, add)
+            _validate_ctor(ana, ctor, add)
 
     # an abbreviation's index follows a constructor's result-index rules
+    abbrev_index = {}
     for ab in sig.abbrevs.values():
         kind = ana.kinds[ab.type_name]
-        if ab.type_name not in analyzed or kind is None:
-            continue
-        _constant(
-            sig, ana.nat_shapes, ana.blocks.get, add, ab.name, ab.type_name, kind, ab.index[0]
-        )
+        if kind not in ("multi", "invalid"):
+            abbrev_index[ab.name] = (
+                None if kind is None else ana.constant(add, ab.name, ab.type_name, ab.index[0])
+            )
 
     # uniformity: every class of an indexed family has the same cardinality
-    for decl in sig.decls:
-        if decl.name not in analyzed:
-            continue
+    for decl in analyzed:
         cards = [ana.card[(decl.name, k)] for k in ana.classes[decl.name]]
         if cards and any(c != cards[0] for c in cards[1:]):
             parts = ", ".join(
@@ -1384,35 +1336,30 @@ def validate(sig: Signature) -> ValidatedSignature:
             )
 
     if not diags:
-        for decl in sig.decls:
-            for k in ana.classes[decl.name]:
-                block, inf = partitions[(decl.name, k)]
-                card = ana.card[(decl.name, k)]
-                if card.is_infinite and not inf:
-                    add(
-                        "no-infinite-ctor",
-                        decl.name,
-                        f"class {decl.name}[{k.label}] is infinite (or its count"
-                        f" exceeds {COUNT_CUTOFF}) but has no infinite"
-                        " constructor to anchor decoding",
-                    )
-                if card.is_finite and block.total != card.count:
-                    raise AssertionError(
-                        f"partition/count mismatch for {decl.name}[{k.label}]"
-                    )
+        for t, k in ana.graph:
+            (block, inf), card = ana.partitions[(t, k)], ana.card[(t, k)]
+            if card.is_infinite and not inf:
+                add(
+                    "no-infinite-ctor",
+                    t,
+                    f"class {t}[{k.label}] is infinite (or its count"
+                    f" exceeds {COUNT_CUTOFF}) but has no infinite"
+                    " constructor to anchor decoding",
+                )
+            if card.is_finite and block.total != card.count:
+                raise AssertionError(f"partition/count mismatch for {t}[{k.label}]")
 
     if diags:
         raise SigValidationError(diags)
-    family_card = {t: ana.card[(t, classes[0])] for t, classes in ana.classes.items()}
     layouts = {c: _layout(ana.rules[c]) for c in sig.ctors}
-    return ValidatedSignature(sig, ana, partitions, family_card, layouts)
+    return ValidatedSignature(sig, ana, layouts, abbrev_index)
 
 
 def _layout(rules: tuple) -> tuple:
     """A constructor's argument layout, (applied, rules), read by
     arg_targets: rules holds (type, slot, offset, binders) per argument
     and binders a (type, slot, offset) rule per bound variable (see
-    _Analyzer._rule).  When no rule reads a slot, applied is the targets
+    Analysis._rule).  When no rule reads a slot, applied is the targets
     and rules is None."""
     for _, slot, _, binders in rules:
         if slot is not None or any(b[1] is not None for b in binders):
@@ -1457,7 +1404,7 @@ def _partition(edges, card_map) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
     return FiniteBlock(tuple(entries), base), tuple(infinite)
 
 
-def _validate_ctor(ana: Analysis, partitions: dict, ctor: Ctor, add) -> None:
+def _validate_ctor(ana: Analysis, ctor: Ctor, add) -> None:
     seen_vars = set()
     pat = ana.patterns[ctor.name]
     if pat[0] in ("var", "succ"):
@@ -1509,7 +1456,7 @@ def _validate_ctor(ana: Analysis, partitions: dict, ctor: Ctor, add) -> None:
                     )
         # a constructor that takes a tag at k but has no instances there
         # would leave that tag's codes without terms
-        if edge.unmet and ctor in partitions[(ctor.family, k)][1]:
+        if edge.unmet and ctor in ana.partitions[(ctor.family, k)][1]:
             add(
                 "dead-ctor",
                 ctor.name,

@@ -128,7 +128,7 @@ def _index_value(vsig: ValidatedSignature, e: SExpr, ixtype: str) -> int:
     """The value of an explicit index argument; abbreviations expand in it
     as in a signature's index positions."""
     expr = to_index_expr(vsig.sig, e, _not_an_index, frozenset())
-    value = vsig.index_value(ixtype, expr, {})
+    value = vsig.index_value(ixtype, expr)
     if value is None:
         raise TermError(f"invalid {ixtype} index value")
     return value
@@ -306,9 +306,7 @@ def _read(
             i += 1
         elif tok in abbrevs:
             ab = abbrevs[tok]
-            kind, ab_index = vsig.index_kind(ab.type_name), None
-            if kind is not None:  # validate checked that the index has a value
-                ab_index = vsig.index_value(kind.type_name, ab.index[0], {})
+            ab_index = vsig.abbrev_index[tok]
             if (ab.type_name, ab_index) != (want_type, want_index):
                 raise TermError(
                     f"abbreviation {tok} has type {_describe(ab.type_name, ab_index)},"
@@ -459,10 +457,16 @@ class _Namer:
             i = len(self.letters)
             letter = _LETTERS[i] if i < len(_LETTERS) else f"x{i}_"
             self.letters[key] = letter
-        name = f"{self.letters[key]}{level}"
-        while name in self.vsig.sig.ctors or name in self.vsig.sig.by_name or name in self.vsig.sig.abbrevs:
-            name += "'"
-        return name
+        return binder_name(self.vsig, f"{self.letters[key]}{level}")
+
+
+def binder_name(vsig: ValidatedSignature, name: str) -> str:
+    """name, primed until it names no constructor, type or abbreviation,
+    so that term text reads it back as the variable it binds."""
+    sig = vsig.sig
+    while name in sig.ctors or name in sig.by_name or name in sig.abbrevs:
+        name += "'"
+    return name
 
 
 _INFER = object()

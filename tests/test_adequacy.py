@@ -288,6 +288,10 @@ TERM_FAULTS = {
         "encode", lambda: _refuse, verify_total_unique,
         (Verdict(False, 0, "term 'true' failed to encode: refused"), Verdict(True, 0)),
     ),
+    "fails-to-encode-one-to-one": (
+        "encode", lambda: _refuse, verify_one_to_one,
+        Verdict(False, 0, "term 'true' failed to encode: refused"),
+    ),
     "variant-differs": (
         "encode", _counter, verify_total_unique,
         (Verdict(True, 0), Verdict(False, 0, "variant 'true' encoded to 1, not 0")),
@@ -316,6 +320,14 @@ def test_term_side_failure_verdicts(plans, monkeypatch, fault):
     name, fake, verifier, expected = TERM_FAULTS[fault]
     monkeypatch.setattr(adequacy, name, fake())
     assert verifier(plans["bool"], "bool", None, EnumBudget()) == expected
+
+
+def test_a_term_that_fails_to_encode_is_reported_not_raised(plans, monkeypatch):
+    monkeypatch.setattr(adequacy, "encode", _refuse)
+    report = verify_all(plans["bool"])
+    assert not report.passed
+    failed = Verdict(False, 0, "term 'true' failed to encode: refused")
+    assert [(row.total, row.one_to_one) for row in report.classes] == [(failed, failed)]
 
 
 def test_a_class_reports_its_first_failing_representative(plans, monkeypatch):

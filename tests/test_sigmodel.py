@@ -743,12 +743,19 @@ LAYOUT_SIGS = {
 
 @pytest.mark.parametrize("name", [*sorted(LAYOUT_SIGS), "chain"])
 def test_each_edge_is_built_once(monkeypatch, name):
-    built, edge = [], sigmodel._Analyzer._edge
+    built, edge = [], sigmodel.Analysis._edge
     monkeypatch.setattr(
-        sigmodel._Analyzer, "_edge", lambda self, c, k: built.append(c) or edge(self, c, k)
+        sigmodel.Analysis, "_edge", lambda self, c, k: built.append(c) or edge(self, c, k)
     )
     v = check(LAYOUT_SIGS.get(name, INDEX_CHAIN))
     assert len(built) == sum(map(len, v.analysis.graph.values()))
+
+
+def test_each_class_is_partitioned_once(monkeypatch):
+    calls, partition = [], sigmodel._partition
+    monkeypatch.setattr(sigmodel, "_partition", lambda *a: calls.append(a) or partition(*a))
+    v = check(LAYOUT_SIGS["finite"])
+    assert len(calls) == len(v.analysis.graph) == 3
 
 
 def assert_arg_targets_match_reference(v):

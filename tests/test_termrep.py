@@ -340,6 +340,19 @@ def test_an_abbreviation_whose_body_is_no_term_fails_where_it_is_used():
     assert message(v, "t", None, "app g a") == "invalid term"
 
 
+def test_reading_an_abbreviation_evaluates_no_index(monkeypatch):
+    # validate evaluates each abbreviation's index once; the reader reuses it
+    v = validate(parse_signature(
+        sig_text("nat") + "t : nat -> type. tz : t z. ts : t N -> t (s N)."
+        " %abbrev t2 : t 2 = ts (ts tz)."
+    ))
+    calls, index_value = [], sigmodel._index_value
+    monkeypatch.setattr(sigmodel, "_index_value", lambda *a: calls.append(a) or index_value(*a))
+    two = Con("ts", (), (TermArg(0, Con("ts", (), (TermArg(0, Con("tz")),))),))
+    assert [parse_term(v, "t", 2, "t2") for _ in range(5)] == [two] * 5
+    assert calls == []
+
+
 def test_abbreviation_of_another_type(ex_ab):
     assert message(ex_ab, "term", 0, "two") == "abbreviation two has type nat, expected term 0"
     assert message(ex_ab, "term", 1, "e") == "abbreviation e has type term 0, expected term 1"
