@@ -233,7 +233,9 @@ def verify_total_unique(
     index: int | None,
     budget: EnumBudget,
 ) -> tuple[Verdict, Verdict]:
-    """Every enumerated term encodes, and every rendering of it agrees."""
+    """Every enumerated term encodes, and every rendering of it reads
+    back to the same code; a rendering that fails to read back fails
+    unique."""
     vsig = plan.vsig
     label = vsig.class_of(type_name, index).label
     terms = enumerate_terms(vsig, type_name, index, budget.size_for(type_name, label))
@@ -250,17 +252,17 @@ def verify_total_unique(
             )
         for namer in namers:
             shown = print_term(vsig, term, index=index, namer=namer)
-            reparsed = parse_term(vsig, type_name, index, shown)
-            recoded = encode(plan, type_name, index, EMPTY_COUNTS, reparsed)
-            if recoded != code:
-                return (
-                    Verdict(True, checked),
-                    Verdict(
-                        False,
-                        checked,
-                        f"variant {shown!r} encoded to {recoded}, not {code}",
-                    ),
+            try:
+                recoded = encode(
+                    plan, type_name, index, EMPTY_COUNTS, parse_term(vsig, type_name, index, shown)
                 )
+            except TermError as exc:
+                fault = f"variant {shown!r} failed to read back: {exc}"
+            else:
+                if recoded == code:
+                    continue
+                fault = f"variant {shown!r} encoded to {recoded}, not {code}"
+            return Verdict(True, checked), Verdict(False, checked, fault)
         checked += 1
     return Verdict(True, checked), Verdict(True, checked)
 

@@ -31,7 +31,6 @@ from .sigmodel import (
     validate,
 )
 from .termrep import EMPTY_COUNTS, parse_term, print_term
-from .termrep import _check_target as check_target
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -75,7 +74,7 @@ def _resolve_index(vsig, type_name: str, text: str | None) -> int | None:
     except ValueError:
         pass
     # the type exists and takes an index: every validated indexed type has 0
-    check_target(vsig, type_name, 0)
+    vsig.class_of(type_name, 0)
     kind = vsig.index_kind(type_name)
     if isinstance(kind, FiniteIndex):
         block, _inf = vsig.ctors_for_class(kind.type_name, UNIT_CLASS)
@@ -135,7 +134,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
     type_name, index = _target(vsig, args)
-    check_target(vsig, type_name, index)  # class_plan does not
     for code in plan.class_plan(type_name, index).cardinality.codes_below(args.count):
         term = decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
         print(f"{code}\t{print_term(vsig, term, index=index)}")

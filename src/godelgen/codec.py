@@ -38,7 +38,6 @@ from .termrep import (
     TermArg,
     Var,
     _check_con,
-    _check_target,
     _check_var,
     binder_mismatch,
 )
@@ -82,6 +81,8 @@ class CodecPlan:
     classes: dict[tuple[str, IndexClass], ClassPlan]
 
     def class_plan(self, type_name: str, index: int | None) -> ClassPlan:
+        """The plan of the class of (type, index); TermError for a bad
+        target, from class_of."""
         return self.classes[(type_name, self.vsig.class_of(type_name, index))]
 
 
@@ -207,7 +208,7 @@ def encode(
     term: Term,
 ) -> int:
     """Code of a well-typed term under the given free-variable counts."""
-    _check_target(plan.vsig, type_name, index)
+    plan.vsig.class_of(type_name, index)
     return _encode(plan, type_name, index, counts, term)
 
 
@@ -221,7 +222,7 @@ def _encode(plan, type_name, index, counts, term, memo=None):
     to (node, code) for Con nodes already encoded; the node in the value
     keeps its id from being reused while the key is held."""
     vsig, stack = plan.vsig, []
-    arg_targets, fits = vsig.arg_targets, set()
+    arg_targets = vsig.arg_targets
     plans: dict[tuple[str, int | None], ClassPlan] = {}  # see _decode
     while True:
         code = None
@@ -235,7 +236,7 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 if hit is not None:
                     code = hit[1]
             if code is None:
-                _check_con(vsig, fits, type_name, index, term)
+                _check_con(vsig, type_name, index, term)
                 cp = plans.get((type_name, index))
                 if cp is None:
                     cp = plans[type_name, index] = plan.class_plan(type_name, index)
@@ -307,7 +308,7 @@ def decode(
     Fuel is debited once per decode step; running out signals a plan
     whose decode is not well founded at this code.
     """
-    _check_target(plan.vsig, type_name, index)
+    plan.vsig.class_of(type_name, index)
     return _decode(plan, type_name, index, counts, code, [fuel])
 
 

@@ -43,7 +43,8 @@ Each index in a constructor's arguments compiles to one rule, (type,
 slot, offset): a constant, or the parent's index or an explicit index
 value plus an offset.  The analysis reads from a rule the classes the
 index can land in, and arg_targets applies the same rule to concrete
-values, so the two cannot disagree.
+values, so the two cannot disagree.  Likewise applies, the one fit test,
+reads a concrete index: the graph asks it at each class's least index.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 
-from .errors import Diagnostic, SigSyntaxError, SigValidationError
+from .errors import Diagnostic, SigSyntaxError, SigValidationError, TermError
 
 # Counts above this are treated as infinite.  Classes whose true count
 # overflows the cutoff get rejected later (no infinite constructor to
@@ -619,7 +620,7 @@ def _expr_vars(e: IndexExpr) -> list[str]:
 @dataclass(frozen=True)
 class IndexClass:
     kind: str  # 'unit' | 'z' | 's' | 'fin'
-    value: int | None = None
+    value: int | None = None  # the least index of the class; None for unit
 
     @property
     def label(self) -> str:
@@ -634,12 +635,21 @@ class IndexClass:
 
 
 UNIT_CLASS = IndexClass("unit")
-Z_CLASS = IndexClass("z")
-S_CLASS = IndexClass("s")
+Z_CLASS = IndexClass("z", 0)
+S_CLASS = IndexClass("s", 1)
 
 
 def fin_class(value: int) -> IndexClass:
     return IndexClass("fin", value)
+
+
+def _class_at(kind, index: int | None) -> IndexClass:
+    """The class of a valid index of a family of this index kind."""
+    if kind is None:
+        return UNIT_CLASS
+    if isinstance(kind, NatIndex):
+        return S_CLASS if index else Z_CLASS
+    return fin_class(index)
 
 
 @dataclass(frozen=True)
@@ -740,18 +750,21 @@ def _nat_shape(decl: TypeDecl) -> NatIndex | None:
     return NatIndex(decl.name, *zero, *succ) if len(zero) == len(succ) == 1 else None
 
 
-def applies(pattern: tuple, cls: IndexClass) -> bool:
-    """Whether a constructor with this result pattern builds terms of cls."""
+def applies(pattern: tuple, index: int | None) -> bool:
+    """Whether a constructor with this result pattern builds terms at a
+    valid concrete index of its family (None for an unindexed family).
+    The analysis asks it at each class's least index (IndexClass.value),
+    which stands for the whole class."""
     if pattern[0] == "unit":
-        return cls.kind == "unit"
+        return index is None
     if pattern[0] == "zero":
-        return cls.kind == "z"
+        return index == 0
     if pattern[0] == "succ":
-        return cls.kind == "s"
+        return index is not None and index > 0
     if pattern[0] == "var":
-        return cls.kind != "unit"
+        return index is not None
     if pattern[0] == "const":
-        return cls.kind == "fin" and cls.value == pattern[1]
+        return index == pattern[1]
     return False
 
 
@@ -855,7 +868,7 @@ class Analysis:
                 for k in self.classes[t]:
                     self.graph[(t, k)] = {
                         c.name: self._edge(c, k)
-                        for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k)
+                        for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k.value)
                     }
         self.graph = {
             (d.name, k): self.graph[(d.name, k)] for d in sig.decls for k in self.classes[d.name]
@@ -1020,15 +1033,8 @@ class Analysis:
         builds a term of class k, and whether the index is pinned: a
         constant, or the parent's own index."""
         type_name, slot, offset = rule
-        kind = self.kinds[type_name]
         if slot is None:
-            if kind is None:
-                cls = UNIT_CLASS
-            elif isinstance(kind, FiniteIndex):
-                cls = fin_class(offset)
-            else:
-                cls = S_CLASS if offset else Z_CLASS
-            return frozenset(((type_name, cls),)), True
+            return frozenset(((type_name, _class_at(self.kinds[type_name], offset)),)), True
         pat = self.pattern_of(ctor)[0]
         if slot == 0 and pat == "succ":
             offset += 1  # the successors around the parent's predecessor
@@ -1223,9 +1229,6 @@ class ValidatedSignature:
     def decls(self) -> list[TypeDecl]:
         return self.sig.decls
 
-    def has_type(self, type_name: str) -> bool:
-        return type_name in self.sig.by_name
-
     def index_kind(self, type_name: str):
         return self.analysis.kinds[type_name]
 
@@ -1239,30 +1242,30 @@ class ValidatedSignature:
         return self.analysis.patterns[ctor_name]
 
     def class_of(self, type_name: str, index: int | None) -> IndexClass:
+        """The class of (type, index), the one check of a target: TermError
+        for an unknown type, an index on an unindexed type, a missing or
+        negative index, or a finite index out of range."""
+        if type_name not in self.analysis.kinds:
+            raise TermError(f"unknown type {type_name!r}")
         kind = self.analysis.kinds[type_name]
         if kind is None:
             if index is not None:
-                raise ValueError(f"type {type_name} takes no index")
-            return UNIT_CLASS
-        if index is None or index < 0:
-            raise ValueError(f"type {type_name} requires a nonnegative index")
-        if isinstance(kind, NatIndex):
-            return Z_CLASS if index == 0 else S_CLASS
-        if index >= kind.count:
-            raise ValueError(
+                raise TermError(f"type {type_name} takes no index")
+        elif index is None or index < 0:
+            raise TermError(f"type {type_name} requires a nonnegative index")
+        elif isinstance(kind, FiniteIndex) and index >= kind.count:
+            raise TermError(
                 f"index {index} out of range for type {type_name}"
                 f" (0..{kind.count - 1})"
             )
-        return fin_class(index)
+        return _class_at(kind, index)
 
     def class_reps(self, type_name: str) -> list[tuple[IndexClass, list[int | None]]]:
-        """Representative concrete indices per class, for verification."""
-        kind = self.analysis.kinds[type_name]
-        if kind is None:
-            return [(UNIT_CLASS, [None])]
-        if isinstance(kind, NatIndex):
-            return [(Z_CLASS, [0]), (S_CLASS, [1, 2])]
-        return [(fin_class(v), [v]) for v in range(kind.count)]
+        """Representative concrete indices per class, for verification:
+        each class's least index, and 2 as well for the successor class."""
+        return [
+            (k, [1, 2] if k == S_CLASS else [k.value]) for k in self.analysis.classes[type_name]
+        ]
 
     def index_value(self, ixtype: str, expr: IndexExpr) -> int | None:
         """Value of a closed index expression of type ixtype, None if ill-formed."""

@@ -23,7 +23,6 @@ from .errors import SigSyntaxError, TermError
 from .sigmodel import (
     _NOT_NAME,
     Ctor,
-    IndexClass,
     SExpr,
     ValidatedSignature,
     _Parser,
@@ -142,7 +141,7 @@ def parse_term(
     The text is read in one pass over its tokens that builds only the
     term (see _read).  Only a text with a fault is also parsed by the
     grammar, so that a syntax fault anywhere in it is the one reported."""
-    _check_target(vsig, type_name, index)
+    vsig.class_of(type_name, index)
     try:
         p = _Parser(text)
         try:
@@ -152,17 +151,6 @@ def parse_term(
             raise
     except SigSyntaxError as exc:
         raise TermError(f"term syntax error: {exc}") from None
-
-
-def _check_target(
-    vsig: ValidatedSignature, type_name: str, index: int | None
-) -> IndexClass:
-    if not vsig.has_type(type_name):
-        raise TermError(f"unknown type {type_name!r}")
-    try:
-        return vsig.class_of(type_name, index)
-    except ValueError as exc:
-        raise TermError(str(exc)) from None
 
 
 def _describe(type_name: str, index: int | None) -> str:
@@ -199,7 +187,6 @@ def _read(
     ctors, abbrevs, lit = vsig.sig.ctors, vsig.sig.abbrevs, vsig.analysis.nat_literal
     arg_targets = vsig.arg_targets
     tables: dict[int, dict] = {}
-    fits: set[tuple] = set()  # (constructor, type, index) checked to fit
 
     def structure(src: _Parser) -> dict[int, int]:
         if id(src) not in tables:
@@ -249,9 +236,7 @@ def _read(
             if name not in ctors:
                 raise TermError(f"unbound name {name!r}")
             ctor = ctors[name]
-            if (name, want_type, want_index) not in fits:
-                _check_ctor(vsig, ctor, want_type, want_index)
-                fits.add((name, want_type, want_index))
+            _check_ctor(vsig, ctor, want_type, want_index)
             values = []
             for _, ptype, _ in ctor.pi_args:
                 if toks[i] in _NO_ATOM:
@@ -368,13 +353,15 @@ def _read(
 
 
 def _check_ctor(vsig: ValidatedSignature, ctor: Ctor, want_type: str, want_index: int | None):
-    """Raise TermError unless ctor constructs the wanted type and class."""
+    """Raise TermError unless ctor constructs the wanted type at the wanted
+    index, a valid target of that type.  At no index the family test
+    decides: every constructor of an unindexed family fits."""
     if ctor.family != want_type:
         raise TermError(
             f"constructor {ctor.name} constructs {ctor.family},"
             f" expected {_describe(want_type, want_index)}"
         )
-    if not applies(vsig.pattern(ctor.name), vsig.class_of(want_type, want_index)):
+    if want_index is not None and not applies(vsig.pattern(ctor.name), want_index):
         raise TermError(
             f"constructor {ctor.name} cannot construct"
             f" {_describe(want_type, want_index)}"
@@ -609,14 +596,13 @@ def check_term(
     counts.  A loop over a stack of frames, one per Con whose arguments
     are being checked: the node, its remaining (target, argument) pairs
     and its counts.  Each node is tested as encode tests it."""
-    _check_target(vsig, type_name, index)
-    arg_targets, fits = vsig.arg_targets, set()
-    stack = []
+    vsig.class_of(type_name, index)
+    arg_targets, stack = vsig.arg_targets, []
     while True:
         if isinstance(term, Var):
             _check_var(term, type_name, index, counts)
         else:
-            _check_con(vsig, fits, type_name, index, term)
+            _check_con(vsig, type_name, index, term)
             targets = arg_targets(term.ctor, index, term.index_args)
             stack.append((term, zip(targets, term.args), counts))
         while stack:
@@ -649,19 +635,16 @@ def _check_var(term: Var, type_name: str, index: int | None, counts: CountVector
     return term.level
 
 
-def _check_con(vsig: ValidatedSignature, fits: set, type_name: str, index: int | None, term: Con):
-    """Raise TermError unless the node term fits (type, index): its
-    constructor is known and passes _check_ctor (once per walk for each
-    (constructor, type, index) in fits, as _read does), it has the
-    constructor's argument and index-argument counts, and its index
-    arguments are naturals.  The loops over the arguments check each
-    one's binder count (see binder_mismatch)."""
+def _check_con(vsig: ValidatedSignature, type_name: str, index: int | None, term: Con):
+    """Raise TermError unless the node term fits (type, index), a valid
+    target: its constructor is known and passes _check_ctor, as in _read,
+    it has the constructor's argument and index-argument counts, and its
+    index arguments are naturals.  The loops over the arguments check
+    each one's binder count (see binder_mismatch)."""
     ctor = vsig.sig.ctors.get(term.ctor)
     if ctor is None:
         raise _unknown_ctor(term.ctor)
-    if (term.ctor, type_name, index) not in fits:
-        _check_ctor(vsig, ctor, type_name, index)
-        fits.add((term.ctor, type_name, index))
+    _check_ctor(vsig, ctor, type_name, index)
     if len(term.index_args) != len(ctor.pi_args):
         raise TermError(
             f"constructor {term.ctor} takes {len(ctor.pi_args)} index"

@@ -38,6 +38,7 @@ from godelgen.termrep import (
     TermArg,
     Var,
     check_term,
+    parse_term,
     print_term,
     term_size,
 )
@@ -124,7 +125,7 @@ class TestEnumerator:
 
     @pytest.mark.parametrize("index", [None, -1])
     def test_bad_index_is_rejected(self, vsigs, index):
-        with pytest.raises(ValueError, match="nonnegative index"):
+        with pytest.raises(TermError, match="nonnegative index"):
             enumerate_terms(vsigs["termfam"], "term", index, 3)
 
 
@@ -312,6 +313,10 @@ TERM_FAULTS = {
         "_encode", lambda: lambda *_: 7, verify_onto,
         Verdict(False, 0, "code 0 decoded to a term that re-encodes to 7"),
     ),
+    "variant-fails-to-read-back": (
+        "parse_term", lambda: _refuse, verify_total_unique,
+        (Verdict(True, 0), Verdict(False, 0, "variant 'true' failed to read back: refused")),
+    ),
 }
 
 
@@ -328,6 +333,45 @@ def test_a_term_that_fails_to_encode_is_reported_not_raised(plans, monkeypatch):
     assert not report.passed
     failed = Verdict(False, 0, "term 'true' failed to encode: refused")
     assert [(row.total, row.one_to_one) for row in report.classes] == [(failed, failed)]
+
+
+def test_a_variant_that_fails_to_read_back_is_reported_not_raised(plans, monkeypatch):
+    monkeypatch.setattr(adequacy, "parse_term", _refuse)
+    report = verify_all(plans["bool"])
+    assert not report.passed
+    failed = Verdict(False, 0, "variant 'true' failed to read back: refused")
+    assert [(row.total.passed, row.unique) for row in report.classes] == [(True, failed)]
+
+
+# every public entry point that takes a (type, index) checks it with class_of
+TARGET_ENTRY_POINTS = {
+    "class_of": lambda plan, t, i: plan.vsig.class_of(t, i),
+    "class_plan": lambda plan, t, i: plan.class_plan(t, i),
+    "enumerate_terms": lambda plan, t, i: enumerate_terms(plan.vsig, t, i, 2),
+    "verify_onto": lambda plan, t, i: verify_onto(plan, t, i, EnumBudget()),
+    "verify_total_unique": lambda plan, t, i: verify_total_unique(plan, t, i, EnumBudget()),
+    "verify_one_to_one": lambda plan, t, i: verify_one_to_one(plan, t, i, EnumBudget()),
+    "encode": lambda plan, t, i: encode(plan, t, i, EMPTY_COUNTS, Con("unit")),
+    "decode": lambda plan, t, i: decode(plan, t, i, EMPTY_COUNTS, 0),
+    "parse_term": lambda plan, t, i: parse_term(plan.vsig, t, i, "unit"),
+    "check_term": lambda plan, t, i: check_term(plan.vsig, t, i, EMPTY_COUNTS, Con("unit")),
+}
+
+
+@pytest.mark.parametrize(
+    "type_name, index, message",
+    [
+        ("nosuch", None, "unknown type 'nosuch'"),
+        ("term", None, "type term requires a nonnegative index"),
+        ("term", -1, "type term requires a nonnegative index"),
+        ("nat", 0, "type nat takes no index"),
+    ],
+)
+@pytest.mark.parametrize("entry", sorted(TARGET_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_bad_target(plans, entry, type_name, index, message):
+    with pytest.raises(TermError) as info:
+        TARGET_ENTRY_POINTS[entry](plans["termfam"], type_name, index)
+    assert str(info.value) == message
 
 
 def test_a_class_reports_its_first_failing_representative(plans, monkeypatch):

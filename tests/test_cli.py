@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import sig_path
-from godelgen import cli
+from godelgen import adequacy, cli
 from godelgen.adequacy import AdequacyReport, ClassReport, Verdict
+from godelgen.errors import TermError
 
 LAMBDA = str(sig_path("lambda"))
 NAT = str(sig_path("nat"))
@@ -337,6 +338,15 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", BOOL, "--max-code", "0"])
         assert code == 2
         assert "max_code" in err
+
+    def test_a_variant_that_fails_to_read_back_exits_one(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise TermError("refused")
+
+        monkeypatch.setattr(adequacy, "parse_term", refuse)
+        code, out, err = run(capsys, ["verify", BOOL])
+        assert (code, err) == (1, "")
+        assert out == "bool: FAIL (0 terms, 2 codes)\n  variant 'true' failed to read back: refused\n"
 
     def test_failing_report_exits_one(self, capsys, monkeypatch):
         failing = AdequacyReport(
