@@ -110,6 +110,8 @@ def unmingle_fold(n: int, k: int) -> list[int]:
     _check_nat(n, "n")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive int, got {k!r}")
+    if k == 1:
+        return [n]
     out = []
     for _ in range(k - 1):
         out.append(_compact(n))

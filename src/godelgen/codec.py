@@ -214,16 +214,24 @@ def encode(
 
 def _encode(plan, type_name, index, counts, term, memo=None):
     """term's code, in a loop over a stack of frames, one per Con whose
-    arguments are being encoded: the node, its counts, variable count,
-    class plan, finite entry (or None) and tag, its arguments' targets
-    and their codes so far, and its memo key.  Nodes are tested by
-    check_term's tests (_check_var, _check_con), so encode fails where it
-    does, with its message.  A memo maps (id(node), type, index, counts)
-    to (node, code) for Con nodes already encoded; the node in the value
-    keeps its id from being reused while the key is held."""
+    arguments are being encoded: the node, its counts and their memo key,
+    variable count, class plan, finite entry (or None) and tag, its
+    arguments' targets and their codes so far, and its memo key.  Nodes
+    are tested by check_term's tests (_check_var, _check_con), so encode
+    fails where it does, with its message.
+
+    The onto sweep passes its lookup context as memo (see _decode and
+    adequacy._SweepMemo); its memo maps (id(node), type, index, counts
+    key) to (node, code) for Con nodes already encoded, the node in the
+    value keeping its id from being reused while the key is held.  Public
+    encode passes none, and keeps a class plan per (type, index) for the
+    call only."""
     vsig, stack = plan.vsig, []
     arg_targets = vsig.arg_targets
-    plans: dict[tuple[str, int | None], ClassPlan] = {}  # see _decode
+    if memo is None:
+        plans, ck = {}, None  # see _decode
+    else:
+        plans, ck = memo.plans, counts.key()
     while True:
         code = None
         if isinstance(term, Var):
@@ -231,8 +239,8 @@ def _encode(plan, type_name, index, counts, term, memo=None):
         else:
             key = None
             if memo is not None:
-                key = (id(term), type_name, index, counts)
-                hit = memo.get(key)
+                key = (id(term), type_name, index, ck)
+                hit = memo.young.get(key) or memo.promote(key)
                 if hit is not None:
                     code = hit[1]
             if code is None:
@@ -244,12 +252,15 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 entry, tag = cp.finite.entry_for(term.ctor), None
                 if entry is None:
                     tag = cp.tags.index(term.ctor)
-                targets = arg_targets(term.ctor, index, term.index_args)
+                if memo is None:
+                    targets = arg_targets(term.ctor, index, term.index_args)
+                else:
+                    targets = memo.targets_of(arg_targets, term.ctor, index, term.index_args)
                 v = counts.get(type_name, index)
-                stack.append((term, counts, v, cp, entry, tag, targets, [], key))
+                stack.append((term, counts, ck, v, cp, entry, tag, targets, [], key))
         # hand the code to the frames it completes, then start the next argument
         while stack:
-            node, node_counts, v, cp, entry, tag, targets, codes, key = stack[-1]
+            node, node_counts, node_ck, v, cp, entry, tag, targets, codes, key = stack[-1]
             if code is not None:
                 codes.append(code)
             j = len(codes)
@@ -258,7 +269,12 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 ta = node.args[j]
                 if ta.binder_count != len(keys):  # a finite block's constructors bind nothing
                     raise binder_mismatch(node, len(keys), ta)
-                counts = node_counts.bind(keys) if keys else node_counts
+                if not keys:
+                    counts, ck = node_counts, node_ck
+                elif memo is None:
+                    counts = node_counts.bind(keys)
+                else:
+                    counts, ck = memo.bind(node_counts, node_ck, keys)
                 term = ta.body
                 break
             stack.pop()
@@ -316,20 +332,34 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
     """The term of this code, debiting the fuel cell once per node, in a
     loop over a stack of frames, one per Con whose arguments are being
     decoded: its name, index arguments, arguments' targets and codes, the
-    arguments decoded so far, its counts, memo key and fuel at its start.
-    A memo maps (type, index, counts, code) to (term, steps), steps being
-    the fuel the term's decode spent; a hit is taken only if that much
-    fuel is left, so fuel runs out at the same node as without a memo.
+    arguments decoded so far, its counts and their memo key, its memo key
+    and fuel at its start.
+
+    The onto sweep passes its lookup context as memo (see
+    adequacy._SweepMemo), kept for the whole sweep.  Its memo maps (type,
+    index, counts key, code) to (term, steps), steps being the fuel the
+    term's decode spent; a hit is taken only if that much fuel is left, so
+    fuel runs out at the same node as without a memo.  A counts key is
+    CountVector.key(), which hashes in C.  The context also keeps the
+    class plan of each (type, index), one Var per (type, index, level),
+    the argument targets of each (constructor, index, index arguments) and
+    each bind's result with its key, so a code looks up only what no
+    earlier code of the sweep did.  Public decode and the tag search's
+    trials pass none, and keep class plans and Vars for the call only.
 
     A path set (the tag search's trials) holds the state (type, index,
     counts, code) of each open frame.  A node whose state is open raises
     FuelExhausted at once: decoding a state reads nothing else, so every
     step since the first visit would recur until the fuel ran out."""
     stack, arg_targets = [], plan.vsig.arg_targets
-    # the class plan of each (type, index) met, so a node hashes a name and
-    # an int, not an IndexClass; and one Var per (type, index, level)
-    plans: dict[tuple[str, int | None], ClassPlan] = {}
-    variables: dict[tuple[str, int | None, int], Var] = {}
+    if memo is None:
+        # the class plan of each (type, index) met, so a node hashes a name
+        # and an int, not an IndexClass; and one Var per (type, index, level)
+        plans: dict[tuple[str, int | None], ClassPlan] = {}
+        variables: dict[tuple[str, int | None, int], Var] = {}
+        ck = None
+    else:
+        plans, variables, ck = memo.plans, memo.variables, counts.key()
     while True:
         term = key = start = None
         if path is not None:
@@ -340,8 +370,8 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
                     " the plan is not well founded here"
                 )
         if memo is not None:
-            key = (type_name, index, counts, code)
-            hit = memo.get(key)
+            key = (type_name, index, ck, code)
+            hit = memo.young.get(key) or memo.promote(key)
             if hit is not None and hit[1] <= cell[0]:
                 cell[0] -= hit[1]
                 term = hit[0]
@@ -392,19 +422,29 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
                     inf_vals, fin_vals = iter(sub_codes), iter(reversed(fin_rev))
                     sub_codes = [next(fin_vals) if r else next(inf_vals) for r in slot_kinds]
             if term is None:
-                targets = arg_targets(name, index, index_args)
+                if memo is None:
+                    targets = arg_targets(name, index, index_args)
+                else:
+                    targets = memo.targets_of(arg_targets, name, index, index_args)
                 if path is not None:
                     path.add(key)
-                stack.append((name, index_args, targets, sub_codes, [], counts, key, start))
+                stack.append((name, index_args, targets, sub_codes, [], counts, ck, key, start))
         # hand the term to the frames it completes, then start the next argument
         while stack:
-            name, index_args, targets, sub_codes, args, node_counts, key, start = stack[-1]
+            name, index_args, targets, sub_codes, args, node_counts, node_ck, key, start = (
+                stack[-1]
+            )
             if term is not None:
                 args.append(TermArg(len(targets[len(args)][2]), term))
             j = len(args)
             if j < len(targets):
                 type_name, index, keys = targets[j]
-                counts = node_counts.bind(keys) if keys else node_counts
+                if not keys:
+                    counts, ck = node_counts, node_ck
+                elif memo is None:
+                    counts = node_counts.bind(keys)
+                else:
+                    counts, ck = memo.bind(node_counts, node_ck, keys)
                 code = sub_codes[j]
                 break
             stack.pop()

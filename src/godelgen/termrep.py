@@ -52,8 +52,9 @@ class Con:
     index_args: tuple[int, ...] = ()
     args: tuple[TermArg, ...] = ()
 
-    # == and hash use the pre-order list of nodes and their binder counts,
-    # which determines the term; it is built in a loop, so any depth works
+    # == and hash walk the term in a loop over a stack, so any depth works;
+    # hash uses the pre-order list of nodes and their binder counts, which
+    # determines the term
 
     def _flat(self) -> list:
         flat, todo = [], [self]
@@ -67,7 +68,31 @@ class Con:
         return flat
 
     def __eq__(self, other) -> bool:
-        return self._flat() == other._flat() if isinstance(other, Con) else NotImplemented
+        """One walk over both terms in step; it stops at the first
+        difference and skips a pair of subterms that are one object."""
+        if not isinstance(other, Con):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if not isinstance(a, Con):
+                if a != b:  # a Var equals only an equal Var
+                    return False
+            elif (
+                not isinstance(b, Con)
+                or a.ctor != b.ctor
+                or a.index_args != b.index_args
+                or len(a.args) != len(b.args)
+            ):
+                return False
+            else:  # pushed right to left, so popped left to right
+                for x, y in zip(reversed(a.args), reversed(b.args)):
+                    if x.binder_count != y.binder_count:
+                        return False
+                    todo.append((x.body, y.body))
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(self._flat()))
@@ -79,11 +104,11 @@ Term = Var | Con
 class CountVector:
     """Immutable map from (type, concrete index) to a variable count."""
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_key")
 
     def __init__(self, counts: dict | None = None):
         self._counts = dict(counts) if counts else {}
-        self._hash = None  # computed on first use; extend builds many
+        self._key = None  # built on first use; bind builds many
 
     def get(self, type_name: str, index: int | None) -> int:
         return self._counts.get((type_name, index), 0)
@@ -99,13 +124,18 @@ class CountVector:
             counts[key] = counts.get(key, 0) + 1
         return new
 
+    def key(self) -> frozenset:
+        """The items as a frozenset, built once: equal vectors give equal
+        keys, and a key hashes in C (the onto sweep's memo keys hold it)."""
+        if self._key is None:
+            self._key = frozenset(self._counts.items())
+        return self._key
+
     def __eq__(self, other) -> bool:
         return isinstance(other, CountVector) and self._counts == other._counts
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._counts.items()))
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self) -> str:
         inner = ", ".join(

@@ -35,6 +35,7 @@ from godelgen.sigmodel import S_CLASS, parse_signature, validate
 from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
+    CountVector,
     TermArg,
     Var,
     check_term,
@@ -495,3 +496,57 @@ class TestSweepMemo:
         assert len(memo.young) + len(memo.old) <= 2 * MEMO_GENERATION
         assert memo.get(2) is None  # dropped with its generation
         assert memo.get(1) == 2  # was promoted, so it survived one rotation
+
+
+# The sweep's lookup context lives for one sweep and changes nothing it reads.
+
+
+def _attributes(obj):
+    """Each attribute of obj by identity and, for a container, its size."""
+    return {
+        name: (id(value), len(value) if hasattr(value, "__len__") else None)
+        for name, value in vars(obj).items()
+    }
+
+
+class TestSweepContext:
+    BUDGET = EnumBudget(max_size=4, max_code=MEMO_GENERATION + 44)
+
+    @pytest.mark.parametrize("name", ["lambda", "termfam", "exists"])
+    def test_a_second_sweep_reports_alike_and_leaves_no_state(self, name):
+        plan = _sweep_plan(name)
+        vsig = plan.vsig
+        owners = (plan, vsig, vsig.analysis)
+        before = [_attributes(o) for o in owners] + [dict(plan.classes), dict(vsig.layouts)]
+        first = verify_all(plan, self.BUDGET)
+        second = verify_all(plan, self.BUDGET)
+        assert first.passed and first == second
+        after = [_attributes(o) for o in owners] + [dict(plan.classes), dict(vsig.layouts)]
+        assert after == before
+        assert EMPTY_COUNTS == CountVector() and EMPTY_COUNTS._counts == {}
+        assert EMPTY_COUNTS.key() == frozenset()
+
+    def test_count_keys_agree_with_equality_after_a_sweep(self, plans):
+        plan = plans["termfam"]
+        a = EMPTY_COUNTS.extend("term", 1).extend("term", 2).extend("term", 1)
+        b = EMPTY_COUNTS.extend("term", 2).extend("term", 1).extend("term", 1)
+        c = EMPTY_COUNTS.extend("term", 1).extend("term", 2)
+        decoded, encoded = _SweepMemo(), _SweepMemo()
+        entries = []
+        for counts in (a, b, c):
+            for code in range(20):
+                term = _decode(plan, "term", 1, counts, code, [DEFAULT_FUEL], decoded)
+                assert _encode(plan, "term", 1, counts, term, encoded) == code
+            entries.append(len(decoded.young) + len(decoded.old))
+        assert a == b and hash(a) == hash(b) and a.key() == b.key()
+        assert a != c and a.key() != c.key()
+        # b found every node a decoded, and c, a different context, none
+        assert entries[0] == entries[1] < entries[2] < MEMO_GENERATION
+
+    def test_a_count_vector_equals_no_frozenset_or_dict(self):
+        a = EMPTY_COUNTS.extend("t", None)
+        for other in (a.key(), dict(a._counts), frozenset(), {}):
+            assert a != other and other != a
+            assert not a == other
+        assert EMPTY_COUNTS != frozenset() and EMPTY_COUNTS != {}
+        assert len({a, a.key()}) == 2 and len({EMPTY_COUNTS, frozenset()}) == 2

@@ -157,6 +157,18 @@ def test_input_validation():
         unmingle_fold(5, 0)
 
 
+def test_unfold_into_one_code_is_the_code_itself():
+    for n in (0, 1, 5, 2**200):
+        assert unmingle_fold(n, 1) == [n]
+    with pytest.raises(TypeError, match="^n must be an int, got bool$"):
+        unmingle_fold(True, 1)
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        unmingle_fold(-1, 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"^k must be a positive int, got {k}$"):
+            unmingle_fold(5, k)
+
+
 @pytest.mark.parametrize("codes, error, message", [
     ([0, -1], ValueError, "codes[1] must be nonnegative, got -1"),
     ([-1, "x"], ValueError, "codes[0] must be nonnegative, got -1"),

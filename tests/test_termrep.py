@@ -4,6 +4,7 @@ import ast
 import copy
 import dataclasses
 import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -600,6 +601,44 @@ def test_con_hash_is_the_hash_of_its_preorder():
     rec = Con("rec", (3,), (TermArg(1, x),))
     assert hash(x) == hash(("term", 1, 0))
     assert hash(rec) == hash((("rec", (3,), (1,)), x))
+
+
+def _nat_chain(depth, base="z"):
+    term = Con(base)
+    for _ in range(depth):
+        term = Con("s", (), (TermArg(0, term),))
+    return term
+
+
+def test_con_equality_walks_a_deep_chain_without_recursion():
+    assert _nat_chain(100_000) == _nat_chain(100_000)
+    assert _nat_chain(100_000) != _nat_chain(100_000, base="q")
+    assert _nat_chain(100_000) != _nat_chain(99_999)
+
+
+def test_con_equality_tells_nodes_apart():
+    x = Var("t", None, 0)
+    assert Con("z") != x and x != Con("z")
+    assert (Con("z") == x) is False
+    assert Con("z").__eq__(x) is NotImplemented
+    lam = Con("lam", (), (TermArg(1, x),))
+    assert lam != Con("lam", (), (TermArg(0, x),))
+    assert lam == Con("lam", (), (TermArg(1, Var("t", None, 0)),))
+    assert lam != Con("lam", (), (TermArg(1, Var("t", None, 1)),))
+    assert Con("rec", (3,)) != Con("rec", (4,))
+
+
+def test_con_equality_skips_shared_subterms():
+    # 2**40 nodes as a tree, 40 as objects: a walk that entered a pair of
+    # identical subterms would not finish
+    shared = Con("z")
+    for _ in range(39):
+        shared = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+    a = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+    b = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+    started = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - started < 0.01
 
 
 def test_occurrences_of_a_bound_variable_share_one_var(vsigs, plans):
