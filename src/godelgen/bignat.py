@@ -10,27 +10,25 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-# Byte-at-a-time tables: _SPREAD[x] has bit k of x moved to bit 2k,
-# _COMPACT[x] gathers the even bits of a 16-bit value back into a byte.
-_SPREAD = [0] * 256
-for _i in range(256):
-    _s = 0
-    for _k in range(8):
-        if _i >> _k & 1:
-            _s |= 1 << (2 * _k)
-    _SPREAD[_i] = _s
+# Byte tables, built from nibble tables with bytes.translate and join: no
+# Python loop runs more than 256 steps at import.  _SPREAD4[n] moves bit k
+# of a nibble n to bit 2k; _SPREAD_LO[x] and _SPREAD_HI[x] spread the low
+# and the high nibble of a byte x; _SPREAD[x] spreads all of x.
+# _EVEN_LO[x] and _EVEN_HI[x] gather the even bits of a byte into the low
+# and the high nibble.
+_SPREAD4 = bytes([0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85])
+_SPREAD_LO = _SPREAD4 * 16
+_SPREAD_HI = b"".join([bytes([s]) * 16 for s in _SPREAD4])
+_SPREAD = [hi << 8 | lo for hi, lo in zip(_SPREAD_HI, _SPREAD_LO)]
+_EVEN_LO = bytes([x & 1 | x >> 1 & 2 | x >> 2 & 4 | x >> 3 & 8 for x in range(256)])
+_EVEN_HI = _EVEN_LO.translate(bytes(range(0, 256, 16)) * 16)
 
-# the even bits of a byte, gathered into a nibble; _COMPACT joins two
-_NIBBLE = [_i & 1 | _i >> 1 & 2 | _i >> 2 & 4 | _i >> 3 & 8 for _i in range(256)]
-_COMPACT = [_hi << 4 | _lo for _hi in _NIBBLE for _lo in _NIBBLE]
-
-# bytes.translate tables for wide operands: a byte's low and high nibble
-# spread to the even bits of a byte, and a byte's even bits gathered into
-# the low and the high nibble
-_SPREAD_LO = bytes([_SPREAD[_i & 15] for _i in range(256)])
-_SPREAD_HI = bytes([_SPREAD[_i >> 4] for _i in range(256)])
-_EVEN_LO = bytes(_NIBBLE)
-_EVEN_HI = bytes([_n << 4 for _n in _NIBBLE])
+# _COMPACT[x] gathers the even bits of a 16-bit x into a byte.  Its 256-byte
+# row for a high byte h is _EVEN_LO with _EVEN_HI[h] or-ed in: one of 16
+# nibble tables, so the 64 KiB table is a join of those rows.
+_NIBBLE_ROWS = [_EVEN_LO.translate(bytes(range(hi, hi + 16)) * 16)
+                for hi in range(0, 256, 16)]
+_COMPACT = b"".join([_NIBBLE_ROWS[hi >> 4] for hi in _EVEN_HI])
 
 # Operands wider than this many bits (for _compact, results that wide)
 # take the byte-string path: it costs a few fixed calls plus linear work,

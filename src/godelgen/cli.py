@@ -1,19 +1,21 @@
-"""Command-line driver.
+"""Command-line driver, also run by ``python -m godelgen``.
 
 Subcommands: check (validate a signature and show cardinalities),
 encode, decode, enumerate, verify, compare.  Exit codes: 0 success,
-1 verification found a failure, 2 semantic error, 3 parse error,
-4 fuel exhausted.
+1 verification found a failure, 2 semantic error, 3 parse error (or a
+signature file that cannot be read as UTF-8 text), 4 fuel exhausted.
+
+A one-shot command spends most of its time starting the interpreter and
+importing, so only ``verify`` imports the verifier (``adequacy``) and
+``json``; every other command loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .adequacy import EnumBudget, verify_all
 from .codec import DEFAULT_FUEL, assign_tags, class_label, compare, decode, encode
 from .errors import (
     CodeOutOfRange,
@@ -40,8 +42,11 @@ EXIT_FUEL = 4
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SigSyntaxError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load(path: str):
@@ -141,11 +146,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from . import adequacy
+
     fuel = _resolve_fuel(args)
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
-    budget = EnumBudget(max_size=args.max_size, max_code=args.max_code, fuel=fuel)
-    report = verify_all(plan, budget)
+    budget = adequacy.EnumBudget(max_size=args.max_size, max_code=args.max_code, fuel=fuel)
+    report = adequacy.verify_all(plan, budget)
     if args.as_json:
         print(json.dumps(report.json_dict(args.signature), indent=2))
     else:

@@ -37,9 +37,13 @@ def naive_mingle(a: int, b: int) -> int:
 
 
 def test_matches_naive_bit_loop_exhaustively():
-    for a in range(64):
-        for b in range(64):
-            assert mingle(a, b) == naive_mingle(a, b)
+    # every byte pair: each byte-table entry spreads an operand, and the
+    # 16-bit results, all 65,536 of them, each read one entry to unmingle
+    for a in range(256):
+        for b in range(256):
+            n = mingle(a, b)
+            assert n == naive_mingle(a, b)
+            assert unmingle(n) == (a, b)
 
 
 # Widths on both sides of the switch from the shift loop to the byte-string

@@ -132,6 +132,14 @@ class TestCheck:
         assert code == 3
         assert "error:" in err
 
+    def test_file_that_is_not_utf8_is_a_read_error(self, capsys, tmp_path):
+        bad = tmp_path / "utf16.sig"
+        bad.write_bytes(b"\xff\xfe" + "nat : type.\n".encode("utf-16-le"))
+        code, out, err = run(capsys, ["check", str(bad)])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert "can't decode byte 0xff in position 0" in err
+
     def test_self_indexed_index_type_is_a_semantic_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sig"
         bad.write_text("p : type. a : p. q : p -> type. qa : q a. mk : q a -> p.\n")
@@ -361,7 +369,7 @@ class TestVerify:
                 ),
             )
         )
-        monkeypatch.setattr(cli, "verify_all", lambda plan, budget: failing)
+        monkeypatch.setattr(adequacy, "verify_all", lambda plan, budget: failing)
         code, out, _ = run(capsys, ["verify", LAMBDA])
         assert code == 1
         assert "t: FAIL" in out
@@ -460,6 +468,23 @@ class TestDriver:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "nat: Infinite\n", "")
+
+    def test_package_runs_as_a_script(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run_package(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "godelgen", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        assert run_package("check", NAT) == (0, "nat: Infinite\n", "")
+        code, out, err = run_package()
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: godelgen ")
 
     def test_repaired_plan_is_used_transparently(self, capsys):
         straight = run(capsys, ["decode", RAT, "--type", "rat", "12"])
