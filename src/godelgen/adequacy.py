@@ -7,11 +7,9 @@ encode alike), onto (every code decodes to a well-typed term and
 round-trips), and one-to-one (no two terms share a code).
 
 The onto sweep calls the codec's decode and encode loops directly, each
-with one lookup context (_SweepMemo) that lives for that sweep only: a
-bounded memo of the nodes already done, and the class plans, variables,
-argument targets and binds the sweep's codes look up again.  Public
-decode and encode, and the other verifiers that call them, keep their
-per-call caches.  Encode tests each node as check_term does.  Every
+with one lookup context (_SweepMemo, a termrep.Lookups with a bounded
+memo of the nodes already done) for the whole sweep; every other walk
+has one for its call.  Encode tests each node as check_term does.  Every
 decode spends at most the budget's fuel.
 """
 
@@ -26,6 +24,7 @@ from .sigmodel import IndexClass, ValidatedSignature
 from .termrep import (
     EMPTY_COUNTS,
     Con,
+    Lookups,
     Term,
     TermArg,
     Var,
@@ -271,30 +270,20 @@ def verify_total_unique(
     return Verdict(True, checked), Verdict(True, checked)
 
 
-class _SweepMemo:
+class _SweepMemo(Lookups):
     """The lookup context of one direction (decode or encode) of one onto
-    sweep, kept for the whole sweep and dropped when it returns.
+    sweep, kept for the whole sweep, since every code looks the same
+    things up again, plus a memo of the nodes already done.  The memo is
+    bounded, in two generations: a hit in the old one moves the entry to
+    the young one, and a full young generation becomes the old one,
+    dropping the previous old one."""
 
-    Its memo is bounded, in two generations: a hit in the old one moves
-    the entry to the young one, and a full young generation becomes the
-    old one, dropping the previous old one.  The rest it keeps for the
-    whole sweep, since every code looks it up again: the class plan per
-    (type, index), the Var per (type, index, level), the argument targets
-    per (constructor, index, index arguments), and the result of each
-    bind, with its counts key, per (counts key, binder keys).  Each holds
-    one entry per distinct lookup, fewer than a thousand in a default
-    sweep of any shipped signature.  Nothing of it is stored on the plan,
-    the signature or a CountVector."""
-
-    __slots__ = ("young", "old", "plans", "variables", "targets", "binds")
+    __slots__ = ("young", "old")
+    memoizes = True
 
     def __init__(self) -> None:
-        self.young: dict = {}
-        self.old: dict = {}
-        self.plans: dict = {}
-        self.variables: dict = {}
-        self.targets: dict = {}
-        self.binds: dict = {}
+        super().__init__()
+        self.young, self.old = {}, {}
 
     def get(self, key):
         return self.young.get(key) or self.promote(key)
@@ -310,23 +299,6 @@ class _SweepMemo:
         if len(self.young) >= MEMO_GENERATION:
             self.old, self.young = self.young, {}
         self.young[key] = value
-
-    def targets_of(self, arg_targets, ctor_name, index, index_args):
-        """arg_targets(ctor_name, index, index_args), computed once a sweep."""
-        call = (ctor_name, index, index_args)
-        targets = self.targets.get(call)
-        if targets is None:
-            targets = self.targets[call] = arg_targets(*call)
-        return targets
-
-    def bind(self, counts, key, keys):
-        """counts.bind(keys) and its key, computed once a sweep; key is
-        counts.key()."""
-        pair = self.binds.get((key, keys))
-        if pair is None:
-            bound = counts.bind(keys)
-            pair = self.binds[key, keys] = (bound, bound.key())
-        return pair
 
 
 def verify_onto(
@@ -344,11 +316,10 @@ def verify_onto(
     the whole sweep.  Its bounded memo of the nodes already done means a
     subterm shared by many codes, such as code n - 1 inside nat code n, is
     done once per context rather than once per code: a chain sweep costs
-    linear, not quadratic, time.  Its caches of class plans, variables,
-    argument targets and binds mean a code rebuilds none of them.  Every
-    code is still decoded and re-encoded, and a memo hit charges the fuel
-    the subterm's own decode spent.  The contexts are dropped when the
-    sweep returns; public decode and encode keep per-call caches only.
+    linear, not quadratic, time.  Its lookups mean a code rebuilds no
+    class plan, Var, argument targets or bind.  Every code is still
+    decoded and re-encoded, and a memo hit charges the fuel the subterm's
+    own decode spent.  The contexts are dropped when the sweep returns.
     """
     cp = plan.class_plan(type_name, index)
     codes = cp.cardinality.codes_below(budget.code_for(type_name, cp.index_class.label))

@@ -14,7 +14,8 @@ one frame per constructor node whose arguments are in progress, so a
 term of any depth needs no interpreter frames.  A frame resumes at its
 next argument, so arguments are visited, and errors raised, left to
 right.  Decode reads each class's step records (ClassPlan.steps) rather
-than deriving slot kinds per node.
+than deriving slot kinds per node, and both keep class plans in their
+call's or onto sweep's lookup context (termrep.Lookups).
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from .sigmodel import (
 )
 from .termrep import (
     EMPTY_COUNTS,
-    Con,
     CountVector,
+    Lookups,
     Term,
-    TermArg,
     Var,
+    _arg,
     _check_con,
     _check_var,
+    _con,
     binder_mismatch,
 )
 
@@ -129,7 +131,7 @@ def _step(vsig: ValidatedSignature, ctor_name: str) -> tuple[str, tuple[int, ...
 def _first_failing_class(
     plan: CodecPlan, trial_fuel: int, skip: set[tuple[str, IndexClass]]
 ) -> tuple[str, IndexClass] | None:
-    vsig = plan.vsig
+    vsig, ctx = plan.vsig, Lookups()  # one lookup context for the plan's trials
     for decl in vsig.decls:
         for cls, reps in vsig.class_reps(decl.name):
             key = (decl.name, cls)
@@ -140,7 +142,7 @@ def _first_failing_class(
                 for code in codes:
                     try:
                         _decode(
-                            plan, decl.name, index, EMPTY_COUNTS, code, [trial_fuel], path=set()
+                            plan, decl.name, index, EMPTY_COUNTS, code, [trial_fuel], ctx, set()
                         )
                     except FuelExhausted:
                         return key
@@ -209,29 +211,27 @@ def encode(
 ) -> int:
     """Code of a well-typed term under the given free-variable counts."""
     plan.vsig.class_of(type_name, index)
-    return _encode(plan, type_name, index, counts, term)
+    return _encode(plan, type_name, index, counts, term, Lookups())
 
 
-def _encode(plan, type_name, index, counts, term, memo=None):
+def _encode(plan, type_name, index, counts, term, ctx=None):
     """term's code, in a loop over a stack of frames, one per Con whose
-    arguments are being encoded: the node, its counts and their memo key,
+    arguments are being encoded: the node, its counts and their key,
     variable count, class plan, finite entry (or None) and tag, its
     arguments' targets and their codes so far, and its memo key.  Nodes
     are tested by check_term's tests (_check_var, _check_con), so encode
     fails where it does, with its message.
 
-    The onto sweep passes its lookup context as memo (see _decode and
-    adequacy._SweepMemo); its memo maps (id(node), type, index, counts
-    key) to (node, code) for Con nodes already encoded, the node in the
-    value keeping its id from being reused while the key is held.  Public
-    encode passes none, and keeps a class plan per (type, index) for the
-    call only."""
-    vsig, stack = plan.vsig, []
-    arg_targets = vsig.arg_targets
-    if memo is None:
-        plans, ck = {}, None  # see _decode
-    else:
-        plans, ck = memo.plans, counts.key()
+    ctx is the lookup context (termrep.Lookups) of the public call or of
+    an onto sweep (adequacy._SweepMemo), whose memo also maps (id(node),
+    type, index, counts key) to (node, code) for Con nodes already
+    encoded, the node in the value keeping its id from being reused while
+    the key is held."""
+    if ctx is None:
+        ctx = Lookups()
+    vsig, stack, counts, ck = plan.vsig, [], counts._counts, counts.key()
+    arg_targets, plans, targets_seen, binds = vsig.arg_targets, ctx.plans, ctx.targets, ctx.binds
+    memo = ctx if ctx.memoizes else None
     while True:
         code = None
         if isinstance(term, Var):
@@ -252,11 +252,10 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 entry, tag = cp.finite.entry_for(term.ctor), None
                 if entry is None:
                     tag = cp.tags.index(term.ctor)
-                if memo is None:
-                    targets = arg_targets(term.ctor, index, term.index_args)
-                else:
-                    targets = memo.targets_of(arg_targets, term.ctor, index, term.index_args)
-                v = counts.get(type_name, index)
+                targets = targets_seen.get((term.ctor, index, term.index_args))
+                if targets is None:
+                    targets = ctx.targets_of(arg_targets, term.ctor, index, term.index_args)
+                v = counts.get((type_name, index), 0)
                 stack.append((term, counts, ck, v, cp, entry, tag, targets, [], key))
         # hand the code to the frames it completes, then start the next argument
         while stack:
@@ -269,12 +268,9 @@ def _encode(plan, type_name, index, counts, term, memo=None):
                 ta = node.args[j]
                 if ta.binder_count != len(keys):  # a finite block's constructors bind nothing
                     raise binder_mismatch(node, len(keys), ta)
-                if not keys:
-                    counts, ck = node_counts, node_ck
-                elif memo is None:
-                    counts = node_counts.bind(keys)
-                else:
-                    counts, ck = memo.bind(node_counts, node_ck, keys)
+                counts, ck = node_counts, node_ck
+                if keys:
+                    counts, ck = binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
                 term = ta.body
                 break
             stack.pop()
@@ -325,45 +321,36 @@ def decode(
     whose decode is not well founded at this code.
     """
     plan.vsig.class_of(type_name, index)
-    return _decode(plan, type_name, index, counts, code, [fuel])
+    return _decode(plan, type_name, index, counts, code, [fuel], Lookups())
 
 
-def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
+def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
     """The term of this code, debiting the fuel cell once per node, in a
     loop over a stack of frames, one per Con whose arguments are being
     decoded: its name, index arguments, arguments' targets and codes, the
-    arguments decoded so far, its counts and their memo key, its memo key
-    and fuel at its start.
+    arguments decoded so far, its counts and their key, its memo key and
+    fuel at its start.
 
-    The onto sweep passes its lookup context as memo (see
-    adequacy._SweepMemo), kept for the whole sweep.  Its memo maps (type,
-    index, counts key, code) to (term, steps), steps being the fuel the
-    term's decode spent; a hit is taken only if that much fuel is left, so
-    fuel runs out at the same node as without a memo.  A counts key is
-    CountVector.key(), which hashes in C.  The context also keeps the
-    class plan of each (type, index), one Var per (type, index, level),
-    the argument targets of each (constructor, index, index arguments) and
-    each bind's result with its key, so a code looks up only what no
-    earlier code of the sweep did.  Public decode and the tag search's
-    trials pass none, and keep class plans and Vars for the call only.
+    ctx is the lookup context (termrep.Lookups) of the public call, of one
+    plan's tag-search trials, or of an onto sweep (adequacy._SweepMemo),
+    whose memo also maps (type, index, counts key, code) to (term, steps),
+    steps being the fuel the term's decode spent; a hit is taken only if
+    that much fuel is left, so fuel runs out at the same node as without
+    a memo.
 
     A path set (the tag search's trials) holds the state (type, index,
     counts, code) of each open frame.  A node whose state is open raises
     FuelExhausted at once: decoding a state reads nothing else, so every
     step since the first visit would recur until the fuel ran out."""
-    stack, arg_targets = [], plan.vsig.arg_targets
-    if memo is None:
-        # the class plan of each (type, index) met, so a node hashes a name
-        # and an int, not an IndexClass; and one Var per (type, index, level)
-        plans: dict[tuple[str, int | None], ClassPlan] = {}
-        variables: dict[tuple[str, int | None, int], Var] = {}
-        ck = None
-    else:
-        plans, variables, ck = memo.plans, memo.variables, counts.key()
+    if ctx is None:
+        ctx = Lookups()
+    stack, arg_targets, counts, ck = [], plan.vsig.arg_targets, counts._counts, counts.key()
+    plans, variables, targets_seen, binds = ctx.plans, ctx.variables, ctx.targets, ctx.binds
+    memo = ctx if ctx.memoizes else None
     while True:
         term = key = start = None
         if path is not None:
-            key = (type_name, index, counts, code)
+            key = (type_name, index, ck, code)
             if key in path:
                 raise FuelExhausted(
                     f"decode repeats {type_name} code {code} below itself;"
@@ -388,12 +375,10 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
             cp = plans.get((type_name, index))
             if cp is None:
                 cp = plans[type_name, index] = plan.class_plan(type_name, index)
-            v = counts.get(type_name, index)
+            v = counts.get((type_name, index), 0)
             c = code - v
             if c < 0:
-                term = variables.get((type_name, index, code))
-                if term is None:
-                    term = variables[type_name, index, code] = Var(type_name, index, code)
+                term = variables.get((type_name, index, code)) or ctx.var(type_name, index, code)
             elif c < cp.finite.total:
                 entry, offset = cp.finite.entry_at(c)
                 name, index_args, sub_codes = entry.ctor_name, (), []
@@ -417,15 +402,14 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
                         q, e = divmod(q, radix)
                         fin_rev.append(e)
                 values = unmingle_fold(q, n_pi + slot_kinds.count(0))
-                index_args, sub_codes = tuple(values[:n_pi]), values[n_pi:]
+                index_args, sub_codes = tuple(values[:n_pi]) if n_pi else (), values[n_pi:]
                 if fin_rev:
                     inf_vals, fin_vals = iter(sub_codes), iter(reversed(fin_rev))
                     sub_codes = [next(fin_vals) if r else next(inf_vals) for r in slot_kinds]
             if term is None:
-                if memo is None:
-                    targets = arg_targets(name, index, index_args)
-                else:
-                    targets = memo.targets_of(arg_targets, name, index, index_args)
+                targets = targets_seen.get((name, index, index_args))
+                if targets is None:
+                    targets = ctx.targets_of(arg_targets, name, index, index_args)
                 if path is not None:
                     path.add(key)
                 stack.append((name, index_args, targets, sub_codes, [], counts, ck, key, start))
@@ -435,20 +419,17 @@ def _decode(plan, type_name, index, counts, code, cell, memo=None, path=None):
                 stack[-1]
             )
             if term is not None:
-                args.append(TermArg(len(targets[len(args)][2]), term))
+                args.append(_arg(len(targets[len(args)][2]), term))
             j = len(args)
             if j < len(targets):
                 type_name, index, keys = targets[j]
-                if not keys:
-                    counts, ck = node_counts, node_ck
-                elif memo is None:
-                    counts = node_counts.bind(keys)
-                else:
-                    counts, ck = memo.bind(node_counts, node_ck, keys)
+                counts, ck = node_counts, node_ck
+                if keys:
+                    counts, ck = binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
                 code = sub_codes[j]
                 break
             stack.pop()
-            term = Con(name, index_args, tuple(args))
+            term = _con(name, index_args, tuple(args))
             if memo is not None:
                 memo[key] = (term, start - cell[0])
             if path is not None:

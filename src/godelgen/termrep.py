@@ -12,12 +12,14 @@ progress; a frame resumes at its next argument, so arguments are
 visited, and errors raised, left to right, and a term of any depth works
 at the default recursion limit.  Term text is read straight from its
 tokens into the term, with no surface tree in between (see _read).
+Every walk, here and in codec, has one lookup context (Lookups) and
+builds nodes without the frozen __init__ (_var, _arg, _con).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SigSyntaxError, TermError
 from .sigmodel import (
@@ -52,20 +54,7 @@ class Con:
     index_args: tuple[int, ...] = ()
     args: tuple[TermArg, ...] = ()
 
-    # == and hash walk the term in a loop over a stack, so any depth works;
-    # hash uses the pre-order list of nodes and their binder counts, which
-    # determines the term
-
-    def _flat(self) -> list:
-        flat, todo = [], [self]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, Con):
-                flat.append((t.ctor, t.index_args, tuple(ta.binder_count for ta in t.args)))
-                todo.extend(ta.body for ta in t.args)
-            else:
-                flat.append(t)
-        return flat
+    # == and hash walk the term in a loop over a stack, so any depth works
 
     def __eq__(self, other) -> bool:
         """One walk over both terms in step; it stops at the first
@@ -95,7 +84,57 @@ class Con:
         return True
 
     def __hash__(self) -> int:
-        return hash(tuple(self._flat()))
+        """hash((ctor, index_args, ((binder_count, hash(body)), ...))), built
+        bottom up, each distinct node object once a call, so subterms that
+        are one object are hashed once."""
+        done: dict[int, int] = {}  # id(node) -> hash; self keeps every node alive
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            if id(t) in done:
+                continue
+            if not isinstance(t, Con):
+                done[id(t)] = hash(t)
+                continue
+            subs = [ta.body for ta in t.args if id(ta.body) not in done]
+            if subs:
+                todo += [t, *subs]  # t again, once its subterms are done
+                continue
+            subhashes = tuple((ta.binder_count, done[id(ta.body)]) for ta in t.args)
+            done[id(t)] = hash((t.ctor, t.index_args, subhashes))
+        return done[id(self)]
+
+
+# Walks build nodes through these rather than the frozen __init__, which
+# sets each field through object.__setattr__: object.__new__, then each
+# slot's member descriptor, so a node is the same as the constructor's.
+_new = object.__new__
+_set_type, _set_index, _set_level = (getattr(Var, f.name).__set__ for f in fields(Var))
+_set_count, _set_body = (getattr(TermArg, f.name).__set__ for f in fields(TermArg))
+_set_ctor, _set_index_args, _set_args = (getattr(Con, f.name).__set__ for f in fields(Con))
+
+
+def _var(type_name: str, index: int | None, level: int) -> Var:
+    node = _new(Var)
+    _set_type(node, type_name)
+    _set_index(node, index)
+    _set_level(node, level)
+    return node
+
+
+def _arg(binder_count: int, body: "Term") -> TermArg:
+    node = _new(TermArg)
+    _set_count(node, binder_count)
+    _set_body(node, body)
+    return node
+
+
+def _con(ctor: str, index_args: tuple[int, ...], args: tuple[TermArg, ...]) -> Con:
+    node = _new(Con)
+    _set_ctor(node, ctor)
+    _set_index_args(node, index_args)
+    _set_args(node, args)
+    return node
 
 
 Term = Var | Con
@@ -104,11 +143,10 @@ Term = Var | Con
 class CountVector:
     """Immutable map from (type, concrete index) to a variable count."""
 
-    __slots__ = ("_counts", "_key")
+    __slots__ = ("_counts",)
 
     def __init__(self, counts: dict | None = None):
         self._counts = dict(counts) if counts else {}
-        self._key = None  # built on first use; bind builds many
 
     def get(self, type_name: str, index: int | None) -> int:
         return self._counts.get((type_name, index), 0)
@@ -125,11 +163,9 @@ class CountVector:
         return new
 
     def key(self) -> frozenset:
-        """The items as a frozenset, built once: equal vectors give equal
-        keys, and a key hashes in C (the onto sweep's memo keys hold it)."""
-        if self._key is None:
-            self._key = frozenset(self._counts.items())
-        return self._key
+        """The items as a frozenset: equal vectors give equal keys, and a
+        key hashes in C and keeps its hash (the walks' lookup keys hold it)."""
+        return frozenset(self._counts.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CountVector) and self._counts == other._counts
@@ -146,6 +182,47 @@ class CountVector:
 
 
 EMPTY_COUNTS = CountVector()
+
+
+class Lookups:
+    """The lookup context of term walks, made for one public call, or for
+    one direction of an onto sweep (adequacy._SweepMemo), and dropped with
+    it: the class plan of each (type, index), which codec fills in; one
+    Var per (type, index, level); the argument targets of each
+    (constructor, index, index arguments); and each bind.  A walk carries
+    a caller's CountVector as its map (never written) and key, so a binder
+    it has met copies nothing.  It stores nothing on the signature, the
+    plan or a CountVector."""
+
+    __slots__ = ("plans", "variables", "targets", "binds")
+    memoizes = False  # whether it also memoizes whole nodes (see adequacy)
+
+    def __init__(self) -> None:
+        self.plans, self.variables, self.targets, self.binds = {}, {}, {}, {}
+
+    def var(self, type_name: str, index: int | None, level: int) -> Var:
+        """The one Var of (type_name, index, level)."""
+        key = (type_name, index, level)
+        return self.variables.get(key) or self.variables.setdefault(key, _var(*key))
+
+    def bind(self, counts: dict, key: frozenset, keys) -> tuple[dict, frozenset]:
+        """The count map counts, whose key is key, with one more variable at
+        each binder key, and its key; made once.  Walks look in binds first."""
+        pair = self.binds.get((key, keys))
+        if pair is None:
+            counts = counts.copy()
+            for k in keys:
+                counts[k] = counts.get(k, 0) + 1
+            pair = self.binds[key, keys] = (counts, frozenset(counts.items()))
+        return pair
+
+    def targets_of(self, arg_targets, ctor_name: str, index: int | None, index_args: tuple):
+        """arg_targets(ctor_name, index, index_args), computed once."""
+        call = (ctor_name, index, index_args)
+        found = self.targets.get(call)
+        if found is None:
+            found = self.targets[call] = arg_targets(*call)
+        return found
 
 
 def _not_an_index(message: str):
@@ -215,7 +292,7 @@ def _read(
     the next token; the few that need the extent of a bracket read a
     table of bracket matches (_structure) built when first needed."""
     ctors, abbrevs, lit = vsig.sig.ctors, vsig.sig.abbrevs, vsig.analysis.nat_literal
-    arg_targets = vsig.arg_targets
+    arg_targets, ctx = vsig.arg_targets, Lookups()
     tables: dict[int, dict] = {}
 
     def structure(src: _Parser) -> dict[int, int]:
@@ -228,7 +305,7 @@ def _read(
     sources: dict[str, _Parser] = {}  # a parser per abbreviation body read
     src, i, stack = p, 0, []
     toks = src.toks
-    scope, counts = {}, EMPTY_COUNTS
+    scope, counts, ck = {}, {}, frozenset()
     shadowed: list[tuple[str, Var | None]] = []  # per binder in scope, the entry it hid
     # the argument being read: its binders, how many are read so far, the
     # counts outside them, and its constructor (None outside arguments)
@@ -266,7 +343,8 @@ def _read(
             if name not in ctors:
                 raise TermError(f"unbound name {name!r}")
             ctor = ctors[name]
-            _check_ctor(vsig, ctor, want_type, want_index)
+            if ctor.family != want_type or want_index is not None:
+                _check_ctor(vsig, ctor, want_type, want_index)
             values = []
             for _, ptype, _ in ctor.pi_args:
                 if toks[i] in _NO_ATOM:
@@ -276,7 +354,8 @@ def _read(
                 i = src.i
                 values.append(_index_value(vsig, e, ptype))
             values = tuple(values)
-            stack.append((ctor, values, arg_targets(name, want_index, values), [], scope, counts))
+            targets = ctx.targets_of(arg_targets, name, want_index, values)
+            stack.append((ctor, values, targets, [], scope, counts, ck))
         elif tok == "(":
             stack.append(_CLOSE)
             i, start = i + 1, True
@@ -292,7 +371,7 @@ def _read(
             key = keys[k]
             # every occurrence of the variable shares this Var
             shadowed.append((var, scope.get(var)))
-            scope[var] = Var(*key, outer.get(*key) + keys[:k].count(key))
+            scope[var] = ctx.var(*key, outer.get(key, 0) + keys[:k].count(key))
             i, k, start = i + 3, k + 1, True
             continue
         elif tok in _NOT_NAME or tok == "type":
@@ -302,9 +381,9 @@ def _read(
             if name in ctors:
                 term = _constant(vsig, ctors[name], want_type, want_index)
             elif lit is not None and want_type == lit.type_name:
-                term = Con("z")
+                term = _con("z", (), ())
                 for _ in range(int(tok)):
-                    term = Con("s", (), (TermArg(0, term),))
+                    term = _con("s", (), (_arg(0, term),))
             else:
                 raise TermError(
                     f"numeral {int(tok)} is only a term when the signature declares"
@@ -353,10 +432,10 @@ def _read(
                 _, src, i = frame
                 toks = src.toks
             else:
-                ctor, values, targets, args, scope, counts = frame
+                ctor, values, targets, args, scope, counts, ck = frame
                 if term is not None:
                     n_bound = len(targets[len(args)][2])
-                    args.append(TermArg(n_bound, term))
+                    args.append(_arg(n_bound, term))
                     for _ in range(n_bound):  # the argument's binders leave scope
                         var, hidden = shadowed.pop()
                         if hidden is None:
@@ -370,11 +449,11 @@ def _read(
                     want_type, want_index, keys = targets[j]
                     k, outer, owner, start = 0, counts, ctor.name, False
                     if keys:
-                        counts = counts.bind(keys)
+                        counts, ck = ctx.binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
                     break
                 if opens:
                     raise _arity(ctor, len(values) + j + _atoms(toks, i, structure(src)))
-                term = Con(ctor.name, values, tuple(args))
+                term = _con(ctor.name, values, tuple(args))
             stack.pop()
         else:
             if toks[i]:
@@ -403,7 +482,7 @@ def _constant(vsig: ValidatedSignature, ctor: Ctor, want_type: str, want_index: 
     _check_ctor(vsig, ctor, want_type, want_index)
     if ctor.pi_args or ctor.args:
         raise _arity(ctor, 0)
-    return Con(ctor.name)
+    return _con(ctor.name, (), ())
 
 
 def _arity(ctor: Ctor, got: int) -> TermError:
@@ -530,10 +609,10 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
     # once the argument it closes is printed; and, below that, for an
     # argument with binders, the length the log had when it began
     stack: list = []
-    ctors, arg_targets = vsig.sig.ctors, vsig.arg_targets
+    ctors, arg_targets, ctx = vsig.sig.ctors, vsig.arg_targets, Lookups()
     # one name per (type, index, level) in scope; every write logs the
     # name it hides, and a binder's argument undoes its writes as it ends
-    t, env, log, counts = term, {}, [], EMPTY_COUNTS
+    t, env, log, counts, ck = term, {}, [], {}, frozenset()
     while True:
         if isinstance(t, Var):
             key = (t.type_name, t.index, t.level)
@@ -551,8 +630,10 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
             if t.index_args:
                 for (_, ptype, _), value in zip(ctor.pi_args, t.index_args):
                     emit(" " + index_value_text(ptype, value))
-            targets = arg_targets(t.ctor, index, t.index_args)
-            stack.append((enumerate(zip(targets, t.args)), len(t.args) - 1, counts))
+            targets = ctx.targets.get((t.ctor, index, t.index_args))
+            if targets is None:
+                targets = ctx.targets_of(arg_targets, t.ctor, index, t.index_args)
+            stack.append((enumerate(zip(targets, t.args)), len(t.args) - 1, counts, ck))
         while stack:
             frame = stack[-1]
             if frame == ")":
@@ -567,7 +648,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                     else:
                         env[key] = hidden
                 continue
-            todo, last, counts = frame
+            todo, last, counts, ck = frame
             step = next(todo, None)
             if step is None:
                 stack.pop()
@@ -581,12 +662,12 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
                 stack.append(len(log))
                 for i, key in enumerate(keys):
                     bt, bix = key
-                    level = counts.get(bt, bix) + keys[:i].count(key)
+                    level = counts.get(key, 0) + keys[:i].count(key)
                     name = fresh(bt, bix, level)
                     log.append(((bt, bix, level), env.get((bt, bix, level))))
                     env[bt, bix, level] = name
                     emit(f"[{name}] ")
-                counts = counts.bind(keys)
+                counts, ck = ctx.binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
             else:
                 paren = not isinstance(t, Var) and bool(t.args or t.index_args)
                 emit(" (" if paren else " ")
@@ -625,24 +706,29 @@ def check_term(
     """Raise TermError unless term is well-typed at (type, index) under
     counts.  A loop over a stack of frames, one per Con whose arguments
     are being checked: the node, its remaining (target, argument) pairs
-    and its counts.  Each node is tested as encode tests it."""
+    and its counts with their key.  Each node is tested as encode tests
+    it."""
     vsig.class_of(type_name, index)
-    arg_targets, stack = vsig.arg_targets, []
+    arg_targets, ctx, stack = vsig.arg_targets, Lookups(), []
+    counts, ck = counts._counts, counts.key()
     while True:
         if isinstance(term, Var):
             _check_var(term, type_name, index, counts)
         else:
             _check_con(vsig, type_name, index, term)
-            targets = arg_targets(term.ctor, index, term.index_args)
-            stack.append((term, zip(targets, term.args), counts))
+            targets = ctx.targets.get((term.ctor, index, term.index_args))
+            if targets is None:
+                targets = ctx.targets_of(arg_targets, term.ctor, index, term.index_args)
+            stack.append((term, zip(targets, term.args), counts, ck))
         while stack:
-            node, todo, node_counts = stack[-1]
+            node, todo, counts, ck = stack[-1]
             step = next(todo, None)
             if step is not None:
                 (type_name, index, keys), ta = step
                 if ta.binder_count != len(keys):
                     raise binder_mismatch(node, len(keys), ta)
-                counts = node_counts.bind(keys) if keys else node_counts
+                if keys:
+                    counts, ck = ctx.binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
                 term = ta.body
                 break
             stack.pop()
@@ -650,17 +736,17 @@ def check_term(
             return
 
 
-def _check_var(term: Var, type_name: str, index: int | None, counts: CountVector) -> int:
+def _check_var(term: Var, type_name: str, index: int | None, counts: dict) -> int:
     """term's level, unless the variable does not fit (type, index) under counts."""
     if term.type_name != type_name or term.index != index:
         raise TermError(
             f"variable of type {_describe(term.type_name, term.index)},"
             f" expected {_describe(type_name, index)}"
         )
-    if not 0 <= term.level < counts.get(type_name, index):
+    if not 0 <= term.level < counts.get((type_name, index), 0):
         raise TermError(
             f"variable level {term.level} out of scope"
-            f" ({counts.get(type_name, index)} in context)"
+            f" ({counts.get((type_name, index), 0)} in context)"
         )
     return term.level
 
@@ -674,7 +760,8 @@ def _check_con(vsig: ValidatedSignature, type_name: str, index: int | None, term
     ctor = vsig.sig.ctors.get(term.ctor)
     if ctor is None:
         raise _unknown_ctor(term.ctor)
-    _check_ctor(vsig, ctor, type_name, index)
+    if ctor.family != type_name or index is not None:
+        _check_ctor(vsig, ctor, type_name, index)
     if len(term.index_args) != len(ctor.pi_args):
         raise TermError(
             f"constructor {term.ctor} takes {len(ctor.pi_args)} index"

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import sig_text
 from godelgen import sigmodel
-from godelgen.codec import assign_tags, decode_closed, encode_closed
+from godelgen.codec import assign_tags, decode, decode_closed, encode, encode_closed
 from godelgen.errors import TermError
 from godelgen.sigmodel import (
     SApp,
@@ -592,15 +592,74 @@ def test_nodes_are_slotted_and_frozen(node):
     assert copy.deepcopy(node) == node
 
 
+def _objects(term):
+    """Each Con, TermArg and Var object of term, once."""
+    seen, todo, out = set(), [term], []
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            todo.extend(node.args if isinstance(node, Con) else
+                        [node.body] if isinstance(node, TermArg) else [])
+    return out
+
+
+def _twin(node):
+    """node rebuilt through its class's constructor."""
+    if isinstance(node, Var):
+        return Var(node.type_name, node.index, node.level)
+    if isinstance(node, TermArg):
+        return TermArg(node.binder_count, _twin(node.body))
+    return Con(node.ctor, node.index_args, tuple(_twin(ta) for ta in node.args))
+
+
+def _with_index_args(plan):
+    # exists.sig is termfam plus exists {M:nat}, whose nodes carry index args
+    for code in range(200):
+        term = decode_closed(plan, "term", 1, code)
+        if any(isinstance(n, Con) and n.index_args for n in _objects(term)):
+            return term
+    raise AssertionError("no exists node in codes 0..199")
+
+
+WALK_BUILT = {
+    "decode lambda": lambda v, p: decode_closed(p["lambda"], "t", None, 4321),
+    "decode termfam": lambda v, p: decode_closed(p["termfam"], "term", 2, 77),
+    "decode exists": lambda v, p: _with_index_args(p["exists"]),
+    "parse binder": lambda v, p: parse_term(v["lambda"], "t", None, "lam [x] app x (lam [y] y)"),
+    "parse numeral": lambda v, p: parse_term(v["nat"], "nat", None, "s 3"),
+}
+
+
+@pytest.mark.parametrize("source", WALK_BUILT)
+def test_walk_built_nodes_are_the_declared_classes(vsigs, plans, source):
+    nodes = _objects(WALK_BUILT[source](vsigs, plans))
+    assert {type(n) for n in nodes} >= {Con, TermArg}
+    for node in nodes:
+        assert type(node) in (Con, TermArg, Var)
+        assert not hasattr(node, "__dict__")
+        for field in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field.name, getattr(node, field.name))
+        for copied in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            assert type(copied) is type(node) and copied == node
+        twin = _twin(node)
+        assert repr(node) == repr(twin)
+        assert node == twin and twin == node and hash(node) == hash(twin)
+
+
 def test_con_hash_is_the_hash_of_its_preorder():
+    # a node hashes its constructor, index arguments, and each argument's
+    # binder count with its body's hash
     z = Con("z")
     one = Con("s", (), (TermArg(0, z),))
-    assert hash(z) == hash((("z", (), ()),))
-    assert hash(one) == hash((("s", (), (0,)), ("z", (), ())))
+    assert hash(z) == hash(("z", (), ()))
+    assert hash(one) == hash(("s", (), ((0, hash(z)),)))
     x = Var("term", 1, 0)
     rec = Con("rec", (3,), (TermArg(1, x),))
     assert hash(x) == hash(("term", 1, 0))
-    assert hash(rec) == hash((("rec", (3,), (1,)), x))
+    assert hash(rec) == hash(("rec", (3,), ((1, hash(x)),)))
 
 
 def _nat_chain(depth, base="z"):
@@ -608,6 +667,35 @@ def _nat_chain(depth, base="z"):
     for _ in range(depth):
         term = Con("s", (), (TermArg(0, term),))
     return term
+
+
+def test_con_hash_hashes_each_shared_subterm_once():
+    # 2**40 nodes as a tree, 40 as objects
+    shared = Con("z")
+    for _ in range(40):
+        shared = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+    started = time.perf_counter()
+    hash(shared)
+    assert time.perf_counter() - started < 0.01
+
+
+def test_con_hash_walks_a_deep_chain_without_recursion():
+    assert hash(_nat_chain(100_000)) == hash(_nat_chain(100_000))
+    assert hash(_nat_chain(100_000)) != hash(_nat_chain(99_999))
+
+
+def test_con_hash_is_a_function_of_structure(vsigs, plans):
+    # alpha-equal terms built apart, and a shared DAG and its tree
+    v = vsigs["lambda"]
+    a = parse_term(v, "t", None, "lam [x] lam [y] app y (app x x)")
+    b = parse_term(v, "t", None, "lam [u] lam [w] app w (app u u)")
+    c = decode_closed(plans["lambda"], "t", None, encode_closed(plans["lambda"], "t", None, a))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    shared = tree = Con("z")
+    for _ in range(8):
+        shared = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+        tree = Con("app", (), (TermArg(0, tree), TermArg(0, _twin(tree))))
+    assert shared == tree and hash(shared) == hash(tree)
 
 
 def test_con_equality_walks_a_deep_chain_without_recursion():
@@ -650,6 +738,96 @@ def test_occurrences_of_a_bound_variable_share_one_var(vsigs, plans):
     back = decode_closed(plan, "t", None, encode_closed(plan, "t", None, term))
     first, second = (ta.body for ta in back.args[0].body.args)
     assert back == term and first is second
+
+
+def _attributes(obj):
+    """Each attribute of obj by identity and, for a container, its size."""
+    return {
+        name: (id(value), len(value) if hasattr(value, "__len__") else None)
+        for name, value in vars(obj).items()
+    }
+
+
+def _counts_state(counts):
+    return {slot: getattr(counts, slot) for slot in CountVector.__slots__}
+
+
+T = ("t", None)
+# two free t variables, x0 and x1; the lam binds level 2
+OPEN = Con("app", (), (
+    TermArg(0, Var(*T, 1)),
+    TermArg(0, Con("lam", (), (TermArg(1, Con("app", (), (
+        TermArg(0, Var(*T, 2)), TermArg(0, Var(*T, 0)),
+    ))),))),
+))
+CLOSED_TEXT = "lam [x] app (lam [y] app y x) x"
+
+
+class TestCallContext:
+    """Each public walk makes one lookup context for its call and leaves
+    nothing behind: not on the plan, the signature, its analysis and
+    layouts, EMPTY_COUNTS or a CountVector the caller passed."""
+
+    WALKS = {
+        "decode": lambda p, c: decode(p, "t", None, c, 987_654_321),
+        "encode": lambda p, c: encode(p, "t", None, c, OPEN),
+        "check_term": lambda p, c: check_term(p.vsig, "t", None, c, OPEN),
+        "print_term": lambda p, c: print_term(p.vsig, OPEN, None),
+        "parse_term": lambda p, c: parse_term(p.vsig, "t", None, CLOSED_TEXT),
+    }
+
+    @pytest.mark.parametrize("walk", WALKS)
+    def test_two_calls_agree_and_leave_no_state(self, plans, walk):
+        plan = plans["lambda"]
+        vsig = plan.vsig
+        counts = EMPTY_COUNTS.extend(*T).extend(*T)
+        owners = (plan, vsig, vsig.analysis)
+
+        def state():
+            return ([_attributes(o) for o in owners]
+                    + [dict(plan.classes), dict(vsig.layouts)]
+                    + [_counts_state(EMPTY_COUNTS), _counts_state(counts)])
+
+        before = state()
+        first = self.WALKS[walk](plan, counts)
+        second = self.WALKS[walk](plan, counts)
+        assert first == second
+        assert state() == before
+        assert counts == CountVector({T: 2}) and EMPTY_COUNTS == CountVector()
+        assert EMPTY_COUNTS._counts == {} and EMPTY_COUNTS.key() == frozenset()
+
+    def test_open_terms_keep_their_levels(self, plans):
+        plan = plans["lambda"]
+        counts = EMPTY_COUNTS.extend(*T).extend(*T)
+        assert [decode(plan, "t", None, counts, code) for code in (0, 1)] == [
+            Var(*T, 0), Var(*T, 1)]
+        code = encode(plan, "t", None, counts, OPEN)
+        back = decode(plan, "t", None, counts, code)
+        assert back == OPEN
+        inner = back.args[1].body.args[0].body
+        assert [ta.body.level for ta in inner.args] == [2, 0]
+        check_term(plan.vsig, "t", None, counts, back)
+        term = parse_term(plan.vsig, "t", None, "lam [x] lam [y] app y (lam [w] x)")
+        assert term.args[0].body.args[0].body.args[0].body == Var(*T, 1)
+        assert term.args[0].body.args[0].body.args[1].body.args[0].body == Var(*T, 0)
+        assert parse_term(plan.vsig, "t", None, print_term(plan.vsig, term)) == term
+
+    def test_messages_are_unchanged(self, plans):
+        plan = plans["lambda"]
+        vsig = plan.vsig
+        one = EMPTY_COUNTS.extend(*T)
+        unbound = Con("lam", (), (TermArg(0, Var(*T, 0)),))
+        for call in (lambda: encode(plan, "t", None, one, unbound),
+                     lambda: check_term(vsig, "t", None, one, unbound)):
+            with pytest.raises(TermError, match=r"^argument 0 of lam binds 1 variable\(s\),"
+                               r" term has 0$"):
+                call()
+        for call in (lambda: encode(plan, "t", None, one, OPEN),
+                     lambda: check_term(vsig, "t", None, one, OPEN)):
+            with pytest.raises(TermError, match=r"^variable level 1 out of scope \(1 in context\)$"):
+                call()
+        with pytest.raises(TermError, match="^unbound name 'y'$"):
+            parse_term(vsig, "t", None, "lam [x] app x y")
 
 
 def test_the_library_runs_no_walk_driver_and_leaves_the_gc_alone():
