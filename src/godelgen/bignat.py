@@ -45,6 +45,8 @@ def _check_nat(n: int, what: str) -> None:
 
 
 def _spread(x: int) -> int:
+    if x < 256:  # one table entry; most codec operands are this small
+        return _SPREAD[x]
     if x >> _LOOP_BITS:
         n = (x.bit_length() + 7) >> 3
         data = x.to_bytes(n, "little")
@@ -62,6 +64,8 @@ def _spread(x: int) -> int:
 
 
 def _compact(x: int) -> int:
+    if x < 65536:
+        return _COMPACT[x]
     if x >> 2 * _LOOP_BITS:
         data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
         low = int.from_bytes(data[0::2].translate(_EVEN_LO), "little")

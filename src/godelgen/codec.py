@@ -13,16 +13,30 @@ Encode and decode are each one loop over an explicit stack of frames,
 one frame per constructor node whose arguments are in progress, so a
 term of any depth needs no interpreter frames.  A frame resumes at its
 next argument, so arguments are visited, and errors raised, left to
-right.  Decode reads each class's step records (ClassPlan.steps) rather
-than deriving slot kinds per node, and both keep class plans in their
-call's or onto sweep's lookup context (termrep.Lookups).
+right.
+
+Each node costs one keyed lookup in the call's or onto sweep's lookup
+context (termrep.Lookups) plus its arithmetic.  Decode looks up the
+record of its (type, index): the class plan, its finite total and tag
+count, and per tag a decode record made on first use (the pairing
+operand count, the finite slots if any, the index-argument count, and
+the arguments' targets of a constructor with no index arguments).
+Encode looks up a step record per (constructor, type, index, index
+arguments): the arguments' targets, the finite entry or tag, the class's
+finite total and tag count and the finite slots if any.  A step record
+is filled only once a node with its key has passed check_term's node
+test in full; a hit still tests what the key does not pin, the argument
+count and that each index argument is an int, since True and 1.0 hash
+and compare equal to 1.  One or two pairing operands are mingled and
+unmingled by bignat's private helpers, without the public functions'
+checks on inputs the codec has just made itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bignat import mingle_fold, unmingle_fold
+from .bignat import _compact, _spread, mingle_fold, unmingle_fold
 from .errors import CodeOutOfRange, FuelExhausted, NoWellFoundedPlan, TermError
 from .sigmodel import (
     Cardinality,
@@ -217,10 +231,17 @@ def encode(
 def _encode(plan, type_name, index, counts, term, ctx=None):
     """term's code, in a loop over a stack of frames, one per Con whose
     arguments are being encoded: the node, its counts and their key,
-    variable count, class plan, finite entry (or None) and tag, its
-    arguments' targets and their codes so far, and its memo key.  Nodes
-    are tested by check_term's tests (_check_var, _check_con), so encode
-    fails where it does, with its message.
+    variable count, arguments' targets and their codes so far, its step
+    record and its memo key.  Nodes are tested by check_term's tests
+    (_check_var, _check_con), so encode fails where it does, with its
+    message.
+
+    A Con costs one lookup: its step record in ctx.steps, keyed by
+    (constructor, type, index, index arguments), which _encode_step fills
+    only once a node with that key has passed _check_con in full.  The key
+    pins every test but two, which a hit still makes: the argument count,
+    and that each index argument is an int (True and 1.0 equal 1).  A node
+    that fails either is tested by _check_con, for its message.
 
     ctx is the lookup context (termrep.Lookups) of the public call or of
     an onto sweep (adequacy._SweepMemo), whose memo also maps (id(node),
@@ -229,8 +250,8 @@ def _encode(plan, type_name, index, counts, term, ctx=None):
     the key is held."""
     if ctx is None:
         ctx = Lookups()
-    vsig, stack, counts, ck = plan.vsig, [], counts._counts, counts.key()
-    arg_targets, plans, targets_seen, binds = vsig.arg_targets, ctx.plans, ctx.targets, ctx.binds
+    stack, counts, ck = [], counts._counts, counts.key()
+    steps, binds = ctx.steps, ctx.binds
     memo = ctx if ctx.memoizes else None
     while True:
         code = None
@@ -244,22 +265,22 @@ def _encode(plan, type_name, index, counts, term, ctx=None):
                 if hit is not None:
                     code = hit[1]
             if code is None:
-                _check_con(vsig, type_name, index, term)
-                cp = plans.get((type_name, index))
-                if cp is None:
-                    cp = plans[type_name, index] = plan.class_plan(type_name, index)
-                # a constructor that fits the class is in its finite block or its tags
-                entry, tag = cp.finite.entry_for(term.ctor), None
-                if entry is None:
-                    tag = cp.tags.index(term.ctor)
-                targets = targets_seen.get((term.ctor, index, term.index_args))
-                if targets is None:
-                    targets = ctx.targets_of(arg_targets, term.ctor, index, term.index_args)
+                name, ia = term.ctor, term.index_args
+                try:
+                    step = steps.get((name, type_name, index, ia))
+                except TypeError:  # an unhashable field: _check_con judges the node
+                    step = None
+                if (
+                    step is None
+                    or len(term.args) != len(step[0])
+                    or ia and not all([type(x) is int for x in ia])
+                ):
+                    step = _encode_step(plan, ctx, type_name, index, term)
                 v = counts.get((type_name, index), 0)
-                stack.append((term, counts, ck, v, cp, entry, tag, targets, [], key))
+                stack.append((term, counts, ck, v, step[0], [], step, key))
         # hand the code to the frames it completes, then start the next argument
         while stack:
-            node, node_counts, node_ck, v, cp, entry, tag, targets, codes, key = stack[-1]
+            node, node_counts, node_ck, v, targets, codes, step, key = stack[-1]
             if code is not None:
                 codes.append(code)
             j = len(codes)
@@ -274,27 +295,64 @@ def _encode(plan, type_name, index, counts, term, ctx=None):
                 term = ta.body
                 break
             stack.pop()
+            _, entry, tag, total, width, kinds = step
             if entry is not None:
                 offset = 0
                 for radix, c in zip(entry.radices, codes):
                     offset = offset * radix + c
                 code = v + entry.base + offset
             else:
-                slot_kinds = cp.steps[tag][1]
-                if not any(slot_kinds):
-                    payload = mingle_fold([*node.index_args, *codes] if node.index_args else codes)
-                else:  # finite arguments fold in after the mingle, by radix
-                    payload = mingle_fold(
-                        [*node.index_args, *[c for r, c in zip(slot_kinds, codes) if not r]]
-                    )
-                    for r, c in zip(slot_kinds, codes):
+                # the pairing operands: the index arguments, then the
+                # infinite arguments' codes; finite ones fold in by radix
+                ia = node.index_args
+                if kinds is None:
+                    ops = [*ia, *codes] if ia else codes
+                else:
+                    ops = [*ia, *[c for r, c in zip(kinds, codes) if not r]]
+                if len(ops) == 1:
+                    payload = ops[0]
+                elif len(ops) == 2:  # mingle, without its checks on codes made here
+                    payload = _spread(ops[0]) << 1 | _spread(ops[1])
+                else:
+                    payload = mingle_fold(ops)
+                if kinds is not None:
+                    for r, c in zip(kinds, codes):
                         if r:
                             payload = payload * r + c
-                code = v + cp.finite.total + len(cp.tags) * payload + tag
+                code = v + total + width * payload + tag
             if memo is not None:
                 memo[key] = (node, code)
         else:
             return code
+
+
+def _encode_step(plan, ctx, type_name, index, term):
+    """term's step record, after _check_con passes it in full: (targets,
+    finite entry or None, tag or None, finite total, tag count, slot kinds
+    if any is finite or None), made the first time for its key."""
+    _check_con(plan.vsig, type_name, index, term)
+    key = (term.ctor, type_name, index, term.index_args)
+    step = ctx.steps.get(key)
+    if step is None:
+        cp = (ctx.plans.get((type_name, index)) or _class_record(plan, ctx, type_name, index))[0]
+        # a constructor that fits the class is in its finite block or its tags
+        entry, tag, kinds = cp.finite.entry_for(term.ctor), None, None
+        if entry is None:
+            tag = cp.tags.index(term.ctor)
+            kinds = cp.steps[tag][1]
+            if not any(kinds):
+                kinds = None
+        targets = ctx.targets_of(plan.vsig.arg_targets, term.ctor, index, term.index_args)
+        step = ctx.steps[key] = (targets, entry, tag, cp.finite.total, len(cp.tags), kinds)
+    return step
+
+
+def _class_record(plan, ctx, type_name, index):
+    """The record of (type, index) in ctx.plans: (class plan, finite
+    total, tag count, each tag's decode record or None until first used)."""
+    cp = plan.class_plan(type_name, index)
+    record = ctx.plans[type_name, index] = (cp, cp.finite.total, len(cp.tags), [None] * len(cp.tags))
+    return record
 
 
 def encode_closed(
@@ -331,6 +389,12 @@ def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
     arguments decoded so far, its counts and their key, its memo key and
     fuel at its start.
 
+    A node costs one lookup: the record of its (type, index) in ctx.plans
+    (_class_record), whose list holds each tag's decode record
+    (_decode_step), made on first use: what the tag's step in the class
+    plan implies for every node, so a node with no finite argument builds
+    no digit list, and one with no index argument slices nothing.
+
     ctx is the lookup context (termrep.Lookups) of the public call, of one
     plan's tag-search trials, or of an onto sweep (adequacy._SweepMemo),
     whose memo also maps (type, index, counts key, code) to (term, steps),
@@ -344,7 +408,7 @@ def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
     step since the first visit would recur until the fuel ran out."""
     if ctx is None:
         ctx = Lookups()
-    stack, arg_targets, counts, ck = [], plan.vsig.arg_targets, counts._counts, counts.key()
+    stack, counts, ck = [], counts._counts, counts.key()
     plans, variables, targets_seen, binds = ctx.plans, ctx.variables, ctx.targets, ctx.binds
     memo = ctx if ctx.memoizes else None
     while True:
@@ -372,44 +436,56 @@ def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
             cell[0] -= 1
             if code < 0:
                 raise CodeOutOfRange(f"negative code {code}")
-            cp = plans.get((type_name, index))
-            if cp is None:
-                cp = plans[type_name, index] = plan.class_plan(type_name, index)
+            record = plans.get((type_name, index)) or _class_record(plan, ctx, type_name, index)
+            cp, total, width, tag_steps = record
             v = counts.get((type_name, index), 0)
             c = code - v
+            targets = None
             if c < 0:
                 term = variables.get((type_name, index, code)) or ctx.var(type_name, index, code)
-            elif c < cp.finite.total:
+            elif c < total:
                 entry, offset = cp.finite.entry_at(c)
                 name, index_args, sub_codes = entry.ctor_name, (), []
                 for radix in reversed(entry.radices):
                     offset, d = divmod(offset, radix)
                     sub_codes.append(d)
                 sub_codes.reverse()
-            elif not cp.tags:
-                limit = v + cp.finite.total
+            elif not width:
+                limit = v + total
                 raise CodeOutOfRange(
                     f"code {code} out of range for {cp.label} (codes 0..{limit - 1})"
                     if limit
                     else f"code {code} out of range for empty class {cp.label}"
                 )
             else:
-                q, tag = divmod(c - cp.finite.total, len(cp.tags))
-                name, slot_kinds, n_pi = cp.steps[tag]
-                fin_rev: list[int] = []
-                for radix in reversed(slot_kinds):
-                    if radix:
-                        q, e = divmod(q, radix)
-                        fin_rev.append(e)
-                values = unmingle_fold(q, n_pi + slot_kinds.count(0))
-                index_args, sub_codes = tuple(values[:n_pi]) if n_pi else (), values[n_pi:]
-                if fin_rev:
+                q, tag = divmod(c - total, width)
+                name, n_ops, kinds, n_pi, targets = (
+                    tag_steps[tag] or _decode_step(plan, ctx, record, tag, index)
+                )
+                if kinds is not None:  # finite arguments fold out first, by radix
+                    fin_rev = []
+                    for radix in reversed(kinds):
+                        if radix:
+                            q, e = divmod(q, radix)
+                            fin_rev.append(e)
+                if n_ops == 1:
+                    values = [q]
+                elif n_ops == 2:  # unmingle, without its checks on a code made here
+                    values = [_compact(q >> 1), _compact(q)]
+                else:
+                    values = unmingle_fold(q, n_ops)
+                if n_pi:
+                    index_args, sub_codes = tuple(values[:n_pi]), values[n_pi:]
+                else:
+                    index_args, sub_codes = (), values
+                if kinds is not None:
                     inf_vals, fin_vals = iter(sub_codes), iter(reversed(fin_rev))
-                    sub_codes = [next(fin_vals) if r else next(inf_vals) for r in slot_kinds]
+                    sub_codes = [next(fin_vals) if r else next(inf_vals) for r in kinds]
             if term is None:
-                targets = targets_seen.get((name, index, index_args))
                 if targets is None:
-                    targets = ctx.targets_of(arg_targets, name, index, index_args)
+                    targets = targets_seen.get((name, index, index_args))
+                    if targets is None:
+                        targets = ctx.targets_of(plan.vsig.arg_targets, name, index, index_args)
                 if path is not None:
                     path.add(key)
                 stack.append((name, index_args, targets, sub_codes, [], counts, ck, key, start))
@@ -436,6 +512,17 @@ def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
                 path.remove(key)
         else:
             return term
+
+
+def _decode_step(plan, ctx, record, tag, index):
+    """The decode record of a tag of a (type, index) record: (constructor,
+    operand count, slot kinds if any is finite or None, n_pi, the targets
+    at this index if n_pi is 0, else None: they depend on the index
+    arguments)."""
+    name, kinds, n_pi = record[0].steps[tag]
+    targets = None if n_pi else ctx.targets_of(plan.vsig.arg_targets, name, index, ())
+    step = record[3][tag] = (name, n_pi + kinds.count(0), kinds if any(kinds) else None, n_pi, targets)
+    return step
 
 
 def decode_closed(

@@ -104,6 +104,40 @@ class Con:
             done[id(t)] = hash((t.ctor, t.index_args, subhashes))
         return done[id(self)]
 
+    def __repr__(self) -> str:
+        """The dataclass repr, Con and TermArg nested, written in a loop
+        over a stack of the pieces still to write."""
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+                continue
+            out.append(
+                f"{type(t).__qualname__}(ctor={t.ctor!r}, index_args={t.index_args!r}, args=("
+            )
+            todo.append(",))" if len(t.args) == 1 else "))")
+            for i in reversed(range(len(t.args))):  # pushed right to left
+                ta = t.args[i]
+                if isinstance(ta, TermArg):
+                    body = ta.body
+                    todo += [")", body if isinstance(body, Con) else repr(body),
+                             f"{type(ta).__qualname__}(binder_count={ta.binder_count!r}, body="]
+                else:
+                    todo.append(repr(ta))
+                if i:
+                    todo.append(", ")
+        return "".join(out)
+
+    # nodes are immutable, so a copy is the node itself; the default
+    # protocol would recurse once per node
+
+    def __copy__(self) -> "Con":
+        return self
+
+    def __deepcopy__(self, memo) -> "Con":
+        return self
+
 
 # Walks build nodes through these rather than the frozen __init__, which
 # sets each field through object.__setattr__: object.__new__, then each
@@ -187,18 +221,29 @@ EMPTY_COUNTS = CountVector()
 class Lookups:
     """The lookup context of term walks, made for one public call, or for
     one direction of an onto sweep (adequacy._SweepMemo), and dropped with
-    it: the class plan of each (type, index), which codec fills in; one
-    Var per (type, index, level); the argument targets of each
-    (constructor, index, index arguments); and each bind.  A walk carries
-    a caller's CountVector as its map (never written) and key, so a binder
-    it has met copies nothing.  It stores nothing on the signature, the
-    plan or a CountVector."""
+    it.  It holds one Var per (type, index, level); the argument targets
+    of each (constructor, index, index arguments); each bind; and two
+    tables that codec fills in, so that each node it codes costs one
+    lookup:
+    - plans: per (type, index), its class plan, finite total and tag
+      count, and each tag's decode record, made on first use (the
+      operand count, the finite slots if any, the index-argument count,
+      and the targets of a constructor without index arguments);
+    - steps: per (constructor, type, index, index arguments), encode's
+      step record (targets, finite entry or tag, the class's total and
+      tag count, the finite slots if any), filled only once a node with
+      that key has passed every per-node test.  A hit still tests what
+      the key does not pin: the argument count, and that each index
+      argument is an int, since True and 1.0 hash and compare equal to 1.
+    A walk carries a caller's CountVector as its map (never written) and
+    key, so a binder it has met copies nothing.  It stores nothing on the
+    signature, the plan or a CountVector."""
 
-    __slots__ = ("plans", "variables", "targets", "binds")
+    __slots__ = ("plans", "steps", "variables", "targets", "binds")
     memoizes = False  # whether it also memoizes whole nodes (see adequacy)
 
     def __init__(self) -> None:
-        self.plans, self.variables, self.targets, self.binds = {}, {}, {}, {}
+        self.plans, self.steps, self.variables, self.targets, self.binds = {}, {}, {}, {}, {}
 
     def var(self, type_name: str, index: int | None, level: int) -> Var:
         """The one Var of (type_name, index, level)."""

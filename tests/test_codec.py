@@ -1,18 +1,20 @@
 """Tag assignment and the term/nat codec."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from godelgen import codec
-from godelgen.adequacy import EnumBudget, verify_all
+from godelgen.adequacy import EnumBudget, _SweepMemo, verify_all
 from godelgen.bignat import unmingle_fold
 from godelgen.codec import (
     DEFAULT_FUEL,
     _TRIAL_FUEL,
     _decode,
+    _encode,
     _first_failing_class,
     assign_tags,
     build_plan,
@@ -593,17 +595,35 @@ MUTATED = [("lambda", "t", None), ("termfam", "term", 0), ("termfam", "term", 2)
            ("exists", "term", 0), ("exists", "term", 1), ("natlist", "natlist", None)]
 
 
+def _repeated_keys(vsig, term, type_name, index) -> list[int]:
+    """Pre-order positions of the Con nodes of a well-typed term whose
+    (constructor, type, index, index arguments) an earlier node has."""
+    seen, out, todo, pos = set(), [], [(term, type_name, index)], -1
+    while todo:
+        t, type_name, index = todo.pop()
+        pos += 1
+        if isinstance(t, Con):
+            key = (t.ctor, type_name, index, t.index_args)
+            if key in seen:
+                out.append(pos)
+            seen.add(key)
+            targets = vsig.arg_targets(t.ctor, index, t.index_args)
+            todo += [(ta.body, ty, ix) for ta, (ty, ix, _) in zip(reversed(t.args), reversed(targets))]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_encode_fails_exactly_where_check_term_does(vsigs, plans, data):
     # a decoded term with one node changed: a swapped constructor, a
-    # variable of another type or level, another binder count, or other
-    # index arguments
+    # variable of another type or level, another binder count, other index
+    # arguments or another argument count.  Half the time the node changed
+    # is one whose key an earlier node has, so encode has its step record
     sig, type_name, index = data.draw(st.sampled_from(MUTATED))
     vsig, plan = vsigs[sig], plans[sig]
     term = decode_closed(plan, type_name, index, data.draw(st.integers(0, 5000)))
     types, levels = sorted(vsig.sig.by_name), st.integers(-1, 3)
-    kind = data.draw(st.sampled_from(["ctor", "var", "binders", "index_args"]))
+    kind = data.draw(st.sampled_from(["ctor", "var", "binders", "index_args", "arity"]))
 
     def mutate(node):
         if kind == "var":
@@ -619,11 +639,17 @@ def test_encode_fails_exactly_where_check_term_does(vsigs, plans, data):
             swapped = TermArg(data.draw(st.integers(0, 3)), args[j].body)
             args = args[:j] + (swapped,) + args[j + 1:]
         elif kind == "index_args":
-            values = st.one_of(st.integers(-1, 4), st.just(True))
+            values = st.one_of(st.integers(-1, 4), st.sampled_from([True, 1.0]))
             index_args = tuple(data.draw(st.lists(values, max_size=2)))
+        elif kind == "arity":
+            args = args[:-1] if data.draw(st.booleans()) else args + args[:1]
         return Con(ctor, index_args, args)
 
-    pos = data.draw(st.integers(0, _node_count(term) - 1))
+    repeated = _repeated_keys(vsig, term, type_name, index)
+    if repeated and data.draw(st.booleans()):
+        pos = data.draw(st.sampled_from(repeated))
+    else:
+        pos = data.draw(st.integers(0, _node_count(term) - 1))
     mutated = _replace_node(term, pos, mutate)
 
     def outcome(fn, *args):
@@ -638,6 +664,47 @@ def test_encode_fails_exactly_where_check_term_does(vsigs, plans, data):
         assert decode_closed(plan, type_name, index, code) == mutated
     else:
         assert code == checked
+
+
+def _app(*args):
+    return Con("app", (), tuple(TermArg(0, a) for a in args))
+
+
+_IDENTITY = Con("lam", (), (TermArg(1, Var("t", None, 0)),))
+
+
+def _exists(value, body):
+    return Con("exists", (value,), (TermArg(1, body),))
+
+
+# ill-formed nodes whose key a well-formed node before them has, with a
+# well-formed term of that key and check_term's message: index arguments
+# that equal 1 but are no natural, and an app with one argument
+REPEATED_KEYS = [
+    ("exists", "term", 0, _exists(1, _exists(True, Con("unit"))),
+     _exists(1, Con("unit")), "index argument True of exists is not a natural"),
+    ("exists", "term", 0, _exists(1, _exists(1.0, Con("unit"))),
+     _exists(1, Con("unit")), "index argument 1.0 of exists is not a natural"),
+    ("lambda", "t", None, _app(_app(_IDENTITY, _IDENTITY), _app(_IDENTITY)),
+     _app(_IDENTITY, _IDENTITY), "constructor app takes 2 argument(s), got 1"),
+]
+
+
+@pytest.mark.parametrize("sig, type_name, index, term, good, message", REPEATED_KEYS)
+def test_a_step_record_hit_still_tests_the_node(
+    vsigs, plans, sig, type_name, index, term, good, message
+):
+    with pytest.raises(TermError) as checked:
+        check_term(vsigs[sig], type_name, index, EMPTY_COUNTS, term)
+    assert str(checked.value) == message
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+        encode_closed(plans[sig], type_name, index, term)
+    # in a context that keeps its step records across terms, as an onto
+    # sweep's does, once a well-formed term has filled them
+    ctx = _SweepMemo()
+    _encode(plans[sig], type_name, index, EMPTY_COUNTS, good, ctx)
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+        _encode(plans[sig], type_name, index, EMPTY_COUNTS, term, ctx)
 
 
 def test_containers_and_compare_reject_ill_fitting_terms(vsigs, plans):

@@ -4,12 +4,13 @@ import ast
 import copy
 import dataclasses
 import pickle
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import sig_text
+from conftest import SIG_NAMES, sig_text
 from godelgen import sigmodel
 from godelgen.codec import assign_tags, decode, decode_closed, encode, encode_closed
 from godelgen.errors import TermError
@@ -696,6 +697,41 @@ def test_con_hash_is_a_function_of_structure(vsigs, plans):
         shared = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
         tree = Con("app", (), (TermArg(0, tree), TermArg(0, _twin(tree))))
     assert shared == tree and hash(shared) == hash(tree)
+
+
+# the dataclass-generated repr, which recurses, as a reference
+_RefCon = dataclasses.make_dataclass("Con", ["ctor", "index_args", "args"])
+_RefArg = dataclasses.make_dataclass("TermArg", ["binder_count", "body"])
+
+
+def _reference(term):
+    if not isinstance(term, Con):
+        return term
+    return _RefCon(term.ctor, term.index_args,
+                   tuple(_RefArg(ta.binder_count, _reference(ta.body)) for ta in term.args))
+
+
+def test_con_repr_is_the_dataclass_repr(vsigs, plans):
+    seen = 0
+    for name in SIG_NAMES:
+        vsig = vsigs[name]
+        for decl in vsig.decls:
+            for cls, reps in vsig.class_reps(decl.name):
+                for code in vsig.cardinality(decl.name, cls).codes_below(40):
+                    term = decode_closed(plans[name], decl.name, reps[0], code)
+                    assert repr(term) == repr(_reference(term))
+                    seen += 1
+    assert seen > 500
+    assert repr(Con("z")) == "Con(ctor='z', index_args=(), args=())"
+    assert repr(TermArg(0, Con("z"))) == "TermArg(binder_count=0, body=Con(ctor='z', index_args=(), args=()))"
+
+
+def test_repr_and_deepcopy_of_a_deep_term(plans):
+    assert sys.getrecursionlimit() <= 1000
+    term = decode_closed(plans["nat"], "nat", None, 5000)
+    text = repr(term)
+    assert text.count("Con(ctor='s'") == 5000 and text.endswith("args=())" + "),))" * 5000)
+    assert copy.deepcopy(term) is term and copy.copy(term) is term
 
 
 def test_con_equality_walks_a_deep_chain_without_recursion():
