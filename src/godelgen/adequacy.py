@@ -6,11 +6,13 @@ total (every term encodes), unique (alpha-variants and reprints
 encode alike), onto (every code decodes to a well-typed term and
 round-trips), and one-to-one (no two terms share a code).
 
-The onto sweep calls the codec's decode and encode loops directly, each
-with one lookup context (_SweepMemo, a termrep.Lookups with a bounded
-memo of the nodes already done) for the whole sweep; every other walk
-has one for its call.  Encode tests each node as check_term does.  Every
-decode spends at most the budget's fuel.
+Total, unique and one-to-one come from one pass over one enumeration
+per index (_enumerated), which encodes each term once; onto sweeps the
+codes.  Both call the codec's loops and termrep's print and read cores
+directly, with a lookup context per direction held for the whole pass
+or sweep; a _SweepMemo (a termrep.Lookups with a bounded memo of the
+nodes already done) where nodes recur.  Encode tests each node as
+check_term does.  Every decode spends at most the budget's fuel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .codec import DEFAULT_FUEL, CodecPlan, _decode, _encode, decode, encode
+from .codec import DEFAULT_FUEL, CodecPlan, _decode, _encode
 from .errors import FuelExhausted, TermError
 from .sigmodel import IndexClass, ValidatedSignature
 from .termrep import (
@@ -28,9 +30,9 @@ from .termrep import (
     Term,
     TermArg,
     Var,
+    _parse,
+    _print,
     binder_name,
-    parse_term,
-    print_term,
 )
 
 DEFAULT_MAX_SIZE = 6
@@ -231,52 +233,86 @@ def _variant_namer(vsig: ValidatedSignature, stem: str):
 
 
 def verify_total_unique(
-    plan: CodecPlan,
-    type_name: str,
-    index: int | None,
-    budget: EnumBudget,
+    plan: CodecPlan, type_name: str, index: int | None, budget: EnumBudget
 ) -> tuple[Verdict, Verdict]:
-    """Every enumerated term encodes, and every rendering of it reads
-    back to the same code; a rendering that fails to read back fails
-    unique."""
+    """Every enumerated term encodes, and every rendering of it reads back
+    to the same code; a rendering that fails to read back fails unique."""
+    return _enumerated(plan, type_name, index, budget)[:2]
+
+
+def verify_one_to_one(
+    plan: CodecPlan, type_name: str, index: int | None, budget: EnumBudget
+) -> Verdict:
+    """Distinct terms take distinct codes, and decode inverts encode."""
+    return _enumerated(plan, type_name, index, budget)[2]
+
+
+def _enumerated(plan, type_name, index, budget) -> tuple[Verdict, Verdict, Verdict]:
+    """The total, unique and one-to-one verdicts at one index, from one
+    walk over enumerate_terms that encodes each term once.  Its two halves,
+    total with unique and one-to-one, each stop at their own first fault;
+    a term that fails to encode stops both.  The terms' encodes share a
+    _SweepMemo, as the enumerator shares their subterms; the variants'
+    encodes (their nodes are fresh), decodes, prints and reads, a Lookups."""
     vsig = plan.vsig
     label = vsig.class_of(type_name, index).label
     terms = enumerate_terms(vsig, type_name, index, budget.size_for(type_name, label))
     namers = [None, _variant_namer(vsig, "u"), _variant_namer(vsig, "w")]
-    checked = 0
-    for term in terms:
-        try:
-            code = encode(plan, type_name, index, EMPTY_COUNTS, term)
-        except TermError as exc:
-            shown = print_term(vsig, term, index=index)
-            return (
-                Verdict(False, checked, f"term {shown!r} failed to encode: {exc}"),
-                Verdict(True, checked),
-            )
+    encoded, ctx, seen = _SweepMemo(), Lookups(), {}
+    show = lambda term, namer=None: _print(vsig, term, index, namer, ctx)
+
+    def unique_fault(term, code):
         for namer in namers:
-            shown = print_term(vsig, term, index=index, namer=namer)
+            shown = show(term, namer)
             try:
-                recoded = encode(
-                    plan, type_name, index, EMPTY_COUNTS, parse_term(vsig, type_name, index, shown)
-                )
+                back = _parse(vsig, type_name, index, shown, ctx)
+                recoded = _encode(plan, type_name, index, EMPTY_COUNTS, back, ctx)
             except TermError as exc:
-                fault = f"variant {shown!r} failed to read back: {exc}"
-            else:
-                if recoded == code:
-                    continue
-                fault = f"variant {shown!r} encoded to {recoded}, not {code}"
-            return Verdict(True, checked), Verdict(False, checked, fault)
-        checked += 1
-    return Verdict(True, checked), Verdict(True, checked)
+                return 1, f"variant {shown!r} failed to read back: {exc}"
+            if recoded != code:
+                return 1, f"variant {shown!r} encoded to {recoded}, not {code}"
+        return None
+
+    def one_to_one_fault(term, code):
+        clash = seen.get(code)
+        if clash is not None:
+            return 2, f"terms {show(clash)!r} and {show(term)!r} share code {code}"
+        seen[code] = term
+        try:
+            back = _decode(plan, type_name, index, EMPTY_COUNTS, code, [budget.fuel], ctx)
+        except FuelExhausted as exc:
+            shown, why = show(term), type(exc).__name__
+            return 2, f"code {code} of term {shown!r} did not decode back: {why}"
+        return None if back == term else (2, f"term {show(term)!r} did not round-trip")
+
+    # per half, the terms it passed, and once it stops, its failing verdict's
+    # position in the result (total 0, unique 1, one-to-one 2) and message
+    passed, faults = [0, 0], [None, None]
+    for term in terms:
+        if faults[0] and faults[1]:
+            break
+        try:
+            code = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
+        except TermError as exc:
+            fault = f"term {show(term)!r} failed to encode: {exc}"
+            faults = [f or (at, fault) for f, at in zip(faults, (0, 2))]
+            break
+        faults = [faults[0] or unique_fault(term, code), faults[1] or one_to_one_fault(term, code)]
+        passed = [n + (not f) for n, f in zip(passed, faults)]
+    verdicts = [Verdict(True, passed[0]), Verdict(True, passed[0]), Verdict(True, passed[1])]
+    for n, fault in zip(passed, faults):
+        if fault:
+            verdicts[fault[0]] = Verdict(False, n, fault[1])
+    return tuple(verdicts)
 
 
 class _SweepMemo(Lookups):
-    """The lookup context of one direction (decode or encode) of one onto
-    sweep, kept for the whole sweep, since every code looks the same
-    things up again, plus a memo of the nodes already done.  The memo is
-    bounded, in two generations: a hit in the old one moves the entry to
-    the young one, and a full young generation becomes the old one,
-    dropping the previous old one."""
+    """A lookup context kept for a whole sweep (one direction of an onto
+    sweep, or the terms' encodes in _enumerated), since every code or term
+    looks the same things up again, plus a memo of the nodes already done.
+    The memo is bounded, in two generations: a hit in the old one moves the
+    entry to the young one, and a full young generation becomes the old
+    one, dropping the previous old one."""
 
     __slots__ = ("young", "old")
     memoizes = True
@@ -338,52 +374,9 @@ def verify_onto(
     return Verdict(True, len(codes))
 
 
-def verify_one_to_one(
-    plan: CodecPlan,
-    type_name: str,
-    index: int | None,
-    budget: EnumBudget,
-) -> Verdict:
-    """Distinct terms take distinct codes, and decode inverts encode."""
-    vsig = plan.vsig
-    label = vsig.class_of(type_name, index).label
-    terms = enumerate_terms(vsig, type_name, index, budget.size_for(type_name, label))
-    seen: dict[int, Term] = {}
-    checked = 0
-    for term in terms:
-        try:
-            code = encode(plan, type_name, index, EMPTY_COUNTS, term)
-        except TermError as exc:
-            shown = print_term(vsig, term, index=index)
-            return Verdict(False, checked, f"term {shown!r} failed to encode: {exc}")
-        clash = seen.get(code)
-        if clash is not None:
-            a = print_term(vsig, clash, index=index)
-            b = print_term(vsig, term, index=index)
-            return Verdict(False, checked, f"terms {a!r} and {b!r} share code {code}")
-        seen[code] = term
-        try:
-            back = decode(plan, type_name, index, EMPTY_COUNTS, code, budget.fuel)
-        except FuelExhausted as exc:
-            shown = print_term(vsig, term, index=index)
-            return Verdict(
-                False, checked,
-                f"code {code} of term {shown!r} did not decode back:"
-                f" {type(exc).__name__}",
-            )
-        if back != term:
-            shown = print_term(vsig, term, index=index)
-            return Verdict(False, checked, f"term {shown!r} did not round-trip")
-        checked += 1
-    return Verdict(True, checked)
-
-
 def _merge(a: Verdict, b: Verdict) -> Verdict:
-    if not a.passed:
-        return a
-    if not b.passed:
-        return Verdict(False, a.checked + b.checked, b.counterexample)
-    return Verdict(True, a.checked + b.checked)
+    """a if it failed, else b counting a's checks too."""
+    return a if not a.passed else Verdict(b.passed, a.checked + b.checked, b.counterexample)
 
 
 def verify_class(
@@ -397,18 +390,16 @@ def verify_class(
     reps = [r for c, rs in vsig.class_reps(type_name) if c == cls for r in rs]
     total = unique = onto = one = Verdict(True, 0)
     for index in reps:
-        t, u = verify_total_unique(plan, type_name, index, budget)
+        t, u, o = _enumerated(plan, type_name, index, budget)
         total, unique = _merge(total, t), _merge(unique, u)
         onto = _merge(onto, verify_onto(plan, type_name, index, budget))
-        one = _merge(one, verify_one_to_one(plan, type_name, index, budget))
+        one = _merge(one, o)
     return ClassReport(type_name, cls.label, total, unique, onto, one)
 
 
 def verify_all(plan: CodecPlan, budget: EnumBudget | None = None) -> AdequacyReport:
     """Verify every class of every type; deterministic given the budget."""
-    if budget is None:
-        budget = EnumBudget()
-    vsig = plan.vsig
+    budget, vsig = budget or EnumBudget(), plan.vsig
     started = time.perf_counter()
     rows = []
     for decl in vsig.decls:

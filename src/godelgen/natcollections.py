@@ -16,8 +16,8 @@ from itertools import accumulate, filterfalse
 from operator import sub
 from typing import Any, Iterable
 
-from .codec import CodecPlan, decode_closed, encode_closed
-from .termrep import Term
+from .codec import DEFAULT_FUEL, CodecPlan, _decode, encode_closed
+from .termrep import EMPTY_COUNTS, Lookups, Term
 
 
 def _naturals(xs: Iterable, what: str) -> tuple[int, ...]:
@@ -235,10 +235,10 @@ class TermSet:
         return self.codes.size()
 
     def elements(self) -> tuple[Term, ...]:
-        return tuple(
-            decode_closed(self.plan, self.type_name, self.index, code)
-            for code in self.codes.elements()
-        )
+        """The members, decoded in one lookup context, each with DEFAULT_FUEL."""
+        plan, type_name, index, ctx = self.plan, self.type_name, self.index, Lookups()
+        return tuple([_decode(plan, type_name, index, EMPTY_COUNTS, code, [DEFAULT_FUEL], ctx)
+                      for code in self.codes.elements()])
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,35 @@ class Con:
                     todo.append(", ")
         return "".join(out)
 
-    # nodes are immutable, so a copy is the node itself; the default
-    # protocol would recurse once per node
+    # nodes are immutable, so a copy is the node itself, and a pickle is
+    # flat; the default protocols would recurse once per node
 
     def __copy__(self) -> "Con":
         return self
 
     def __deepcopy__(self, memo) -> "Con":
         return self
+
+    def __reduce__(self):
+        """(_unflatten, (nodes,)): the distinct Con nodes in post-order, each
+        (ctor, index_args, args), an argument with a Con body written as
+        (binder count, its body's position) and any other as (argument,)."""
+        at: dict[int, int] = {}  # id(node) -> position; self keeps every node alive
+        nodes, stack = [], [(self, iter(self.args))]
+        while stack:
+            t, todo = stack[-1]
+            for ta in todo:  # resumes after the argument it last went into
+                body = getattr(ta, "body", None)
+                if isinstance(body, Con) and id(body) not in at:
+                    stack.append((body, iter(body.args)))
+                    break
+            else:
+                stack.pop()
+                at[id(t)] = len(nodes)
+                args = [(ta.binder_count, at[id(ta.body)])
+                        if isinstance(getattr(ta, "body", None), Con) else (ta,) for ta in t.args]
+                nodes.append((t.ctor, t.index_args, tuple(args)))
+        return _unflatten, (nodes,)
 
 
 # Walks build nodes through these rather than the frozen __init__, which
@@ -169,6 +190,15 @@ def _con(ctor: str, index_args: tuple[int, ...], args: tuple[TermArg, ...]) -> C
     _set_index_args(node, index_args)
     _set_args(node, args)
     return node
+
+
+def _unflatten(nodes: list) -> Con:
+    """The last of nodes, listed as Con.__reduce__ lists them, rebuilt."""
+    built: list[Con] = []
+    for ctor, index_args, args in nodes:
+        args = tuple([_arg(a[0], built[a[1]]) if len(a) == 2 else a[0] for a in args])
+        built.append(_con(ctor, index_args, args))
+    return built[-1]
 
 
 Term = Var | Con
@@ -219,9 +249,9 @@ EMPTY_COUNTS = CountVector()
 
 
 class Lookups:
-    """The lookup context of term walks, made for one public call, or for
-    one direction of an onto sweep (adequacy._SweepMemo), and dropped with
-    it.  It holds one Var per (type, index, level); the argument targets
+    """The lookup context of term walks, made for one public call or for
+    one caller's many walks (see adequacy, TermSet.elements), and dropped
+    with it.  It holds one Var per (type, index, level); the argument targets
     of each (constructor, index, index arguments); each bind; and two
     tables that codec fills in, so that each node it codes costs one
     lookup:
@@ -294,10 +324,15 @@ def parse_term(
     term (see _read).  Only a text with a fault is also parsed by the
     grammar, so that a syntax fault anywhere in it is the one reported."""
     vsig.class_of(type_name, index)
+    return _parse(vsig, type_name, index, text, Lookups())
+
+
+def _parse(vsig, type_name, index, text, ctx):
+    """parse_term at a checked target, in the lookup context ctx."""
     try:
         p = _Parser(text)
         try:
-            return _read(vsig, p, type_name, index)
+            return _read(vsig, p, type_name, index, ctx)
         except TermError:
             p.whole()
             raise
@@ -316,7 +351,7 @@ _ABBREV = object()  # heads the frame of an abbreviation being expanded
 
 
 def _read(
-    vsig: ValidatedSignature, p: _Parser, want_type: str, want_index: int | None
+    vsig: ValidatedSignature, p: _Parser, want_type: str, want_index: int | None, ctx: Lookups
 ) -> Term:
     """The term that p's tokens spell at the wanted type, read as the
     grammar reads them and elaborated as they are read.
@@ -337,8 +372,7 @@ def _read(
     the next token; the few that need the extent of a bracket read a
     table of bracket matches (_structure) built when first needed."""
     ctors, abbrevs, lit = vsig.sig.ctors, vsig.sig.abbrevs, vsig.analysis.nat_literal
-    arg_targets, ctx = vsig.arg_targets, Lookups()
-    tables: dict[int, dict] = {}
+    arg_targets, tables = vsig.arg_targets, {}
 
     def structure(src: _Parser) -> dict[int, int]:
         if id(src) not in tables:
@@ -629,10 +663,15 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
     default picks a letter per (type, index) and appends the level, so
     printing is deterministic and injective on alpha-classes.
     """
-    if namer is None:
-        namer = _Namer(vsig)
     if index is _INFER:
         index = _infer_index(vsig, term)
+    return _print(vsig, term, index, namer, Lookups())
+
+
+def _print(vsig, term, index, namer, ctx) -> str:
+    """print_term at a known index, in the lookup context ctx."""
+    if namer is None:
+        namer = _Namer(vsig)
     ordinals = itertools.count()
 
     def fresh(t, ix, level):
@@ -654,7 +693,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
     # once the argument it closes is printed; and, below that, for an
     # argument with binders, the length the log had when it began
     stack: list = []
-    ctors, arg_targets, ctx = vsig.sig.ctors, vsig.arg_targets, Lookups()
+    ctors, arg_targets = vsig.sig.ctors, vsig.arg_targets
     # one name per (type, index, level) in scope; every write logs the
     # name it hides, and a binder's argument undoes its writes as it ends
     t, env, log, counts, ck = term, {}, [], {}, frozenset()

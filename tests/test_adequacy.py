@@ -1,5 +1,7 @@
 """Tests for the bounded bijection verifier and its term enumerator."""
 
+import itertools
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from godelgen.adequacy import (
     EnumBudget,
     Verdict,
     _SweepMemo,
+    _variant_namer,
     enumerate_terms,
     verify_all,
     verify_class,
@@ -278,36 +281,39 @@ def _starve(*_):
 
 
 def _counter():
-    codes = iter(range(100))
+    # 0, 1, 0, ...: bool has codes 0 and 1 only, and one-to-one decodes
+    # each code it is given while the other half has stopped
+    codes = itertools.cycle(range(2))
     return lambda *_: next(codes)
 
 
-# the term-side verdicts, each reached through an encode or a decode that
-# misbehaves (a factory makes a fresh fake per run); bool's terms are
-# true (code 0) and then false (code 1)
+# the term-side verdicts, each reached through an encode, a decode or a
+# read that misbehaves (a factory makes a fresh fake per run); bool's terms
+# are true (code 0) and then false (code 1).  Every verifier encodes and
+# decodes through _encode and _decode, and reads through _parse
 TERM_FAULTS = {
     "fails-to-encode": (
-        "encode", lambda: _refuse, verify_total_unique,
+        "_encode", lambda: _refuse, verify_total_unique,
         (Verdict(False, 0, "term 'true' failed to encode: refused"), Verdict(True, 0)),
     ),
     "fails-to-encode-one-to-one": (
-        "encode", lambda: _refuse, verify_one_to_one,
+        "_encode", lambda: _refuse, verify_one_to_one,
         Verdict(False, 0, "term 'true' failed to encode: refused"),
     ),
     "variant-differs": (
-        "encode", _counter, verify_total_unique,
+        "_encode", _counter, verify_total_unique,
         (Verdict(True, 0), Verdict(False, 0, "variant 'true' encoded to 1, not 0")),
     ),
     "shared-code": (
-        "encode", lambda: lambda *_: 0, verify_one_to_one,
+        "_encode", lambda: lambda *_: 0, verify_one_to_one,
         Verdict(False, 1, "terms 'true' and 'false' share code 0"),
     ),
     "no-decode-back": (
-        "decode", lambda: _starve, verify_one_to_one,
+        "_decode", lambda: _starve, verify_one_to_one,
         Verdict(False, 0, "code 0 of term 'true' did not decode back: FuelExhausted"),
     ),
     "no-round-trip": (
-        "decode", lambda: lambda *_: Con("false"), verify_one_to_one,
+        "_decode", lambda: lambda *_: Con("false"), verify_one_to_one,
         Verdict(False, 0, "term 'true' did not round-trip"),
     ),
     "re-encodes-elsewhere": (
@@ -315,7 +321,7 @@ TERM_FAULTS = {
         Verdict(False, 0, "code 0 decoded to a term that re-encodes to 7"),
     ),
     "variant-fails-to-read-back": (
-        "parse_term", lambda: _refuse, verify_total_unique,
+        "_parse", lambda: _refuse, verify_total_unique,
         (Verdict(True, 0), Verdict(False, 0, "variant 'true' failed to read back: refused")),
     ),
 }
@@ -329,7 +335,7 @@ def test_term_side_failure_verdicts(plans, monkeypatch, fault):
 
 
 def test_a_term_that_fails_to_encode_is_reported_not_raised(plans, monkeypatch):
-    monkeypatch.setattr(adequacy, "encode", _refuse)
+    monkeypatch.setattr(adequacy, "_encode", _refuse)
     report = verify_all(plans["bool"])
     assert not report.passed
     failed = Verdict(False, 0, "term 'true' failed to encode: refused")
@@ -337,7 +343,7 @@ def test_a_term_that_fails_to_encode_is_reported_not_raised(plans, monkeypatch):
 
 
 def test_a_variant_that_fails_to_read_back_is_reported_not_raised(plans, monkeypatch):
-    monkeypatch.setattr(adequacy, "parse_term", _refuse)
+    monkeypatch.setattr(adequacy, "_parse", _refuse)
     report = verify_all(plans["bool"])
     assert not report.passed
     failed = Verdict(False, 0, "variant 'true' failed to read back: refused")
@@ -390,6 +396,159 @@ def test_variants_avoid_constructor_names():
     vsig = validate(parse_signature(sig_text("lambda") + "u0 : t. w0 : t."))
     total, unique = verify_total_unique(assign_tags(vsig), "t", None, EnumBudget(max_size=3))
     assert total == unique == Verdict(True, 13)
+
+
+# ---------------------------------------------------------------------
+# The enumerated pass against the two verifiers it replaced, kept here as
+# they were: each enumerates the terms, and encodes each term, itself.
+
+
+def reference_total_unique(plan, type_name, index, budget):
+    vsig = plan.vsig
+    label = vsig.class_of(type_name, index).label
+    terms = enumerate_terms(vsig, type_name, index, budget.size_for(type_name, label))
+    namers = [None, _variant_namer(vsig, "u"), _variant_namer(vsig, "w")]
+    checked = 0
+    for term in terms:
+        try:
+            code = encode(plan, type_name, index, EMPTY_COUNTS, term)
+        except TermError as exc:
+            shown = print_term(vsig, term, index=index)
+            return (
+                Verdict(False, checked, f"term {shown!r} failed to encode: {exc}"),
+                Verdict(True, checked),
+            )
+        for namer in namers:
+            shown = print_term(vsig, term, index=index, namer=namer)
+            try:
+                recoded = encode(
+                    plan, type_name, index, EMPTY_COUNTS, parse_term(vsig, type_name, index, shown)
+                )
+            except TermError as exc:
+                fault = f"variant {shown!r} failed to read back: {exc}"
+            else:
+                if recoded == code:
+                    continue
+                fault = f"variant {shown!r} encoded to {recoded}, not {code}"
+            return Verdict(True, checked), Verdict(False, checked, fault)
+        checked += 1
+    return Verdict(True, checked), Verdict(True, checked)
+
+
+def reference_one_to_one(plan, type_name, index, budget):
+    vsig = plan.vsig
+    label = vsig.class_of(type_name, index).label
+    terms = enumerate_terms(vsig, type_name, index, budget.size_for(type_name, label))
+    seen = {}
+    checked = 0
+    for term in terms:
+        try:
+            code = encode(plan, type_name, index, EMPTY_COUNTS, term)
+        except TermError as exc:
+            shown = print_term(vsig, term, index=index)
+            return Verdict(False, checked, f"term {shown!r} failed to encode: {exc}")
+        clash = seen.get(code)
+        if clash is not None:
+            a = print_term(vsig, clash, index=index)
+            b = print_term(vsig, term, index=index)
+            return Verdict(False, checked, f"terms {a!r} and {b!r} share code {code}")
+        seen[code] = term
+        try:
+            back = decode(plan, type_name, index, EMPTY_COUNTS, code, budget.fuel)
+        except FuelExhausted as exc:
+            shown = print_term(vsig, term, index=index)
+            return Verdict(
+                False, checked,
+                f"code {code} of term {shown!r} did not decode back:"
+                f" {type(exc).__name__}",
+            )
+        if back != term:
+            shown = print_term(vsig, term, index=index)
+            return Verdict(False, checked, f"term {shown!r} did not round-trip")
+        checked += 1
+    return Verdict(True, checked)
+
+
+def _every_index(plan):
+    vsig = plan.vsig
+    return [(d.name, i) for d in vsig.decls for _c, reps in vsig.class_reps(d.name) for i in reps]
+
+
+def _pass_and_reference(plan, type_name, index, budget):
+    return (
+        (*verify_total_unique(plan, type_name, index, budget),
+         verify_one_to_one(plan, type_name, index, budget)),
+        (*reference_total_unique(plan, type_name, index, budget),
+         reference_one_to_one(plan, type_name, index, budget)),
+    )
+
+
+# each fault's target in the pass, and the public call the references make
+REFERENCE_TARGETS = {"_encode": "encode", "_decode": "decode", "_parse": "parse_term"}
+
+
+class TestEnumeratedPass:
+    @pytest.mark.parametrize("fault", sorted(TERM_FAULTS))
+    def test_each_fault_gives_the_references_verdict(self, plans, monkeypatch, fault):
+        name, fake, verifier, expected = TERM_FAULTS[fault]
+        budget = EnumBudget()
+        monkeypatch.setattr(adequacy, name, fake())
+        got = verifier(plans["bool"], "bool", None, budget)
+        monkeypatch.undo()
+        monkeypatch.setattr(sys.modules[__name__], REFERENCE_TARGETS[name], fake())
+        reference = {verify_total_unique: reference_total_unique,
+                     verify_one_to_one: reference_one_to_one, verify_onto: reference_onto}[verifier]
+        assert got == reference(plans["bool"], "bool", None, budget) == expected
+
+    @pytest.mark.parametrize("name", [*SIG_NAMES, "ratflip-unrepaired"])
+    @pytest.mark.parametrize("budget", [EnumBudget(max_size=4), EnumBudget(max_size=5, fuel=6)],
+                             ids=["size-4", "fuel-6"])
+    def test_every_index_matches_the_references(self, name, budget):
+        plan = _sweep_plan(name)
+        for type_name, index in _every_index(plan):
+            got, want = _pass_and_reference(plan, type_name, index, budget)
+            assert got == want, (type_name, index)
+
+    def test_one_to_one_fails_while_total_and_unique_run_on(self, plans):
+        # lambda's tags keep their constructors but swap their steps, so
+        # decode reads a lam's code as an app's, whose subterm codes loop
+        plan = plans["lambda"]
+        key = ("t", plan.vsig.class_of("t", None))
+        cp = plan.classes[key]
+        bad = CodecPlan(plan.vsig, {**plan.classes, key: replace(cp, steps=cp.steps[::-1])})
+        budget = EnumBudget(max_size=5, fuel=1000)
+        (total, unique, one), want = _pass_and_reference(bad, "t", None, budget)
+        assert (total, unique, one) == want
+        assert total == unique == Verdict(True, 20)
+        assert one == Verdict(
+            False, 0, "code 0 of term 'lam [x0] x0' did not decode back: FuelExhausted"
+        )
+
+    def test_unique_fails_while_one_to_one_runs_on(self, plans, monkeypatch):
+        plan, budget = plans["lambda"], EnumBudget(max_size=5)
+        monkeypatch.setattr(adequacy, "_parse", _refuse)
+        got = (*verify_total_unique(plan, "t", None, budget),
+               verify_one_to_one(plan, "t", None, budget))
+        monkeypatch.setattr(sys.modules[__name__], "parse_term", _refuse)
+        want = (*reference_total_unique(plan, "t", None, budget),
+                reference_one_to_one(plan, "t", None, budget))
+        assert got == want == (
+            Verdict(True, 0),
+            Verdict(False, 0, "variant 'lam [x0] x0' failed to read back: refused"),
+            Verdict(True, 20),
+        )
+
+    def test_a_verify_all_enumerates_once_per_representative_index(self, plans, monkeypatch):
+        calls = []
+
+        def counted(vsig, type_name, index, max_size):
+            calls.append((type_name, index))
+            return enumerate_terms(vsig, type_name, index, max_size)
+
+        monkeypatch.setattr(adequacy, "enumerate_terms", counted)
+        plan = plans["termfam"]
+        assert verify_all(plan, EnumBudget(max_size=3, max_code=20)).passed
+        assert calls == _every_index(plan)
 
 
 # ---------------------------------------------------------------------

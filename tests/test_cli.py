@@ -351,7 +351,7 @@ class TestVerify:
         def refuse(*_):
             raise TermError("refused")
 
-        monkeypatch.setattr(adequacy, "parse_term", refuse)
+        monkeypatch.setattr(adequacy, "_parse", refuse)
         code, out, err = run(capsys, ["verify", BOOL])
         assert (code, err) == (1, "")
         assert out == "bool: FAIL (0 terms, 2 codes)\n  variant 'true' failed to read back: refused\n"

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from godelgen.codec import DEFAULT_FUEL, decode_closed
+from godelgen.errors import FuelExhausted
 from godelgen.natcollections import (
     GapMap,
     GapSet,
@@ -313,6 +315,25 @@ class TestTermCollections:
             "lam [x0] x0",
             "app (lam [x0] x0) (lam [x0] x0)",
         ]
+
+    @pytest.mark.parametrize(
+        "name, type_name, index", [("lambda", "t", None), ("termfam", "term", 1)]
+    )
+    def test_elements_are_the_decodes_of_the_codes(self, plans, name, type_name, index):
+        plan = plans[name]
+        codes = GapSet.from_elements([*range(300), 4321, 10**40])
+        got = TermSet(plan, type_name, index, codes).elements()
+        assert got == tuple(decode_closed(plan, type_name, index, c) for c in codes.elements())
+
+    def test_each_element_gets_its_own_fuel(self, plans):
+        # each member's decode takes over half of DEFAULT_FUEL steps
+        plan = plans["nat"]
+        half = DEFAULT_FUEL // 2
+        deep = TermSet(plan, "nat", codes=GapSet.from_elements([half, half + 1]))
+        assert deep.elements() == (decode_closed(plan, "nat", None, half),
+                                   decode_closed(plan, "nat", None, half + 1))
+        with pytest.raises(FuelExhausted):
+            TermSet(plan, "nat", codes=GapSet.from_elements([DEFAULT_FUEL])).elements()
 
     def test_empty_membership(self, plans):
         plan = plans["lambda"]

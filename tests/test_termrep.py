@@ -650,6 +650,26 @@ def test_walk_built_nodes_are_the_declared_classes(vsigs, plans, source):
         assert node == twin and twin == node and hash(node) == hash(twin)
 
 
+def test_a_term_of_any_depth_pickles_flat():
+    # the default protocol recursed once per node, past the recursion limit
+    deep = _nat_chain(100_000)
+    back = pickle.loads(pickle.dumps(deep))
+    assert type(back) is Con and back == deep and hash(back) == hash(deep)
+    # a shared subterm is written once and read back shared (== on two
+    # 40-level DAGs would walk 2**40 paths; the hash visits each node once)
+    shared = Con("lam", (), (TermArg(1, Var("t", None, 0)),))
+    for _ in range(40):
+        shared = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+    data = pickle.dumps(shared)
+    assert len(data) < 2000
+    node = back = pickle.loads(data)
+    for _ in range(40):
+        assert node.ctor == "app" and node.args[0].body is node.args[1].body
+        node = node.args[0].body
+    assert node == Con("lam", (), (TermArg(1, Var("t", None, 0)),))
+    assert hash(back) == hash(shared)
+
+
 def test_con_hash_is_the_hash_of_its_preorder():
     # a node hashes its constructor, index arguments, and each argument's
     # binder count with its body's hash
