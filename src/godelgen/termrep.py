@@ -54,13 +54,13 @@ class Con:
     index_args: tuple[int, ...] = ()
     args: tuple[TermArg, ...] = ()
 
-    # == and hash walk the term in a loop over a stack, so any depth works
-
     def __eq__(self, other) -> bool:
-        """One walk over both terms in step; it stops at the first
-        difference and skips a pair of subterms that are one object."""
+        """One walk over both terms in step, on a stack; it stops at the first
+        difference, skips a pair that is one object and enters a pair at a
+        branch once, so a shared subterm costs its distinct nodes."""
         if not isinstance(other, Con):
             return NotImplemented
+        entered: dict[int, Con] = {}  # id(a) -> its last partner; both terms are alive
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
@@ -76,8 +76,13 @@ class Con:
                 or len(a.args) != len(b.args)
             ):
                 return False
-            else:  # pushed right to left, so popped left to right
-                for x, y in zip(reversed(a.args), reversed(b.args)):
+            elif len(a.args) < 2 or entered.get(id(a)) is not b:  # paths multiply only at branches
+                if len(a.args) > 1:
+                    entered[id(a)] = b
+                i = len(a.args)
+                while i:  # right to left, so popped left to right; an index loop makes no iterator
+                    i -= 1
+                    x, y = a.args[i], b.args[i]
                     if x.binder_count != y.binder_count:
                         return False
                     todo.append((x.body, y.body))
@@ -85,23 +90,12 @@ class Con:
 
     def __hash__(self) -> int:
         """hash((ctor, index_args, ((binder_count, hash(body)), ...))), built
-        bottom up, each distinct node object once a call, so subterms that
-        are one object are hashed once."""
+        bottom up over the distinct nodes."""
         done: dict[int, int] = {}  # id(node) -> hash; self keeps every node alive
-        todo = [self]
-        while todo:
-            t = todo.pop()
-            if id(t) in done:
-                continue
-            if not isinstance(t, Con):
-                done[id(t)] = hash(t)
-                continue
-            subs = [ta.body for ta in t.args if id(ta.body) not in done]
-            if subs:
-                todo += [t, *subs]  # t again, once its subterms are done
-                continue
-            subhashes = tuple((ta.binder_count, done[id(ta.body)]) for ta in t.args)
-            done[id(t)] = hash((t.ctor, t.index_args, subhashes))
+        for t in _nodes(self):
+            done[id(t)] = hash((t.ctor, t.index_args, tuple(
+                (ta.binder_count, done[id(ta.body)] if isinstance(ta.body, Con) else hash(ta.body))
+                for ta in t.args)))
         return done[id(self)]
 
     def __repr__(self) -> str:
@@ -142,22 +136,29 @@ class Con:
         """(_unflatten, (nodes,)): the distinct Con nodes in post-order, each
         (ctor, index_args, args), an argument with a Con body written as
         (binder count, its body's position) and any other as (argument,)."""
-        at: dict[int, int] = {}  # id(node) -> position; self keeps every node alive
-        nodes, stack = [], [(self, iter(self.args))]
-        while stack:
-            t, todo = stack[-1]
-            for ta in todo:  # resumes after the argument it last went into
-                body = getattr(ta, "body", None)
-                if isinstance(body, Con) and id(body) not in at:
-                    stack.append((body, iter(body.args)))
-                    break
-            else:
-                stack.pop()
-                at[id(t)] = len(nodes)
-                args = [(ta.binder_count, at[id(ta.body)])
-                        if isinstance(getattr(ta, "body", None), Con) else (ta,) for ta in t.args]
-                nodes.append((t.ctor, t.index_args, tuple(args)))
-        return _unflatten, (nodes,)
+        nodes = _nodes(self)
+        at = dict(zip(map(id, nodes), itertools.count()))  # self keeps every node alive
+        return _unflatten, ([(t.ctor, t.index_args, tuple([
+            (ta.binder_count, at[id(ta.body)]) if isinstance(getattr(ta, "body", None), Con)
+            else (ta,) for ta in t.args])) for t in nodes],)
+
+
+def _nodes(term: Term) -> list[Con]:
+    """The distinct Con nodes of term, each once by identity, in post-order
+    (a node after its arguments' bodies, left to right), walked on a stack."""
+    done: dict[int, Con] = {}  # id -> node, as each ends; term keeps every node alive
+    stack = [(term, iter(term.args))] if isinstance(term, Con) else []
+    while stack:
+        t, todo = stack[-1]
+        for ta in todo:  # resumes after the argument it last went into
+            body = getattr(ta, "body", None)
+            if isinstance(body, Con) and id(body) not in done:  # nor in progress: no cycles
+                stack.append((body, iter(body.args)))
+                break
+        else:
+            stack.pop()
+            done[id(t)] = t
+    return list(done.values())
 
 
 # Walks build nodes through these rather than the frozen __init__, which
@@ -871,13 +872,10 @@ def binder_mismatch(term: Con, expected: int, ta: TermArg) -> TermError:
 
 
 def term_size(term: Term) -> int:
-    """Number of nodes; explicit index values of magnitude v count v + 1."""
-    total = 0
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        total += 1
-        if isinstance(t, Con):
-            total += sum(t.index_args) + len(t.index_args)
-            todo.extend(ta.body for ta in t.args)
-    return total
+    """Nodes of the expanded term, a shared subterm counted at each use;
+    explicit index values of magnitude v count v + 1."""
+    size: dict[int, int] = {}  # id(node) -> size; term keeps every node alive
+    for t in _nodes(term):
+        size[id(t)] = 1 + sum(t.index_args) + len(t.index_args) + sum(
+            [size.get(id(ta.body), 1) for ta in t.args])  # a Var counts 1
+    return size.get(id(term), 1)

@@ -321,7 +321,7 @@ def test_t012_has_a_plan_among_the_candidates():
     strict=True,
     raises=NoWellFoundedPlan,
     reason="the search moves only the first failing class; a class blamed"
-    " for another's loop uses up its candidates (ROADMAP item 6)",
+    " for another's loop uses up its candidates (ROADMAP item 4)",
 )
 def test_t012_plans():
     plan = assign_tags(validate(parse_signature(sig_text("nat") + T012)))

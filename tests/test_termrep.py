@@ -655,11 +655,8 @@ def test_a_term_of_any_depth_pickles_flat():
     deep = _nat_chain(100_000)
     back = pickle.loads(pickle.dumps(deep))
     assert type(back) is Con and back == deep and hash(back) == hash(deep)
-    # a shared subterm is written once and read back shared (== on two
-    # 40-level DAGs would walk 2**40 paths; the hash visits each node once)
-    shared = Con("lam", (), (TermArg(1, Var("t", None, 0)),))
-    for _ in range(40):
-        shared = Con("app", (), (TermArg(0, shared), TermArg(0, shared)))
+    # a shared subterm is written once and read back shared
+    shared = _lam_dag(40)
     data = pickle.dumps(shared)
     assert len(data) < 2000
     node = back = pickle.loads(data)
@@ -667,7 +664,33 @@ def test_a_term_of_any_depth_pickles_flat():
         assert node.ctor == "app" and node.args[0].body is node.args[1].body
         node = node.args[0].body
     assert node == Con("lam", (), (TermArg(1, Var("t", None, 0)),))
-    assert hash(back) == hash(shared)
+    assert back == shared and hash(back) == hash(shared)
+
+
+def _lam_dag(levels, leaf_level=0):
+    """b_(i+1) = app b_i b_i over b_0 = lam [x] x: 2**levels leaves, levels + 1 objects."""
+    node = Con("lam", (), (TermArg(1, Var("t", None, leaf_level)),))
+    for _ in range(levels):
+        node = Con("app", (), (TermArg(0, node), TermArg(0, node)))
+    return node
+
+
+def test_dag_equality_and_size_cost_the_distinct_nodes():
+    # 2**20 paths and 21 objects: a walk of every path takes seconds
+    levels = 20
+    shared, apart = _lam_dag(levels), _lam_dag(levels)
+    copied = pickle.loads(pickle.dumps(shared))
+    # shared with its last leaf changed: a right spine of new nodes whose
+    # left arguments are equal DAGs built apart, so the walk meets each
+    # node of shared with a new partner on its way down to the leaf
+    last_leaf = _lam_dag(0, leaf_level=1)
+    for i in range(levels):
+        last_leaf = Con("app", (), (TermArg(0, _lam_dag(i)), TermArg(0, last_leaf)))
+    started = time.perf_counter()
+    assert shared == copied and copied == shared and shared == apart
+    assert shared != last_leaf and last_leaf != shared
+    assert term_size(shared) == term_size(copied) == 3 * 2**levels - 1
+    assert time.perf_counter() - started < 0.05
 
 
 def test_con_hash_is_the_hash_of_its_preorder():
