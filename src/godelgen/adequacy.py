@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from .codec import DEFAULT_FUEL, CodecPlan, _decode, _encode
 from .errors import FuelExhausted, TermError
@@ -178,7 +179,8 @@ def enumerate_terms(
 def _terms_at(vsig, type_name, index, size, counts, memo):
     """The terms of exactly size nodes at (type, index) under these
     variable counts: a variable, or each constructor of the class's graph
-    edges, in declaration order, over each split of the size."""
+    edges, in declaration order, over each split of the size left under
+    it, with the first argument varying fastest."""
     key = (type_name, index, size, counts)
     found = memo.get(key)
     if found is not None:
@@ -189,40 +191,35 @@ def _terms_at(vsig, type_name, index, size, counts, memo):
             results.append(Var(type_name, index, level))
     for edge in vsig.analysis.graph[(type_name, vsig.class_of(type_name, index))].values():
         ctor = edge.ctor
-        for pi_values, left in _pi_values(len(ctor.pi_args), size - 1, len(ctor.args)):
-            targets = vsig.arg_targets(ctor.name, index, pi_values)
-            for args in _fill_args(vsig, targets, 0, left, counts, memo):
-                results.append(Con(ctor.name, pi_values, args))
+        n_pi = len(ctor.pi_args)
+        for split in _splits(size - 1, n_pi + len(ctor.args)):
+            pi_values = tuple(part - 1 for part in split[:n_pi])
+            columns = []
+            for (arg_type, arg_index, keys), part in zip(
+                vsig.arg_targets(ctor.name, index, pi_values), split[n_pi:]
+            ):
+                subs = _terms_at(vsig, arg_type, arg_index, part,
+                                 counts.bind(keys) if keys else counts, memo)
+                if not subs:
+                    break
+                columns.append([TermArg(len(keys), sub) for sub in subs])
+            else:
+                for args in product(*reversed(columns)):
+                    results.append(Con(ctor.name, pi_values, args[::-1]))
     memo[key] = results
     return results
 
 
-def _pi_values(n, budget, reserve):
-    """Each tuple of n explicit index values, a value v taking v + 1 of
-    budget and reserve left for the arguments, with the budget left."""
-    if n == 0:
-        yield (), budget
-        return
-    for value in range(budget - reserve - (n - 1)):
-        for rest, left in _pi_values(n - 1, budget - value - 1, reserve):
-            yield (value,) + rest, left
-
-
-def _fill_args(vsig, targets, j, budget, counts, memo):
-    if j == len(targets):
-        if budget == 0:
-            yield ()
-        return
-    arg_type, arg_index, keys = targets[j]
-    sub_counts = counts.bind(keys) if keys else counts
-    min_rest = len(targets) - j - 1
-    for size in range(1, budget - min_rest + 1):
-        subs = _terms_at(vsig, arg_type, arg_index, size, sub_counts, memo)
-        if not subs:
-            continue
-        for rest in _fill_args(vsig, targets, j + 1, budget - size, counts, memo):
-            for sub in subs:
-                yield (TermArg(len(keys), sub),) + rest
+def _splits(total, parts):
+    """Each tuple of parts positive sizes that sum to total, the first
+    varying slowest: one per explicit index value (a value v takes v + 1)
+    and one per argument."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    if parts == 1:  # not through combinations, which copies range(1, total)
+        return [(total,)] if total > 0 else []
+    return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+            for cuts in combinations(range(1, total), parts - 1)]
 
 
 # -------------------------------------------------------------- verifiers

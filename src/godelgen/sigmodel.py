@@ -824,7 +824,7 @@ class Analysis:
     counted before the families it indexes get classes.
 
     kinds: per type, None (unindexed), a NatIndex or a FiniteIndex, or
-    'multi' or 'invalid'; classes: its index classes; graph: class ->
+    'invalid'; classes: its index classes; graph: class ->
     constructor -> Edge; card and partitions: each class's cardinality
     and its finite-instance block and infinite constructors (_partition);
     patterns and rules: per constructor (see _rule); kind_faults: per
@@ -892,16 +892,15 @@ class Analysis:
     def _set_kind(self, d: TypeDecl) -> None:
         """d's index kind and classes, and the faults that make its index
         type unusable: more than one index, an index type that is indexed,
-        not nat-shaped or finite, uses binders or is uninhabited.  A finite
-        index type is counted before the families it indexes, unless it
-        lies in their stratum, which is deferred as an index-type fault."""
+        not nat-shaped or finite, or uses binders.  A finite index type is
+        counted before the families it indexes, unless it lies in their
+        stratum, which is deferred as an index-type fault."""
         kind, classes, faults = "invalid", (), []
         fault = lambda message, rule="index-type": faults.append(Diagnostic(rule, d.name, message))
         x = d.index_types[0] if d.index_types else None
         if not d.index_types:
             kind, classes = None, (UNIT_CLASS,)
         elif len(d.index_types) > 1:
-            kind = "multi"
             fault(
                 f"indexed types must take exactly one index, {d.name} takes {len(d.index_types)}",
                 "single-index",
@@ -931,8 +930,6 @@ class Analysis:
                 ctors = self.sig.by_name[x].ctors
                 if any(c.pi_args or any(a.binders for a in c.args) for c in ctors):
                     fault(f"index type {x} may not use binders")
-                if not xcard.count:
-                    fault(f"index type {x} is uninhabited")
         self.kinds[d.name], self.classes[d.name], self.kind_faults[d.name] = kind, classes, faults
 
     def constant(self, report, subject: str, type_name: str, expr: IndexExpr) -> int | None:
@@ -958,7 +955,7 @@ class Analysis:
         kind = self.kinds.get(ctor.family)
         if kind is None:
             return ("unit",)
-        if kind in ("multi", "invalid"):
+        if kind == "invalid":
             return ("invalid",)
         expr = ctor.result_index[0]
         if isinstance(expr, IxVar):
@@ -995,7 +992,7 @@ class Analysis:
         kind = self.kinds[type_name]
         if kind is None:
             return type_name, None, None
-        if kind in ("multi", "invalid"):  # reported with the type
+        if kind == "invalid":  # reported with the type
             return type_name, -1, 0
         expr, succs = index[0], 0
         if isinstance(kind, NatIndex):
@@ -1310,7 +1307,7 @@ def validate(sig: Signature) -> ValidatedSignature:
     def add(rule: str, subject: str, message: str) -> None:
         diags.setdefault(Diagnostic(rule, subject, message))
 
-    analyzed = [d for d in sig.decls if ana.kinds[d.name] not in ("multi", "invalid")]
+    analyzed = [d for d in sig.decls if ana.kinds[d.name] != "invalid"]
     for decl in analyzed:
         for ctor in decl.ctors:
             _validate_ctor(ana, ctor, add)
@@ -1319,7 +1316,7 @@ def validate(sig: Signature) -> ValidatedSignature:
     abbrev_index = {}
     for ab in sig.abbrevs.values():
         kind = ana.kinds[ab.type_name]
-        if kind not in ("multi", "invalid"):
+        if kind != "invalid":
             abbrev_index[ab.name] = (
                 None if kind is None else ana.constant(add, ab.name, ab.type_name, ab.index[0])
             )

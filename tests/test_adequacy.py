@@ -118,6 +118,29 @@ class TestEnumerator:
         rendered = [print_term(vsig, t) for t in terms]
         assert rendered == ["z", "s z", "s (s z)", "s (s (s z))"]
 
+    def test_arguments_vary_first_fastest(self, vsigs):
+        vsig = vsigs["mixed"]
+        rendered = [print_term(vsig, t) for t in enumerate_terms(vsig, "tree", None, 5)]
+        assert rendered == [
+            "leaf",
+            "node true leaf",
+            "node false leaf",
+            "node true (node true leaf)",
+            "node false (node true leaf)",
+            "node true (node false leaf)",
+            "node false (node false leaf)",
+        ]
+
+    def test_index_values_split_before_arguments(self, vsigs):
+        vsig = vsigs["exists"]
+        terms = enumerate_terms(vsig, "term", 0, 4)
+        assert len(terms) == 22
+        assert [print_term(vsig, t, index=0) for t in terms[-3:]] == [
+            "exists 0 [x0] rec [x1] x1",
+            "exists 0 [x0] rec [x1] unit",
+            "exists 1 [x0] unit",
+        ]
+
     def test_indexed_enumeration_respects_index(self, vsigs):
         vsig = vsigs["termfam"]
         zero = enumerate_terms(vsig, "term", 0, 3)

@@ -66,19 +66,19 @@ class TestCheck:
     @pytest.mark.parametrize(
         "text, out, err",
         [
-            # x has the term c (mk [v] v), yet x and y count 0 (see
+            # x has the term c (mk [v] v), yet x and y count 0; the binder
+            # faults report it, and no "is uninhabited" (see
             # test_diagnostics_exactly in test_sigmodel.py)
             (
                 "e : type. y : type. mk : (e -> e) -> y. x : type. c : y -> x."
                 " g : x -> type. g0 : g X.",
                 "e: Empty\ny: Finite(0)\nx: Finite(0)\n",
-                "error: g: index type x is uninhabited [index-type]\n",
+                "",
             ),
             (
                 "e : type. x : type. mk : (e -> e) -> x. g : x -> type. g0 : g X.",
                 "e: Empty\nx: Finite(0)\n",
-                "error: g: index type x may not use binders [index-type]\n"
-                "g: index type x is uninhabited [index-type]\n",
+                "g: index type x may not use binders [index-type]\n",
             ),
         ],
         ids=["through-another-type", "with-binders"],
@@ -92,7 +92,7 @@ class TestCheck:
             "mk: an argument that binds variables must target an infinite type;"
             " e is not [binder-target]\n"
         )
-        assert run(capsys, ["check", str(path)]) == (2, out, err + binder_faults)
+        assert run(capsys, ["check", str(path)]) == (2, out, "error: " + err + binder_faults)
 
     def test_syntax_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.sig"
