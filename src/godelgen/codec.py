@@ -18,9 +18,10 @@ right.
 Each node costs one keyed lookup in the call's or onto sweep's lookup
 context (termrep.Lookups) plus its arithmetic.  Decode looks up the
 record of its (type, index): the class plan, its finite total and tag
-count, and per tag a decode record made on first use (the pairing
-operand count, the finite slots if any, the index-argument count, and
-the arguments' targets of a constructor with no index arguments).
+count, per tag a decode record made on first use (the pairing operand
+count, the finite slots if any, the index-argument count, and the
+arguments' targets of a constructor with no index arguments), and the
+finite entries' bases, which it bisects.
 Encode looks up a step record per (constructor, type, index, index
 arguments): the arguments' targets, the finite entry or tag, the class's
 finite total and tag count and the finite slots if any.  A step record
@@ -34,6 +35,7 @@ checks on inputs the codec has just made itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bignat import _compact, _spread, mingle_fold, unmingle_fold
@@ -118,6 +120,7 @@ def build_plan(
             block, infinite = vsig.ctors_for_class(decl.name, cls)
             names = tuple(c.name for c in infinite)
             key = (decl.name, cls)
+            edges = vsig.analysis.graph[key]  # each records its slot kinds
             if tag_orders and key in tag_orders:
                 order = tuple(tag_orders[key])
                 if sorted(order) != sorted(names):
@@ -128,18 +131,9 @@ def build_plan(
                 names = order
             classes[key] = ClassPlan(
                 decl.name, cls, vsig.cardinality(decl.name, cls), block, names,
-                tuple([_step(vsig, name) for name in names]),
+                tuple([(n, edges[n].kinds, len(edges[n].ctor.pi_args)) for n in names]),
             )
     return CodecPlan(vsig, classes)
-
-
-def _step(vsig: ValidatedSignature, ctor_name: str) -> tuple[str, tuple[int, ...], int]:
-    ctor = vsig.sig.ctors[ctor_name]
-    kinds = []
-    for arg in ctor.args:
-        card = vsig.cardinality(arg.type_name, vsig.classes(arg.type_name)[0])
-        kinds.append(0 if card.is_infinite else card.count)
-    return ctor_name, tuple(kinds), len(ctor.pi_args)
 
 
 def _first_failing_class(
@@ -163,16 +157,16 @@ def _first_failing_class(
     return None
 
 
-def _tag_candidates(names: tuple[str, ...]) -> list[tuple[str, ...]]:
-    # lexicographic in declaration positions, so the first is declaration order
+def _tag_order(names: tuple[str, ...], i: int) -> tuple[str, ...]:
+    """Candidate i of a class's tag orders: its n(n-1) ordered pairs of
+    names at tags 0 and 1, lexicographic in declaration positions, the
+    rest in declaration order (so candidate 0 is declaration order), or
+    names itself, the one candidate, for fewer than two names."""
     if len(names) < 2:
-        return [names]
-    return [
-        (a, b) + tuple(n for n in names if n not in (a, b))
-        for a in names
-        for b in names
-        if a != b
-    ]
+        return names
+    a, b = divmod(i, len(names) - 1)
+    b += b >= a
+    return (names[a], names[b]) + tuple([n for j, n in enumerate(names) if j != a and j != b])
 
 
 def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
@@ -181,7 +175,8 @@ def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
     Those trial codes reach only payloads, digits and subterm codes of at
     most 1, so only tags 0 and 1 of each class matter.  A class's
     candidates are its ordered pairs of infinite constructors at tags 0
-    and 1, the rest in declaration order; the first is declaration order.
+    and 1, the rest in declaration order; the first is declaration order,
+    and each is built when it is tried (_tag_order).
     A class whose trial runs out of fuel moves to its next candidate; one
     that exhausts them fails.  A trial stops early, as if out of fuel, when
     a node repeats the state (type, index, counts, code) of a node still
@@ -190,19 +185,20 @@ def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
     class's loop, so failures start another round, keeping the other
     classes' orders, until a round fails no fewer classes than the last.
     """
-    candidates: dict[tuple[str, IndexClass], list[tuple[str, ...]]] = {}
-    for decl in vsig.decls:
-        for cls in vsig.classes(decl.name):
-            _, infinite = vsig.ctors_for_class(decl.name, cls)
-            candidates[(decl.name, cls)] = _tag_candidates(tuple(c.name for c in infinite))
-    choice = dict.fromkeys(candidates, 0)
+    names = {
+        (decl.name, cls): tuple(c.name for c in vsig.ctors_for_class(decl.name, cls)[1])
+        for decl in vsig.decls
+        for cls in vsig.classes(decl.name)
+    }
+    choice = dict.fromkeys(names, 0)
     failed: list[tuple[str, IndexClass]] = []
-    last_failed = len(candidates) + 1  # more than any round can fail
+    last_failed = len(names) + 1  # more than any round can fail
     while True:
-        plan = build_plan(vsig, {key: candidates[key][i] for key, i in choice.items()})
+        plan = build_plan(vsig, {key: _tag_order(names[key], i) for key, i in choice.items()})
         offender = _first_failing_class(plan, _TRIAL_FUEL, set(failed))
         if offender is not None:
-            choice[offender] = (choice[offender] + 1) % len(candidates[offender])
+            n = len(names[offender])
+            choice[offender] = (choice[offender] + 1) % max(n * (n - 1), 1)
             if choice[offender] == 0:
                 failed.append(offender)
         elif not failed:
@@ -228,7 +224,7 @@ def encode(
     return _encode(plan, type_name, index, counts, term, Lookups())
 
 
-def _encode(plan, type_name, index, counts, term, ctx=None):
+def _encode(plan, type_name, index, counts, term, ctx):
     """term's code, in a loop over a stack of frames, one per Con whose
     arguments are being encoded: the node, its counts and their key,
     variable count, arguments' targets and their codes so far, its step
@@ -248,8 +244,6 @@ def _encode(plan, type_name, index, counts, term, ctx=None):
     type, index, counts key) to (node, code) for Con nodes already
     encoded, the node in the value keeping its id from being reused while
     the key is held."""
-    if ctx is None:
-        ctx = Lookups()
     stack, counts, ck = [], counts._counts, counts.key()
     steps, binds = ctx.steps, ctx.binds
     memo = ctx if ctx.memoizes else None
@@ -349,9 +343,11 @@ def _encode_step(plan, ctx, type_name, index, term):
 
 def _class_record(plan, ctx, type_name, index):
     """The record of (type, index) in ctx.plans: (class plan, finite
-    total, tag count, each tag's decode record or None until first used)."""
+    total, tag count, each tag's decode record or None until first used,
+    the finite entries' bases, which decode bisects)."""
     cp = plan.class_plan(type_name, index)
-    record = ctx.plans[type_name, index] = (cp, cp.finite.total, len(cp.tags), [None] * len(cp.tags))
+    n = len(cp.tags)
+    record = ctx.plans[type_name, index] = (cp, cp.finite.total, n, [None] * n, cp.finite.bases)
     return record
 
 
@@ -382,7 +378,7 @@ def decode(
     return _decode(plan, type_name, index, counts, code, [fuel], Lookups())
 
 
-def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
+def _decode(plan, type_name, index, counts, code, cell, ctx, path=None):
     """The term of this code, debiting the fuel cell once per node, in a
     loop over a stack of frames, one per Con whose arguments are being
     decoded: its name, index arguments, arguments' targets and codes, the
@@ -406,8 +402,6 @@ def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
     counts, code) of each open frame.  A node whose state is open raises
     FuelExhausted at once: decoding a state reads nothing else, so every
     step since the first visit would recur until the fuel ran out."""
-    if ctx is None:
-        ctx = Lookups()
     stack, counts, ck = [], counts._counts, counts.key()
     plans, variables, targets_seen, binds = ctx.plans, ctx.variables, ctx.targets, ctx.binds
     memo = ctx if ctx.memoizes else None
@@ -437,15 +431,16 @@ def _decode(plan, type_name, index, counts, code, cell, ctx=None, path=None):
             if code < 0:
                 raise CodeOutOfRange(f"negative code {code}")
             record = plans.get((type_name, index)) or _class_record(plan, ctx, type_name, index)
-            cp, total, width, tag_steps = record
+            cp, total, width, tag_steps, bases = record
             v = counts.get((type_name, index), 0)
             c = code - v
             targets = None
             if c < 0:
                 term = variables.get((type_name, index, code)) or ctx.var(type_name, index, code)
             elif c < total:
-                entry, offset = cp.finite.entry_at(c)
-                name, index_args, sub_codes = entry.ctor_name, (), []
+                # the last entry based at or below c, so not one with no codes
+                entry = cp.finite.entries[bisect_right(bases, c) - 1]
+                offset, name, index_args, sub_codes = c - entry.base, entry.ctor_name, (), []
                 for radix in reversed(entry.radices):
                     offset, d = divmod(offset, radix)
                     sub_codes.append(d)

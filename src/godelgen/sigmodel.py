@@ -52,6 +52,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import prod
 
@@ -714,17 +715,16 @@ class FiniteBlock:
     entries: tuple[FiniteCtorEntry, ...]
     total: int
 
-    def entry_for(self, ctor_name: str) -> FiniteCtorEntry | None:
-        for e in self.entries:
-            if e.ctor_name == ctor_name:
-                return e
-        return None
+    @cached_property
+    def _by_name(self) -> dict[str, FiniteCtorEntry]:
+        return {e.ctor_name: e for e in self.entries}
 
-    def entry_at(self, offset: int) -> tuple[FiniteCtorEntry, int]:
-        for e in self.entries:
-            if offset < e.base + e.count:
-                return e, offset - e.base
-        raise IndexError(offset)
+    @cached_property
+    def bases(self) -> tuple[int, ...]:  # ascending; equal where an entry has no codes
+        return tuple([e.base for e in self.entries])
+
+    def entry_for(self, ctor_name: str) -> FiniteCtorEntry | None:
+        return self._by_name.get(ctor_name)
 
 
 @dataclass(eq=False, slots=True)
@@ -736,6 +736,7 @@ class Edge:
     pis: tuple[frozenset, ...]  # the classes of each abstraction's type
     args: tuple[tuple[frozenset, bool, tuple[frozenset, ...]], ...]  # (targets, pinned, binders)
     unmet: set[int] = field(default_factory=set)  # needs no inhabited class met
+    kinds: tuple[int, ...] = ()  # per argument, its radix, or 0 if infinite (_partition)
 
 
 def _nat_shape(decl: TypeDecl) -> NatIndex | None:
@@ -1381,25 +1382,26 @@ def _apply_layout(rules: tuple, slots: tuple) -> tuple:
 def _partition(edges, card_map) -> tuple[FiniteBlock, tuple[Ctor, ...]]:
     """Finite-instance block of a class and, in declaration order, the
     constructors outside it: those with an abstraction, a binder, or an
-    infinite or unknown slot.  edges are the class's edges, each read up
-    to the first infinite slot of its arguments."""
+    infinite or unknown slot.  Each edge records its slot kinds: a finite
+    slot's radix, 0 for an infinite or unknown one."""
     entries = []
     infinite: list[Ctor] = []
     base = 0
     for e in edges:
-        if e.ctor.pi_args or any(a.binders for a in e.ctor.args):
-            infinite.append(e.ctor)
-            continue
-        radices = []
+        kinds, is_open = [], e.ctor.pi_args or any(a.binders for a in e.ctor.args)
         for targets, _, _ in e.args:
             cards = [card_map.get(c) for c in targets]
             if any(c is None or c.is_infinite for c in cards):
-                infinite.append(e.ctor)
-                break
-            radices.append(max((c.count if c.is_finite else 0 for c in cards), default=0))
+                is_open = True
+                kinds.append(0)
+            else:
+                kinds.append(max((c.count if c.is_finite else 0 for c in cards), default=0))
+        e.kinds = tuple(kinds)
+        if is_open:
+            infinite.append(e.ctor)
         else:
-            count = prod(radices)
-            entries.append(FiniteCtorEntry(e.ctor.name, base, tuple(radices), count))
+            count = prod(kinds)
+            entries.append(FiniteCtorEntry(e.ctor.name, base, e.kinds, count))
             base += count
     return FiniteBlock(tuple(entries), base), tuple(infinite)
 

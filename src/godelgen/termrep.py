@@ -256,10 +256,10 @@ class Lookups:
     of each (constructor, index, index arguments); each bind; and two
     tables that codec fills in, so that each node it codes costs one
     lookup:
-    - plans: per (type, index), its class plan, finite total and tag
-      count, and each tag's decode record, made on first use (the
-      operand count, the finite slots if any, the index-argument count,
-      and the targets of a constructor without index arguments);
+    - plans: per (type, index), its class plan, finite total, tag count
+      and finite entries' bases, and each tag's decode record, made on
+      first use (operand count, finite slots if any, index-argument
+      count, and the targets of a constructor without index arguments);
     - steps: per (constructor, type, index, index arguments), encode's
       step record (targets, finite entry or tag, the class's total and
       tag count, the finite slots if any), filled only once a node with
@@ -708,7 +708,7 @@ def _print(vsig, term, index, namer, ctx) -> str:
                 log.append((key, None))
             emit(name)
         else:
-            ctor = ctors.get(t.ctor)
+            ctor = ctors.get(t.ctor) if isinstance(t.ctor, str) else None
             if ctor is None:
                 raise _unknown_ctor(t.ctor)
             emit(t.ctor)
@@ -766,7 +766,7 @@ def _print(vsig, term, index, namer, ctx) -> str:
 def _infer_index(vsig: ValidatedSignature, term: Term) -> int | None:
     if isinstance(term, Var):
         return term.index
-    if term.ctor not in vsig.sig.ctors:
+    if not isinstance(term.ctor, str) or term.ctor not in vsig.sig.ctors:
         raise _unknown_ctor(term.ctor)
     pat = vsig.pattern(term.ctor)
     if pat[0] == "unit":
@@ -840,13 +840,15 @@ def _check_con(vsig: ValidatedSignature, type_name: str, index: int | None, term
     """Raise TermError unless the node term fits (type, index), a valid
     target: its constructor is known and passes _check_ctor, as in _read,
     it has the constructor's argument and index-argument counts, and its
-    index arguments are naturals.  The loops over the arguments check
-    each one's binder count (see binder_mismatch)."""
-    ctor = vsig.sig.ctors.get(term.ctor)
+    index arguments are a tuple of naturals.  The loops over the arguments
+    check each one's binder count (see binder_mismatch)."""
+    ctor = vsig.sig.ctors.get(term.ctor) if isinstance(term.ctor, str) else None
     if ctor is None:
         raise _unknown_ctor(term.ctor)
     if ctor.family != type_name or index is not None:
         _check_ctor(vsig, ctor, type_name, index)
+    if not isinstance(term.index_args, tuple):
+        raise TermError(f"index arguments {term.index_args!r} of {term.ctor} are not a tuple")
     if len(term.index_args) != len(ctor.pi_args):
         raise TermError(
             f"constructor {term.ctor} takes {len(ctor.pi_args)} index"

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from godelgen.codec import (
 from godelgen.errors import (
     CodeOutOfRange,
     FuelExhausted,
+    GodelgenError,
     NoWellFoundedPlan,
     SigValidationError,
     TermError,
@@ -44,6 +46,7 @@ from godelgen.sigmodel import (
 from godelgen.termrep import (
     EMPTY_COUNTS,
     Con,
+    Lookups,
     TermArg,
     Var,
     check_term,
@@ -52,7 +55,7 @@ from godelgen.termrep import (
 )
 
 from conftest import SIG_NAMES, sig_text
-from corpus import chain_signature, random_indexed_signature, random_signature
+from corpus import chain_signature, corpus, random_indexed_signature, random_signature
 
 
 def enc(vsigs, plans, sig, type_name, index, text):
@@ -300,6 +303,43 @@ def test_more_than_twelve_infinite_constructors_plan_and_verify(k):
     assert report.passed, report.json_dict(f"chain{k}")
 
 
+def old_tag_candidates(names):
+    # the candidate list the search once built in full before its first trial
+    if len(names) < 2:
+        return [names]
+    return [
+        (a, b) + tuple(n for n in names if n not in (a, b))
+        for a in names
+        for b in names
+        if a != b
+    ]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_tag_order_is_the_candidate_list_made_when_tried(n):
+    names = tuple(f"c{i}" for i in range(n))
+    assert [codec._tag_order(names, i) for i in range(max(n * (n - 1), 1))] == (
+        old_tag_candidates(names)
+    )
+
+
+def test_a_passing_declaration_order_plans_in_linear_memory():
+    # 400 recursive constructors after the base one: declaration order
+    # passes, so one order is built, not all 159,600 candidates (518 MB)
+    vsig = validate(parse_signature("\n".join(
+        [sig_text("nat"), "t : type.", "b : nat -> t."]
+        + [f"r{i} : t -> t -> t." for i in range(399)]
+    )))
+    tracemalloc.start()
+    try:
+        plan = assign_tags(vsig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.classes[("t", UNIT_CLASS)].tags == ("b", *(f"r{i}" for i in range(399)))
+    assert peak < 5_000_000
+
+
 T012 = (
     "t0 : type. t1 : type. t2 : type."
     " t0c0 : t0 -> t0 -> t0. t0c1 : t1 -> t2 -> t0. t0c2 : t2 -> t0. t0c3 : t2 -> t0."
@@ -335,7 +375,7 @@ def trial(plan, type_name, index, code, fuel=_TRIAL_FUEL):
     # a tag-search trial's outcome (a term or FuelExhausted) and fuel spent
     cell = [fuel]
     try:
-        out = _decode(plan, type_name, index, EMPTY_COUNTS, code, cell, path=set())
+        out = _decode(plan, type_name, index, EMPTY_COUNTS, code, cell, Lookups(), set())
     except FuelExhausted:
         out = FuelExhausted
     return out, fuel - cell[0]
@@ -379,7 +419,7 @@ def test_trial_stops_at_the_first_repeated_state(vsigs):
     assert out is FuelExhausted and spent <= 2
     cell = [_TRIAL_FUEL]
     with pytest.raises(FuelExhausted):
-        _decode(flip, "rat", None, EMPTY_COUNTS, 0, cell)
+        _decode(flip, "rat", None, EMPTY_COUNTS, 0, cell, Lookups())
     assert cell == [0]
 
 
@@ -617,8 +657,9 @@ def _repeated_keys(vsig, term, type_name, index) -> list[int]:
 def test_encode_fails_exactly_where_check_term_does(vsigs, plans, data):
     # a decoded term with one node changed: a swapped constructor, a
     # variable of another type or level, another binder count, other index
-    # arguments or another argument count.  Half the time the node changed
-    # is one whose key an earlier node has, so encode has its step record
+    # arguments (sometimes a list) or another argument count.  Half the time
+    # the node changed is one whose key an earlier node has, so encode has
+    # its step record
     sig, type_name, index = data.draw(st.sampled_from(MUTATED))
     vsig, plan = vsigs[sig], plans[sig]
     term = decode_closed(plan, type_name, index, data.draw(st.integers(0, 5000)))
@@ -632,15 +673,16 @@ def test_encode_fails_exactly_where_check_term_does(vsigs, plans, data):
         if isinstance(node, Var):
             return node
         ctor, index_args, args = node.ctor, node.index_args, node.args
-        if kind == "ctor":
-            ctor = data.draw(st.sampled_from([*sorted(vsig.sig.ctors), "nosuch"]))
+        if kind == "ctor":  # a list is unhashable and no constructor
+            ctor = data.draw(st.sampled_from([*sorted(vsig.sig.ctors), "nosuch", [ctor]]))
         elif kind == "binders" and args:
             j = data.draw(st.integers(0, len(args) - 1))
             swapped = TermArg(data.draw(st.integers(0, 3)), args[j].body)
             args = args[:j] + (swapped,) + args[j + 1:]
         elif kind == "index_args":
             values = st.one_of(st.integers(-1, 4), st.sampled_from([True, 1.0]))
-            index_args = tuple(data.draw(st.lists(values, max_size=2)))
+            index_args = data.draw(st.lists(values, max_size=2))  # a list is unhashable
+            index_args = index_args if data.draw(st.booleans()) else tuple(index_args)
         elif kind == "arity":
             args = args[:-1] if data.draw(st.booleans()) else args + args[:1]
         return Con(ctor, index_args, args)
@@ -707,6 +749,28 @@ def test_a_step_record_hit_still_tests_the_node(
         _encode(plans[sig], type_name, index, EMPTY_COUNTS, term, ctx)
 
 
+ILL_FORMED_FIELDS = [
+    (Con(["exists"], (1,), (TermArg(1, Con("unit")),)), "unknown constructor ['exists']"),
+    (Con("exists", [1], (TermArg(1, Con("unit")),)),
+     "index arguments [1] of exists are not a tuple"),
+]
+
+
+@pytest.mark.parametrize("term, message", ILL_FORMED_FIELDS)
+def test_a_field_of_the_wrong_type_is_a_term_error(vsigs, plans, term, message):
+    # unhashable fields once escaped check_term and encode as TypeError
+    vsig, plan = vsigs["exists"], plans["exists"]
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+        check_term(vsig, "term", 0, EMPTY_COUNTS, term)
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+        encode_closed(plan, "term", 0, term)
+    if message.startswith("unknown"):  # print_term tests the constructor only
+        with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+            print_term(vsig, term, 0)
+        with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+            print_term(vsig, term)  # the index inferred
+
+
 def test_containers_and_compare_reject_ill_fitting_terms(vsigs, plans):
     cases = ill_fitting_terms(vsigs, plans) + [
         (plans["lambda"], "t", None, Con("z")),  # a constructor of another type
@@ -756,6 +820,51 @@ def test_decode_finite_range(plans):
         decode_closed(plans["bool"], "bool", None, -1)
     with pytest.raises(CodeOutOfRange):
         decode_closed(plans["lambda"], "t", None, -5)
+
+
+def scanned_entry_at(block, offset):
+    # the linear scan decode once made for a finite code
+    for e in block.entries:
+        if offset < e.base + e.count:
+            return e
+    raise IndexError(offset)
+
+
+ZERO_COUNT_ENTRY = "e : type. f : type. c : e -> f. a : f. b : f."
+
+
+def test_finite_entries_are_found_as_a_scan_finds_them():
+    # by name through entry_for, and by code in decode, at every offset of
+    # every finite block of the contract corpus; in ZERO_COUNT_ENTRY, c has
+    # no codes and shares base 0 with a
+    sigs = [*corpus(), ("zero-count", ZERO_COUNT_ENTRY)]
+    offsets = 0
+    for _, text in sigs:
+        try:
+            vsig = validate(parse_signature(text))
+        except GodelgenError:
+            continue
+        plan = build_plan(vsig)  # finite codes decode through no tag
+        for decl in vsig.decls:
+            for cls, reps in vsig.class_reps(decl.name):
+                block, infinite = vsig.ctors_for_class(decl.name, cls)
+                for name in [e.ctor_name for e in block.entries] + [c.name for c in infinite]:
+                    assert block.entry_for(name) == next(
+                        (e for e in block.entries if e.ctor_name == name), None
+                    )
+                for offset in range(block.total):
+                    for index in reps:
+                        term = decode_closed(plan, decl.name, index, offset)
+                        assert term.ctor == scanned_entry_at(block, offset).ctor_name
+                        assert encode_closed(plan, decl.name, index, term) == offset
+                    offsets += 1
+    assert offsets >= 600
+    vsig = validate(parse_signature(ZERO_COUNT_ENTRY))
+    block = vsig.ctors_for_class("f", UNIT_CLASS)[0]
+    assert [(e.ctor_name, e.base, e.count) for e in block.entries] == [
+        ("c", 0, 0), ("a", 0, 1), ("b", 1, 1)
+    ]
+    assert [decode_closed(build_plan(vsig), "f", None, c).ctor for c in (0, 1)] == ["a", "b"]
 
 
 def test_decode_fuel_is_a_step_budget(vsigs, plans):
