@@ -252,8 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # lifted: codes of any length
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except SigSyntaxError as exc:
         return _fail(exc, EXIT_PARSE)
@@ -265,6 +268,9 @@ def run(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_FUEL)
     except OSError as exc:
         return _fail(exc, EXIT_PARSE)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _fail(exc: BaseException, code: int) -> int:

@@ -490,7 +490,9 @@ def _decode(plan, type_name, index, counts, code, cell, ctx, path=None):
                 stack[-1]
             )
             if term is not None:
-                args.append(_arg(len(targets[len(args)][2]), term))
+                n = len(targets[len(args)][2])
+                args.append(ctx.var_args.get((n, id(term))) or ctx.var_arg(n, term)
+                            if term.__class__ is Var else _arg(n, term))  # a Var's is shared
             j = len(args)
             if j < len(targets):
                 type_name, index, keys = targets[j]

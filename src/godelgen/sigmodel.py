@@ -73,6 +73,7 @@ _WORD = r"[\w'/+*<>=&^?!#@~|-]"
 # whitespace and comments match outside the group, tokens inside it; any
 # character starts a match, so the matches tile the text
 _LEXEME = re.compile(rf"\s+|%%[^\n]*|({_WORD}+|[:.()\[\]{{}}]|%{_WORD}*|\S)")
+_PLAIN = re.compile(rf"(?:[\s:.()\[\]{{}}]|{_WORD})*")  # no comment, % or other character
 _PUNCT = frozenset(":.()[]{}")
 _OPERATORS = frozenset({"->", "<-", "="})
 _NOT_NAME = _PUNCT | _OPERATORS | {"%abbrev", ""}  # every other token is a word
@@ -83,10 +84,20 @@ def tokenize(text: str) -> list[str]:
     distinct token text.  A character that starts no token, or a %
     declaration other than %abbrev, is a token of its own; the parser
     rejects it."""
+    return _tokens(text)[0]
+
+
+def _tokens(text: str) -> tuple[list[str], dict[str, str]]:
+    """tokenize(text), and a dict whose keys are its distinct tokens.  A plain
+    text is split by str methods, which find _LEXEME's tokens faster."""
+    if _PLAIN.fullmatch(text):
+        for c in _PUNCT:
+            text = text.replace(c, f" {c} ")
+        raw = text.split()
+    else:
+        raw = [tok for tok in _LEXEME.findall(text) if tok]
     seen: dict[str, str] = {}
-    toks = [seen.setdefault(tok, tok) for tok in _LEXEME.findall(text) if tok]
-    toks.append("")
-    return toks
+    return [*map(seen.setdefault, raw, raw), ""], seen
 
 
 def _token_error(tok: str) -> str | None:
@@ -151,19 +162,20 @@ SExpr = SName | SNum | SApp | SArrow | SBind | SPi | SType
 
 class _Parser:
     """A parser over the tokens of text, or over toks, tokens already read
-    from a text (an abbreviation's body).  Positions are worked out from
-    the text only when an error or an abbreviation needs one."""
+    and checked from a text (an abbreviation's body).  Positions are worked
+    out from the text only when an error or an abbreviation needs one."""
 
     def __init__(self, text: str, toks: list[str] | None = None):
         self.text = text
-        self.toks = tokenize(text) if toks is None else toks
         self.i = 0
         self._offsets: list[int] | None = None  # of each token; see where
         self._line_starts: list[int] = []
-        errors = [tok for tok in set(self.toks) if _token_error(tok)]
-        if errors:
-            i = min(self.toks.index(tok) for tok in errors)
-            self.fail(_token_error(self.toks[i]), i)
+        if toks is None:
+            toks, seen = _tokens(text)
+            errors = [toks.index(tok) for tok in seen if _token_error(tok)]  # each distinct once
+            if errors:
+                self.fail(_token_error(toks[min(errors)]), min(errors))
+        self.toks = toks
 
     def where(self, i: int) -> tuple[int, int]:
         """Line and column of token i; a comment that ends the text does

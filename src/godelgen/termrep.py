@@ -252,10 +252,10 @@ EMPTY_COUNTS = CountVector()
 class Lookups:
     """The lookup context of term walks, made for one public call or for
     one caller's many walks (see adequacy, TermSet.elements), and dropped
-    with it.  It holds one Var per (type, index, level); the argument targets
-    of each (constructor, index, index arguments); each bind; and two
-    tables that codec fills in, so that each node it codes costs one
-    lookup:
+    with it.  It holds one Var per (type, index, level) and one TermArg per
+    (binder count, id of such a Var); the argument targets of each
+    (constructor, index, index arguments); each bind; the reader's head
+    records (reads, see _read); and two tables that codec fills in:
     - plans: per (type, index), its class plan, finite total, tag count
       and finite entries' bases, and each tag's decode record, made on
       first use (operand count, finite slots if any, index-argument
@@ -270,16 +270,21 @@ class Lookups:
     key, so a binder it has met copies nothing.  It stores nothing on the
     signature, the plan or a CountVector."""
 
-    __slots__ = ("plans", "steps", "variables", "targets", "binds")
+    __slots__ = ("plans", "steps", "variables", "var_args", "targets", "binds", "reads")
     memoizes = False  # whether it also memoizes whole nodes (see adequacy)
 
     def __init__(self) -> None:
-        self.plans, self.steps, self.variables, self.targets, self.binds = {}, {}, {}, {}, {}
+        self.plans, self.steps, self.variables, self.var_args = {}, {}, {}, {}
+        self.targets, self.binds, self.reads = {}, {}, {}
 
     def var(self, type_name: str, index: int | None, level: int) -> Var:
         """The one Var of (type_name, index, level)."""
         key = (type_name, index, level)
         return self.variables.get(key) or self.variables.setdefault(key, _var(*key))
+
+    def var_arg(self, binder_count: int, var: Var) -> TermArg:
+        """The one TermArg of binder_count and var, a Var held here."""
+        return self.var_args.setdefault((binder_count, id(var)), _arg(binder_count, var))
 
     def bind(self, counts: dict, key: frozenset, keys) -> tuple[dict, frozenset]:
         """The count map counts, whose key is key, with one more variable at
@@ -348,7 +353,6 @@ def _describe(type_name: str, index: int | None) -> str:
 # tokens that cannot start an atom (a word, a "(" or a "[")
 _NO_ATOM = _NOT_NAME - {"(", "["}
 _CLOSE = ")"  # frame: a bracket to close when the expression in it ends
-_ABBREV = object()  # heads the frame of an abbreviation being expanded
 
 
 def _read(
@@ -358,22 +362,24 @@ def _read(
     grammar reads them and elaborated as they are read.
 
     One loop over the tokens, with a stack of frames: one per constructor
-    application whose atoms are being read (holding its scope and counts),
-    one per bracket still open, and one per abbreviation whose body is
-    being read.  A binder writes its variable into the scope and logs the
-    entry it shadows, which is put back when its argument ends, so no
-    scope is copied.  An abbreviation's body is read from its own tokens
-    (Abbrev.toks), in a new empty scope.  Arguments are read, and faults
-    raised, left to right, so the fault read first is the one reported;
-    an application with too few or too many atoms is reported at its end.
-    A token sequence that is no term raises "invalid term", which
-    parse_term replaces with the grammar's syntax error.  An arrow or an
-    abstraction is no term: it is found where it is read, or where an
-    application it follows still lacks arguments.  Most checks need only
-    the next token; the few that need the extent of a bracket read a
-    table of bracket matches (_structure) built when first needed."""
+    application whose atoms are being read (holding its counts), one per
+    bracket still open, and one per abbreviation whose body is being read.
+    A binder writes its variable, made once per bind, into the scope and
+    logs the entry it shadows, which is put back when its argument ends.
+    An abbreviation's body is read from its own tokens (Abbrev.toks), in a
+    new empty scope.  Arguments are read, and faults raised, left to right,
+    so the fault read first is the one reported; an application with too
+    few or too many atoms is reported at its end.  A token sequence that is
+    no term raises "invalid term", which parse_term replaces with the
+    grammar's syntax error.  An arrow or an abstraction is no term: it is
+    found where it is read, or where an application it follows still lacks
+    arguments.  Most checks need only the next token; the few that need
+    the extent of a bracket read a table of bracket matches (_structure)
+    built when first needed.  A head whose (token, type, index) passed every
+    test, naming a constructor without index arguments, is then one lookup
+    in ctx.reads, which still tests that no variable has its name."""
     ctors, abbrevs, lit = vsig.sig.ctors, vsig.sig.abbrevs, vsig.analysis.nat_literal
-    arg_targets, tables = vsig.arg_targets, {}
+    reads, var_args, tables, binders = ctx.reads, ctx.var_args, {}, {}  # binders: Vars per bind
 
     def structure(src: _Parser) -> dict[int, int]:
         if id(src) not in tables:
@@ -387,75 +393,81 @@ def _read(
     toks = src.toks
     scope, counts, ck = {}, {}, frozenset()
     shadowed: list[tuple[str, Var | None]] = []  # per binder in scope, the entry it hid
-    # the argument being read: its binders, how many are read so far, the
-    # counts outside them, and its constructor (None outside arguments)
-    keys, k, outer, owner = (), 0, counts, None
+    # the argument being read: its binders, how many are left, their Vars, its constructor
+    keys, left, bound, owner = (), 0, (), None
     start = True  # at the start of an expression, not of one atom
     while True:
         tok, head, term = toks[i], None, None
-        if k < len(keys) and tok != "[" and tok != "(":
+        if left and tok != "[" and tok != "(":
             raise _must_bind(owner, keys)
         if start:
             if tok == "(":
                 match = structure(src)
-                if toks[match[i] + 1] not in _NO_ATOM:
-                    # the bracket heads an application
-                    if k < len(keys):
+                if toks[match[i] + 1] not in _NO_ATOM:  # the bracket heads an application
+                    if left:
                         raise _must_bind(owner, keys)
                     w = _bare_word(toks, match, i)
                     if w is None:
                         raise TermError("only constructors can be applied")
                     head, i = toks[w], match[i] + 1
-            elif tok not in _NOT_NAME:
-                if toks[i + 1] == "->" or toks[i + 1] == "<-":
-                    raise TermError("invalid term")  # an arrow is no term
-                if toks[i + 1] not in _NO_ATOM:
-                    head, i = tok, i + 1
+            elif tok not in _NOT_NAME and toks[i + 1] not in _NO_ATOM:
+                head, i = tok, i + 1
+        elif tok == "(" and not left and toks[i + 1] not in _NOT_NAME and (
+                toks[i + 2] not in _NO_ATOM):  # a bracketed application
+            stack.append(_CLOSE)
+            head, i = toks[i + 1], i + 2
         if head is not None:
             # an application: the head, then its index atoms and arguments
-            if head == "type":
-                raise TermError("only constructors can be applied")
-            name = str(int(head)) if head.isdecimal() else head
-            if name in scope:
-                raise TermError(f"variable {name} cannot be applied")
-            if name in abbrevs:
-                raise TermError(f"abbreviation {name} cannot be applied")
-            if name not in ctors:
-                raise TermError(f"unbound name {name!r}")
-            ctor = ctors[name]
-            if ctor.family != want_type or want_index is not None:
-                _check_ctor(vsig, ctor, want_type, want_index)
-            values = []
-            for _, ptype, _ in ctor.pi_args:
-                if toks[i] in _NO_ATOM:
-                    raise _short(ctor, len(values), toks[i])
-                src.i = i
-                e = src.atom()
-                i = src.i
-                values.append(_index_value(vsig, e, ptype))
-            values = tuple(values)
-            targets = ctx.targets_of(arg_targets, name, want_index, values)
-            stack.append((ctor, values, targets, [], scope, counts, ck))
+            step = reads.get((head, want_type, want_index))
+            if step is not None and step[0].name not in scope:
+                (ctor, targets), values = step, ()
+            else:
+                if head == "type":
+                    raise TermError("only constructors can be applied")
+                name = str(int(head)) if head.isdecimal() else head
+                if name in scope:
+                    raise TermError(f"variable {name} cannot be applied")
+                if name in abbrevs:
+                    raise TermError(f"abbreviation {name} cannot be applied")
+                if name not in ctors:
+                    raise TermError(f"unbound name {name!r}")
+                ctor = ctors[name]
+                if ctor.family != want_type or want_index is not None:
+                    _check_ctor(vsig, ctor, want_type, want_index)
+                values = []
+                for _, ptype, _ in ctor.pi_args:
+                    if toks[i] in _NO_ATOM:
+                        raise _short(ctor, len(values), toks[i])
+                    src.i = i
+                    e = src.atom()
+                    i = src.i
+                    values.append(_index_value(vsig, e, ptype))
+                values = tuple(values)
+                targets = ctx.targets_of(vsig.arg_targets, name, want_index, values)
+                if not values:  # the head passed every test: file its record
+                    reads[head, want_type, want_index] = (ctor, targets)
+            stack.append((ctor, values, targets, [], counts, ck))
         elif tok == "(":
             stack.append(_CLOSE)
             i, start = i + 1, True
             continue
         elif tok == "[":
             var = toks[i + 1]
-            if k == len(keys):
+            if not left:
                 if owner is None:
                     raise TermError(f"binder [{var}] is only allowed in constructor arguments")
                 raise TermError(f"argument of {owner} binds only {len(keys)} variable(s)")
             if var in _NOT_NAME or toks[i + 2] != "]":
                 raise TermError("invalid term")
-            key = keys[k]
             # every occurrence of the variable shares this Var
             shadowed.append((var, scope.get(var)))
-            scope[var] = ctx.var(*key, outer.get(key, 0) + keys[:k].count(key))
-            i, k, start = i + 3, k + 1, True
+            scope[var] = bound[len(keys) - left]
+            i, left, start = i + 3, left - 1, True
             continue
         elif tok in _NOT_NAME or tok == "type":
             raise TermError("invalid term")
+        elif start and (toks[i + 1] == "->" or toks[i + 1] == "<-"):
+            raise TermError("invalid term")  # an arrow is no term
         elif tok.isdecimal():
             name = str(int(tok))
             if name in ctors:
@@ -472,7 +484,7 @@ def _read(
             i += 1
         elif tok in scope:
             term = scope[tok]
-            if (term.type_name, term.index) != (want_type, want_index):
+            if term.type_name != want_type or term.index != want_index:
                 raise TermError(
                     f"variable {tok} has type {_describe(term.type_name, term.index)},"
                     f" expected {_describe(want_type, want_index)}"
@@ -487,12 +499,12 @@ def _read(
                     f" expected {_describe(want_type, want_index)}"
                 )
             # the body is closed, so the current scope never leaks in
-            stack.append((_ABBREV, src, i + 1))
+            stack.append([src, i + 1, scope])
             if tok not in sources:
                 sources[tok] = _Parser("", ab.toks)
             src, i, start = sources[tok], 0, True
             toks = src.toks
-            scope, keys, k, owner = {}, (), 0, None
+            scope, keys, left, owner = {}, (), 0, None
             continue
         elif tok in ctors:
             term = _constant(vsig, ctors[tok], want_type, want_index)
@@ -502,21 +514,14 @@ def _read(
         # hand the term to the frames it completes, then start the next atom
         while stack:
             frame = stack[-1]
-            if frame is _CLOSE:
-                if toks[i] != ")":
-                    raise TermError("invalid term")
-                i += 1
-            elif frame[0] is _ABBREV:
-                if toks[i]:
-                    raise TermError("invalid term")
-                _, src, i = frame
-                toks = src.toks
-            else:
-                ctor, values, targets, args, scope, counts, ck = frame
+            if frame.__class__ is tuple:  # an application
+                ctor, values, targets, args, counts, ck = frame
                 if term is not None:
-                    n_bound = len(targets[len(args)][2])
-                    args.append(_arg(n_bound, term))
-                    for _ in range(n_bound):  # the argument's binders leave scope
+                    n = len(targets[len(args)][2])
+                    args.append(var_args.get((n, id(term))) or ctx.var_arg(n, term)
+                                if term.__class__ is Var else _arg(n, term))
+                    while n:  # the argument's binders leave scope
+                        n -= 1
                         var, hidden = shadowed.pop()
                         if hidden is None:
                             del scope[var]
@@ -527,13 +532,25 @@ def _read(
                     if not opens:
                         raise _short(ctor, len(values) + j, toks[i])
                     want_type, want_index, keys = targets[j]
-                    k, outer, owner, start = 0, counts, ctor.name, False
-                    if keys:
+                    left, owner, start = len(keys), ctor.name, False
+                    if keys:  # each binder's level counts those outside it
+                        bound = binders.get((ck, keys)) or binders.setdefault((ck, keys), tuple([
+                            ctx.var(*key, counts.get(key, 0) + keys[:k].count(key))
+                            for k, key in enumerate(keys)]))
                         counts, ck = ctx.binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
                     break
                 if opens:
                     raise _arity(ctor, len(values) + j + _atoms(toks, i, structure(src)))
                 term = _con(ctor.name, values, tuple(args))
+            elif frame is _CLOSE:
+                if toks[i] != ")":
+                    raise TermError("invalid term")
+                i += 1
+            else:  # an abbreviation's body ends
+                if toks[i]:
+                    raise TermError("invalid term")
+                src, i, scope = frame
+                toks = src.toks
             stack.pop()
         else:
             if toks[i]:
@@ -662,7 +679,9 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
 
     ``namer(type, index, level, ordinal)`` supplies binder names; the
     default picks a letter per (type, index) and appends the level, so
-    printing is deterministic and injective on alpha-classes.
+    printing is deterministic and injective on alpha-classes.  A node whose
+    constructor is unknown, or whose index arguments check_term rejects,
+    raises check_term's TermError.
     """
     if index is _INFER:
         index = _infer_index(vsig, term)
@@ -712,7 +731,8 @@ def _print(vsig, term, index, namer, ctx) -> str:
             if ctor is None:
                 raise _unknown_ctor(t.ctor)
             emit(t.ctor)
-            if t.index_args:
+            if t.index_args != () or ctor.pi_args:
+                _check_con(vsig, ctor.family, None, t)  # as check_term, but not the fit
                 for (_, ptype, _), value in zip(ctor.pi_args, t.index_args):
                     emit(" " + index_value_text(ptype, value))
             targets = ctx.targets.get((t.ctor, index, t.index_args))

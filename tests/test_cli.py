@@ -211,6 +211,28 @@ class TestDecode:
         code, out, _ = run(capsys, ["decode", LAMBDA, "--type", "t", "1"])
         assert (code, out) == (0, "app (lam [x0] x0) (lam [x0] x0)\n")
 
+    @pytest.mark.parametrize("digits", [5_000, 30_000])
+    def test_a_code_of_any_length_round_trips(self, capsys, digits):
+        # past Python's default limit of 4,300 digits for int-string conversion
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code_text = "1" + "0" * (digits - 6) + "12345"
+        status, term, err = run(capsys, ["decode", LAMBDA, "--type", "t", code_text])
+        assert (status, err) == (0, "")
+        status, out, err = run(capsys, ["encode", LAMBDA, "--type", "t", term.strip()])
+        assert (status, out, err) == (0, code_text + "\n", "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_run_restores_the_callers_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(5_000)
+            assert run(capsys, ["decode", LAMBDA, "--type", "t", "1" * 6_000])[0] == 0
+            assert run(capsys, ["decode", BOOL, "--type", "bool", "2"])[0] == 2
+            assert sys.get_int_max_str_digits() == 5_000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_code_past_a_finite_class(self, capsys):
         code, _, err = run(capsys, ["decode", BOOL, "--type", "bool", "2"])
         assert code == 2

@@ -753,20 +753,22 @@ ILL_FORMED_FIELDS = [
     (Con(["exists"], (1,), (TermArg(1, Con("unit")),)), "unknown constructor ['exists']"),
     (Con("exists", [1], (TermArg(1, Con("unit")),)),
      "index arguments [1] of exists are not a tuple"),
+    (Con("exists", ("a",), (TermArg(1, Con("unit")),)),
+     "index argument 'a' of exists is not a natural"),
 ]
 
 
 @pytest.mark.parametrize("term, message", ILL_FORMED_FIELDS)
 def test_a_field_of_the_wrong_type_is_a_term_error(vsigs, plans, term, message):
-    # unhashable fields once escaped check_term and encode as TypeError
+    # such fields once escaped check_term, encode and print_term as TypeError
     vsig, plan = vsigs["exists"], plans["exists"]
     with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
         check_term(vsig, "term", 0, EMPTY_COUNTS, term)
     with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
         encode_closed(plan, "term", 0, term)
-    if message.startswith("unknown"):  # print_term tests the constructor only
-        with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
-            print_term(vsig, term, 0)
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+        print_term(vsig, term, 0)
+    if message.startswith("unknown"):  # exists leaves the index to be given
         with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
             print_term(vsig, term)  # the index inferred
 

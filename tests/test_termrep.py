@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SIG_NAMES, sig_text
-from godelgen import sigmodel
+from godelgen import sigmodel, termrep
 from godelgen.codec import assign_tags, decode, decode_closed, encode, encode_closed
 from godelgen.errors import TermError
 from godelgen.sigmodel import (
@@ -439,6 +439,19 @@ def test_tokens_share_one_string_per_text():
     assert toks[0] is toks[2]
 
 
+@pytest.mark.parametrize("text", [
+    *(sig_text(name) for name in SIG_NAMES),
+    "lam [x] app (x)(lam[y]y)", "a->b<-c.{N:nat}t\u0663 \u00b2", "a\x1cb\u3000c\n\t",
+    "%abbrev a : t = b. %% note", "a, b", "x %%", "%foo {", "",
+])
+def test_plain_texts_split_as_the_lexeme_reads_them(text):
+    # a plain text is split by str methods, any other by _LEXEME; both agree
+    lexed = [tok for tok in sigmodel._LEXEME.findall(text) if tok] + [""]
+    toks, seen = sigmodel._tokens(text)
+    assert toks == tokenize(text) == lexed and list(seen) == list(dict.fromkeys(lexed[:-1]))
+    assert all(toks[toks.index(tok)] is tok for tok in toks)
+
+
 # --------------------------------------------------------------- checking
 
 
@@ -556,6 +569,20 @@ def test_print_rejects_unknown_constructors(vsigs):
             call()
 
 
+@pytest.mark.parametrize("index_args", [[1], ("a",), (), (1, 2), (-1,), (True,), (1.0,), None])
+def test_print_rejects_the_index_arguments_check_term_rejects(vsigs, index_args):
+    v = vsigs["exists"]
+    node = Con("exists", index_args, (TermArg(1, Con("unit")),))
+    with pytest.raises(TermError) as checked:
+        check_term(v, "term", 0, EMPTY_COUNTS, node)
+    for term in (node, Con("rec", (), (TermArg(1, node),))):  # at the head, and inside
+        with pytest.raises(TermError) as printed:
+            print_term(v, term, 0)
+        assert str(printed.value) == str(checked.value)
+    with pytest.raises(TermError, match=r"^index arguments \[\] of unit are not a tuple$"):
+        print_term(v, Con("unit", []), 0)
+
+
 def test_deep_terms(vsigs):
     v = vsigs["nat"]
     text = "1024"
@@ -630,6 +657,8 @@ WALK_BUILT = {
     "decode exists": lambda v, p: _with_index_args(p["exists"]),
     "parse binder": lambda v, p: parse_term(v["lambda"], "t", None, "lam [x] app x (lam [y] y)"),
     "parse numeral": lambda v, p: parse_term(v["nat"], "nat", None, "s 3"),
+    "parse brackets": lambda v, p: parse_term(
+        v["lambda"], "t", None, "app (lam [x] x) (app (lam [y] app y y) (lam [z] z))"),
 }
 
 
@@ -817,6 +846,53 @@ def test_occurrences_of_a_bound_variable_share_one_var(vsigs, plans):
     back = decode_closed(plan, "t", None, encode_closed(plan, "t", None, term))
     first, second = (ta.body for ta in back.args[0].body.args)
     assert back == term and first is second
+
+
+def _var_args(term):
+    """The distinct (binder count, Var) pairs of term's arguments whose body
+    is a Var, and how many distinct TermArg objects carry them."""
+    var_args = [ta for ta in _objects(term) if isinstance(ta, TermArg) and isinstance(ta.body, Var)]
+    return {(ta.binder_count, ta.body) for ta in var_args}, len(var_args)
+
+
+def test_each_variable_argument_is_built_once_per_walk(vsigs, plans):
+    # one TermArg per (binder count, Var) in each lookup context, not one
+    # per occurrence; whole nodes are not shared
+    plan, code = plans["lambda"], 10**2999 + 12345
+    term = decode_closed(plan, "t", None, code)
+    occurrences = sum(isinstance(ta.body, Var) for t in termrep._nodes(term) for ta in t.args)
+    pairs, built = _var_args(term)
+    assert built == len(pairs) < occurrences // 10
+    back = parse_term(vsigs["lambda"], "t", None, print_term(vsigs["lambda"], term))
+    assert _var_args(back) == (pairs, len(pairs))
+    for t in (term, back):
+        assert len(termrep._nodes(t)) + occurrences == term_size(t)  # no Con is shared
+        assert encode_closed(plan, "t", None, t) == code
+        assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_a_shared_context_still_reports_every_fault(vsigs):
+    # a head's record is filed at its (token, type, index) only after the
+    # head passed every test; a hit still tests the scope
+    lam = vsigs["lambda"]
+    ctx = termrep.Lookups()
+    text = "app (lam [x] x) (lam [x] x)"
+    assert termrep._parse(lam, "t", None, text, ctx) == parse_term(lam, "t", None, text)
+    assert ("app", "t", None) in ctx.reads and ("lam", "t", None) in ctx.reads
+    with pytest.raises(TermError, match="^variable app cannot be applied$"):
+        termrep._parse(lam, "t", None, "lam [app] app (lam [x] x) app", ctx)
+    with pytest.raises(TermError, match="^variable lam cannot be applied$"):
+        termrep._parse(lam, "t", None, "app (lam [lam] (lam [y] y)) (lam [x] x)", ctx)
+    # lam fits term 1 and its record is filed there, but not at term 0
+    fam = vsigs["termfam"]
+    ctx = termrep.Lookups()
+    assert termrep._parse(fam, "term", 1, "lam [x] x", ctx) == Con(
+        "lam", (), (TermArg(1, Var("term", 0, 0)),))
+    for _ in range(2):
+        with pytest.raises(TermError, match="^constructor lam cannot construct term 0$"):
+            termrep._parse(fam, "term", 0, "lam [x] x", ctx)
+        with pytest.raises(TermError, match="^constructor lam cannot construct term 0$"):
+            termrep._parse(fam, "term", 1, "app (rec [f] f) (lam [y] y)", ctx)
 
 
 def _attributes(obj):
