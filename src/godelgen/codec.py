@@ -61,12 +61,7 @@ from .termrep import (
 )
 
 DEFAULT_FUEL = 100_000
-
-# enough for any base-case decode.  A trial stops early, with the same
-# verdict, when a node repeats the state of a node still open above it,
-# since that state would recur until the fuel ran out; a loop whose state
-# keeps changing, by growing counts or indices, still spends all of it
-_TRIAL_FUEL = 600
+_TRIAL_FUEL = 600  # states per tag-search trial (_trial_ends)
 
 
 def class_label(type_name: str, cls: IndexClass) -> str:
@@ -143,18 +138,53 @@ def _first_failing_class(
     for decl in vsig.decls:
         for cls, reps in vsig.class_reps(decl.name):
             key = (decl.name, cls)
-            if key in skip:
+            if key in skip or not plan.classes[key].tags:  # no tags, so no loop
                 continue
-            codes = vsig.cardinality(decl.name, cls).codes_below(2)
-            for index in reps:
-                for code in codes:
-                    try:
-                        _decode(
-                            plan, decl.name, index, EMPTY_COUNTS, code, [trial_fuel], ctx, set()
-                        )
-                    except FuelExhausted:
-                        return key
+            if not all(_trial_ends(plan, ctx, decl.name, i, c, [trial_fuel]) for i in reps
+                       for c in vsig.cardinality(decl.name, cls).codes_below(2)):
+                return key
     return None
+
+
+def _trial_ends(plan, ctx, type_name, index, code, cell):
+    """Whether the decode of code at (type, index) under no variables ends:
+    a walk on decode's records over the states (type, index, counts, code)
+    it visits, one unit of the fuel cell each, that builds no term.  Codes
+    stay at most 1, so counts are capped at 2, above which they decode
+    alike.  A variable, a finite entry or slot and a class with no tags end
+    at once.  It fails at a state that repeats one still open above it (so
+    would recur forever), or when the fuel runs out."""
+    path, stack = set(), [(type_name, index, {}, frozenset(), code)]
+    while stack:
+        type_name, index, counts, ck, code = stack.pop()
+        key = (type_name, index, ck, code)
+        if counts is None:  # a closing entry: the state's arguments are all walked
+            path.remove(key)
+            continue
+        if key in path or cell[0] <= 0:
+            return False
+        cell[0] -= 1
+        record = ctx.plans.get((type_name, index)) or _class_record(plan, ctx, type_name, index)
+        _, total, width, tag_steps, _ = record
+        c = code - counts.get((type_name, index), 0) - total
+        if c < 0 or not width:
+            continue
+        q, tag = divmod(c, width)
+        step = tag_steps[tag] or _decode_step(plan, ctx, record, tag, index)
+        name, n_ops, kinds, n_pi, targets = step
+        for radix in kinds or ():
+            q //= radix or 1  # finite arguments fold out first
+        values = iter(unmingle_fold(q, n_ops))  # index arguments, then infinite slots' codes
+        index_args = tuple([next(values) for _ in range(n_pi)])
+        targets = targets or ctx.targets_of(plan.vsig.arg_targets, name, index, index_args)
+        path.add(key)
+        stack.append((type_name, index, None, ck, code))
+        for (type_name, index, keys), radix in zip(targets, kinds or [0] * len(targets)):
+            if not radix:  # an infinite slot, its counts capped at 2
+                sub = {**counts, **{k: min(counts.get(k, 0) + keys.count(k), 2) for k in keys}}
+                sub_ck = frozenset(sub.items()) if keys else ck
+                stack.append((type_name, index, sub, sub_ck, next(values)))
+    return True
 
 
 def _tag_order(names: tuple[str, ...], i: int) -> tuple[str, ...]:
@@ -177,11 +207,8 @@ def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
     candidates are its ordered pairs of infinite constructors at tags 0
     and 1, the rest in declaration order; the first is declaration order,
     and each is built when it is tried (_tag_order).
-    A class whose trial runs out of fuel moves to its next candidate; one
-    that exhausts them fails.  A trial stops early, as if out of fuel, when
-    a node repeats the state (type, index, counts, code) of a node still
-    open above it; the repeat would recur until the fuel ran out, so the
-    verdict is unchanged (see _decode).  A class may also fail through a later
+    A class whose trial fails (_trial_ends) moves to its next candidate;
+    one that exhausts them fails.  A class may also fail through a later
     class's loop, so failures start another round, keeping the other
     classes' orders, until a round fails no fewer classes than the last.
     """
@@ -378,7 +405,7 @@ def decode(
     return _decode(plan, type_name, index, counts, code, [fuel], Lookups())
 
 
-def _decode(plan, type_name, index, counts, code, cell, ctx, path=None):
+def _decode(plan, type_name, index, counts, code, cell, ctx):
     """The term of this code, debiting the fuel cell once per node, in a
     loop over a stack of frames, one per Con whose arguments are being
     decoded: its name, index arguments, arguments' targets and codes, the
@@ -391,29 +418,16 @@ def _decode(plan, type_name, index, counts, code, cell, ctx, path=None):
     plan implies for every node, so a node with no finite argument builds
     no digit list, and one with no index argument slices nothing.
 
-    ctx is the lookup context (termrep.Lookups) of the public call, of one
-    plan's tag-search trials, or of an onto sweep (adequacy._SweepMemo),
-    whose memo also maps (type, index, counts key, code) to (term, steps),
-    steps being the fuel the term's decode spent; a hit is taken only if
-    that much fuel is left, so fuel runs out at the same node as without
-    a memo.
-
-    A path set (the tag search's trials) holds the state (type, index,
-    counts, code) of each open frame.  A node whose state is open raises
-    FuelExhausted at once: decoding a state reads nothing else, so every
-    step since the first visit would recur until the fuel ran out."""
+    ctx is the lookup context (termrep.Lookups) of the public call or of
+    an onto sweep (adequacy._SweepMemo), whose memo also maps (type, index,
+    counts key, code) to (term, steps), steps being the fuel the term's
+    decode spent; a hit is taken only if that much fuel is left, so fuel
+    runs out at the same node as without a memo."""
     stack, counts, ck = [], counts._counts, counts.key()
     plans, variables, targets_seen, binds = ctx.plans, ctx.variables, ctx.targets, ctx.binds
     memo = ctx if ctx.memoizes else None
     while True:
         term = key = start = None
-        if path is not None:
-            key = (type_name, index, ck, code)
-            if key in path:
-                raise FuelExhausted(
-                    f"decode repeats {type_name} code {code} below itself;"
-                    " the plan is not well founded here"
-                )
         if memo is not None:
             key = (type_name, index, ck, code)
             hit = memo.young.get(key) or memo.promote(key)
@@ -481,8 +495,6 @@ def _decode(plan, type_name, index, counts, code, cell, ctx, path=None):
                     targets = targets_seen.get((name, index, index_args))
                     if targets is None:
                         targets = ctx.targets_of(plan.vsig.arg_targets, name, index, index_args)
-                if path is not None:
-                    path.add(key)
                 stack.append((name, index_args, targets, sub_codes, [], counts, ck, key, start))
         # hand the term to the frames it completes, then start the next argument
         while stack:
@@ -505,8 +517,6 @@ def _decode(plan, type_name, index, counts, code, cell, ctx, path=None):
             term = _con(name, index_args, tuple(args))
             if memo is not None:
                 memo[key] = (term, start - cell[0])
-            if path is not None:
-                path.remove(key)
         else:
             return term
 

@@ -31,9 +31,9 @@ carrying the classes of its abstractions, arguments and bound variables:
 
 The counts of finite index types give the classes of the families they
 index, so the analysis (one Analysis object, built by its constructor)
-counts finite index types first, in strata, and builds each edge once; a
+works in strata, finite index types first, and builds each edge once; a
 finite index type that reaches a family it indexes is an index-type
-error.  Each class is partitioned once, when its stratum is counted, and
+error.  Each stratum is counted and partitioned once, after its edges, and
 each type's index-kind faults are recorded where its kind is decided.
 Validation then enforces the rules that make a per-class bijection with
 N derivable: it reports the faults the analysis found and reads the same
@@ -801,40 +801,51 @@ def _index_value(
 ) -> int | None:
     """Value of an index expression of type ixtype, or None if it is not
     a well-formed value under binding.  block_of(t) is the instance block
-    of finite type t, or None while its count is unknown."""
-    shape = nat_shapes.get(ixtype)
-    succs = 0
-    if shape is not None:
-        expr, succs = _succ_chain(expr, shape)
-    if isinstance(expr, IxNum):
-        return expr.value + succs
-    if isinstance(expr, IxVar):
-        value = binding.get(expr.name)
-        return None if value is None else value + succs
-    if shape is not None:
-        return succs if expr.name == shape.zero and not expr.args else None
-    block = block_of(ixtype)
-    entry = block.entry_for(expr.name) if block is not None else None
-    if entry is None or len(expr.args) != len(entry.radices):
-        return None
-    offset = 0
-    for sub_expr, radix, arg in zip(expr.args, entry.radices, sig.ctors[expr.name].args):
-        sub = _index_value(sig, nat_shapes, block_of, arg.type_name, sub_expr, binding)
-        if sub is None or sub >= radix:
+    of finite type t, or None while its count is unknown.  A finite
+    constructor's value is its entry's base plus its arguments' values in
+    mixed radix, so the value is a sum over the expression's nodes, each
+    weighted by the radices to its right on its path, taken in one loop
+    over a work list at any depth.  A leaf argument's value, and a
+    constructor argument's base, must lie below the argument's radix."""
+    total, todo = 0, [(ixtype, expr, 1, None)]
+    while todo:
+        ixtype, expr, weight, radix = todo.pop()
+        shape = nat_shapes.get(ixtype)
+        succs = 0
+        if shape is not None:
+            expr, succs = _succ_chain(expr, shape)
+        if isinstance(expr, IxNum):
+            value = expr.value + succs
+        elif isinstance(expr, IxVar):
+            value = binding.get(expr.name)
+            value = None if value is None else value + succs
+        elif shape is not None:
+            value = succs if expr.name == shape.zero and not expr.args else None
+        else:
+            block = block_of(ixtype)
+            entry = block.entry_for(expr.name) if block is not None else None
+            if entry is None or len(expr.args) != len(entry.radices):
+                return None
+            value, w = entry.base, weight
+            for sub, r, arg in reversed([*zip(expr.args, entry.radices, sig.ctors[expr.name].args)]):
+                todo.append((arg.type_name, sub, w, r))
+                w *= r
+        if value is None or radix is not None and value >= radix:
             return None
-        offset = offset * radix + sub
-    return entry.base + offset
+        total += weight * value
+    return total
 
 
 class Analysis:
     """The index analysis of a signature, run by the constructor in one
-    pass over strata that builds each edge once.  First come the types
-    that an index type other than a nat-shaped one reaches, one strongly
-    connected component of their dependencies at a time, each after those
-    it reaches; then every other type, in declaration order.  A type
-    depends on its index type and on the types of its constructors'
-    abstractions, arguments and bound variables, so a finite index type is
-    counted before the families it indexes get classes.
+    pass over strata that builds each edge and counts each class once.
+    First come the types that an index type other than a nat-shaped one
+    reaches, one strongly connected component of their dependencies at a
+    time, each after those it reaches; then every other type, in
+    declaration order.  A type depends on its index type and on the types
+    of its constructors' abstractions, arguments and bound variables, so a
+    finite index type is counted before the families it indexes get
+    classes.
 
     kinds: per type, None (unindexed), a NatIndex or a FiniteIndex, or
     'invalid'; classes: its index classes; graph: class ->
@@ -856,7 +867,7 @@ class Analysis:
         self.classes: dict[str, tuple[IndexClass, ...]] = dict.fromkeys(sig.by_name, ())
         self.kind_faults: dict[str, list[Diagnostic]] = dict.fromkeys(sig.by_name, ())
         self.graph: dict[tuple[str, IndexClass], dict[str, Edge]] = {}
-        self.card: dict[tuple[str, IndexClass], Cardinality] = {}  # of the graph last counted
+        self.card: dict[tuple[str, IndexClass], Cardinality] = {}
         self.partitions: dict[tuple[str, IndexClass], tuple[FiniteBlock, tuple[Ctor, ...]]] = {}
         self.patterns: dict[str, tuple] = {}
         self.rules: dict[str, tuple] = {}  # compiled at each constructor's first edge
@@ -874,19 +885,29 @@ class Analysis:
                     for a in c.args:
                         deps[t] += [a.type_name, *(bt for bt, _ in a.binders)]
                 todo += deps[t]
+        # each stratum is counted once its edges are built; it reaches only
+        # itself and the strata before it, whose classes stay as counted
+        inhab, infinite, counts = set(), set(), {}
         for stratum in [*_sccs(deps), [d.name for d in sig.decls if d.name not in deps]]:
             for t in stratum:
                 self._set_kind(sig.by_name[t])
-            for t in stratum:
-                for k in self.classes[t]:
-                    self.graph[(t, k)] = {
-                        c.name: self._edge(c, k)
-                        for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k.value)
-                    }
+            graph = {
+                (t, k): {c.name: self._edge(c, k)
+                         for c in sig.by_name[t].ctors if applies(self.pattern_of(c), k.value)}
+                for t in stratum for k in self.classes[t]
+            }
+            _productive(graph, inhab)
+            _sweep(graph, inhab, infinite, counts)
+            for ck in graph:
+                self.card[ck] = (
+                    EMPTY if ck not in inhab else INFINITE if ck in infinite else finite(counts[ck])
+                )
+            for ck, edges in graph.items():
+                self.partitions[ck] = _partition(edges.values(), self.card)
+            self.graph.update(graph)
         self.graph = {
             (d.name, k): self.graph[(d.name, k)] for d in sig.decls for k in self.classes[d.name]
         }
-        self._count()
         # the patterns of families without classes are worked out here, last
         for c in sig.ctors.values():
             self.pattern_of(c)
@@ -932,8 +953,6 @@ class Analysis:
                 f"the instances of index type {x} depend on index values of type {x}",
             )
         else:
-            if (x, UNIT_CLASS) not in self.card:
-                self._count()  # the strata before d's
             xcard = self.card[(x, UNIT_CLASS)]
             if not xcard.is_finite:
                 fault(f"index type {x} must be nat-shaped or finite ({xcard})")
@@ -1074,37 +1093,25 @@ class Analysis:
         pis = [frozenset((p, pk) for pk in self.classes[p]) for _, p, _ in ctor.pi_args]
         return Edge(ctor, tuple(pis), tuple(args))
 
-    def _count(self) -> None:
-        inhab = _productive(self.graph)
-        infinite, counts = _sweep(self.graph, inhab)
-        self.card = {
-            ck: EMPTY if ck not in inhab else INFINITE if ck in infinite else finite(counts[ck])
-            for ck in self.graph
-        }
-        # a class's count and partition read only the strata it reaches,
-        # which a later count leaves as they are
-        for ck, edges in self.graph.items():
-            if ck not in self.partitions:
-                self.partitions[ck] = _partition(edges.values(), self.card)
 
-
-def _productive(graph) -> set[tuple[str, IndexClass]]:
-    """The inhabited classes, in one worklist pass (the productive symbols
-    of a grammar).  An edge needs a class of each abstraction's type and,
-    for each argument that no bound variable can fill, a target class;
-    each edge is left with the needs no inhabited class met."""
+def _productive(graph, inhab: set) -> None:
+    """Adds to inhab, which holds the lower strata's inhabited classes,
+    those of one stratum's graph, in one worklist pass (the productive
+    symbols of a grammar).  An edge needs a class of each abstraction's
+    type and, for each argument that no bound variable can fill, a target
+    class; each edge is left with the needs no inhabited class met."""
     waiting: dict[tuple[str, IndexClass], list] = {}
     todo = []
     for ck, edges in graph.items():
         for e in edges.values():
             needs = [*e.pis, *(ts for ts, _, bs in e.args if not any(b & ts for b in bs))]
+            needs = [need for need in needs if need.isdisjoint(inhab)]
             e.unmet = set(range(len(needs)))
             if not needs:
                 todo.append(ck)
             for i, need in enumerate(needs):
                 for c in need:
                     waiting.setdefault(c, []).append((ck, e, i))
-    inhab = set()
     while todo:
         ck = todo.pop()
         if ck not in inhab:
@@ -1113,28 +1120,28 @@ def _productive(graph) -> set[tuple[str, IndexClass]]:
                 e.unmet.discard(i)
                 if not e.unmet:
                     todo.append(src)
-    return inhab
 
 
-def _sweep(graph, inhab) -> tuple[set, dict]:
-    """The infinite inhabited classes and the counts of the others, in one
-    sweep over the strongly connected components of the inhabited edges,
-    each after the components it reaches.  A class is infinite if it lies
-    on a cycle of pinned edges (the same concrete index comes back), if it
-    reaches an infinite class, or if its count passes COUNT_CUTOFF."""
-    succ = {
+def _sweep(graph, inhab, infinite: set, counts: dict) -> None:
+    """Adds to infinite the infinite inhabited classes of one stratum's
+    graph, and to counts the counts of the others, the lower strata's being
+    there already, in one sweep over the strongly connected components of
+    the inhabited edges, each after the components it reaches.  A class is
+    infinite if it lies on a cycle of pinned edges (the same concrete index
+    comes back), if it reaches an infinite class, or if its count passes
+    COUNT_CUTOFF."""
+    reach = {
         ck: inhab.intersection(chain.from_iterable(
             chain(*e.pis, *(ts.union(*bs) for ts, _, bs in e.args))
             for e in edges.values() if not e.unmet
         ))
         for ck, edges in graph.items() if ck in inhab
     }
-    infinite: set[tuple[str, IndexClass]] = set()
-    counts: dict[tuple[str, IndexClass], int] = {}
+    succ = {ck: r & reach.keys() for ck, r in reach.items()}  # within the stratum
     for comp in _sccs(succ):
         cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
         if cyclic and _pinned_cycle(graph, comp) or any(
-            not succ[c].isdisjoint(infinite) for c in comp
+            not reach[c].isdisjoint(infinite) for c in comp
         ):
             infinite.update(comp)
             continue
@@ -1156,7 +1163,6 @@ def _sweep(graph, inhab) -> tuple[set, dict]:
                 break
         if max(new) > COUNT_CUTOFF or cyclic and old != new:
             infinite.update(comp)
-    return infinite, counts
 
 
 def _count(edges: dict[str, Edge], counts) -> int:

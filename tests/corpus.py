@@ -126,6 +126,16 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def planned_tags(vsig) -> tuple:
+    """assign_tags' plan and the lines of the b digest: each class's tags,
+    or (with no plan) the NoWellFoundedPlan list."""
+    try:
+        plan = assign_tags(vsig)
+    except NoWellFoundedPlan as exc:
+        return None, ["NoWellFoundedPlan", *exc.failed_classes]
+    return plan, [f"{cp.label}: {' '.join(cp.tags)}" for cp in plan.classes.values()]
+
+
 def signature_digests(text: str) -> dict[str, str | None]:
     """The a, b and c digests of one signature; b and c are None when it
     is invalid, and c is None when it has no plan."""
@@ -138,12 +148,9 @@ def signature_digests(text: str) -> dict[str, str | None]:
         for decl in vsig.decls
         for cls in vsig.classes(decl.name)
     ]
-    try:
-        plan = assign_tags(vsig)
-    except NoWellFoundedPlan as exc:
-        b = ["NoWellFoundedPlan", *exc.failed_classes]
+    plan, b = planned_tags(vsig)
+    if plan is None:
         return {"a": digest(a), "b": digest(b), "c": None}
-    b = [f"{cp.label}: {' '.join(cp.tags)}" for cp in plan.classes.values()]
     c = []
     for decl in vsig.decls:
         for cls, reps in vsig.class_reps(decl.name):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from godelgen.codec import (
     _decode,
     _encode,
     _first_failing_class,
+    _trial_ends,
     assign_tags,
     build_plan,
     compare,
@@ -372,20 +374,19 @@ def test_t012_plans():
 
 
 def trial(plan, type_name, index, code, fuel=_TRIAL_FUEL):
-    # a tag-search trial's outcome (a term or FuelExhausted) and fuel spent
+    # a tag-search trial's verdict (FuelExhausted, or None where it ends)
+    # and the fuel it spent
     cell = [fuel]
-    try:
-        out = _decode(plan, type_name, index, EMPTY_COUNTS, code, cell, Lookups(), set())
-    except FuelExhausted:
-        out = FuelExhausted
-    return out, fuel - cell[0]
+    ends = _trial_ends(plan, Lookups(), type_name, index, code, cell)
+    return (None if ends else FuelExhausted), fuel - cell[0]
 
 
 def plain(plan, type_name, index, code, fuel=_TRIAL_FUEL):
     try:
-        return decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
+        decode(plan, type_name, index, EMPTY_COUNTS, code, fuel)
     except FuelExhausted:
         return FuelExhausted
+    return None
 
 
 def test_trial_verdicts_match_plain_decode_on_generated_signatures(monkeypatch):
@@ -423,15 +424,54 @@ def test_trial_stops_at_the_first_repeated_state(vsigs):
     assert cell == [0]
 
 
-def test_loop_with_growing_counts_burns_the_trial_fuel():
-    # f at tag 0: b code 0 is f of b code 0 under one more nat variable,
-    # so no state repeats and only the fuel stops the trial
+def test_loop_with_growing_counts_stops_at_a_capped_repeat():
+    # f at tag 0: b code 0 is f of b code 0 under one more nat variable;
+    # the trial caps each count at 2, so the fourth state repeats the third
     vsig = validate(parse_signature(
         sig_text("nat") + "b : type. f : (nat -> b) -> b. g : nat -> b."
     ))
     out, spent = trial(build_plan(vsig), "b", None, 0)
-    assert out is FuelExhausted and spent == _TRIAL_FUEL
+    assert out is FuelExhausted and spent == 3
+    assert plain(build_plan(vsig), "b", None, 0) is FuelExhausted
     assert assign_tags(vsig).classes[("b", UNIT_CLASS)].tags == ("g", "f")
+
+
+def test_loop_with_a_growing_index_burns_the_trial_fuel():
+    # f at tag 0: b N code 0 is f of b (s N) code 0, so no state repeats
+    # and only the fuel stops the trial
+    vsig = validate(parse_signature(
+        sig_text("nat") + "b : nat -> type. f : b (s N) -> b N. g : nat -> b N."
+    ))
+    out, spent = trial(build_plan(vsig), "b", 0, 0)
+    assert out is FuelExhausted and spent == _TRIAL_FUEL
+    # b (s N) moves g to tag 0; then b z's declaration order ends
+    plan = assign_tags(vsig)
+    assert [plan.classes[("b", k)].tags for k in (Z_CLASS, S_CLASS)] == [("f", "g"), ("g", "f")]
+
+
+def finite_chain(arity, n):
+    # b0 has one constant and each b(i) one constructor of arity copies
+    # of b(i-1), so b(i) has one term: of 2**(i+1) - 1 nodes at arity 2,
+    # of i + 1 at arity 1
+    return "b0 : type. b0c : b0.\n" + "".join(
+        f"b{i} : type. b{i}c : {f'b{i - 1} -> ' * arity}b{i}.\n" for i in range(1, n)
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [finite_chain(2, 10) + "t : type. tb : b9 -> t. ts : t -> t.", finite_chain(1, 700)],
+    ids=["binary-chain-under-t", "unary-chain-700"],
+)
+def test_finite_classes_end_their_trials_at_once(text):
+    # code 0 of b9 has 1,023 nodes, of b699 700: a trial that walked
+    # them would run out of fuel, though no finite class can loop
+    vsig = validate(parse_signature(text))
+    start = time.perf_counter()
+    plan = assign_tags(vsig)
+    assert time.perf_counter() - start < 0.1
+    report = verify_all(plan, EnumBudget(max_size=3, max_code=50))
+    assert report.passed, report.json_dict("chain")
 
 
 # --------------------------------------------------------- encode anchors

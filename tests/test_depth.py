@@ -175,6 +175,30 @@ def test_deep_signature_index_behaves_like_a_shallow_one(tmp_path, shape):
         assert [code for code, _, _ in shallow] == [0, 0]
 
 
+def finite_index_sig(n: int) -> str:
+    # b0 has one constant, each b(i) one constructor over b(i-1), and g's
+    # one constructor sits at the constant of b(n), nested n deep
+    types = "".join(f"b{i} : type. b{i}c : b{i - 1} -> b{i}.\n" for i in range(1, n + 1))
+    value = "".join(f"(b{i}c " for i in range(n, 0, -1)) + "b0c" + ")" * n
+    return f"b0 : type. b0c : b0.\n{types}g : b{n} -> type. g0 : g {value}.\n"
+
+
+def test_deep_finite_index_constant_checks_like_a_shallow_one(tmp_path):
+    # check only: verify decodes one term per class, each b(i)'s n deep
+    runs = []
+    for depth in (3, 3_000):
+        path = tmp_path / f"finite{depth}.sig"
+        path.write_text(finite_index_sig(depth))
+        done = subprocess.run(
+            [sys.executable, "-m", "godelgen.cli", "check", str(path)],
+            env=fresh_env(), capture_output=True, text=True, timeout=300,
+        )
+        lines = done.stdout.splitlines()
+        assert lines[:-1] == [f"b{i}: Finite(1)" for i in range(depth + 1)]
+        runs.append((done.returncode, lines[-1], done.stderr))
+    assert runs == [(0, "g[0]: Finite(1)", "")] * 2
+
+
 # Every public entry point at any depth, from the export table.  A row is an
 # expression that must be true, run on a DEEP-node nat term (code DEEP - 1,
 # the largest code DEFAULT_FUEL decodes), on its code or on its text; the
