@@ -24,13 +24,10 @@ arguments' targets of a constructor with no index arguments), and the
 finite entries' bases, which it bisects.
 Encode looks up a step record per (constructor, type, index, index
 arguments): the arguments' targets, the finite entry or tag, the class's
-finite total and tag count and the finite slots if any.  A step record
-is filled only once a node with its key has passed check_term's node
-test in full; a hit still tests what the key does not pin, the argument
-count and that each index argument is an int, since True and 1.0 hash
-and compare equal to 1.  One or two pairing operands are mingled and
-unmingled by bignat's private helpers, without the public functions'
-checks on inputs the codec has just made itself.
+finite total and tag count and the finite slots if any (see _encode).
+check_term is encode's walk without the arithmetic.  One or two pairing
+operands are mingled and unmingled by bignat's private helpers, without
+the public functions' checks on inputs the codec has just made itself.
 """
 
 from __future__ import annotations
@@ -43,11 +40,13 @@ from .errors import CodeOutOfRange, FuelExhausted, NoWellFoundedPlan, TermError
 from .sigmodel import (
     Cardinality,
     FiniteBlock,
+    FiniteCtorEntry,
     IndexClass,
     UNIT_CLASS,
     ValidatedSignature,
 )
 from .termrep import (
+    DEFAULT_FUEL,
     EMPTY_COUNTS,
     CountVector,
     Lookups,
@@ -60,8 +59,8 @@ from .termrep import (
     binder_mismatch,
 )
 
-DEFAULT_FUEL = 100_000
 _TRIAL_FUEL = 600  # states per tag-search trial (_trial_ends)
+_NO_CODE = FiniteCtorEntry("", 0, (), 0)  # every step's entry under check_term's plan
 
 
 def class_label(type_name: str, cls: IndexClass) -> str:
@@ -132,9 +131,9 @@ def build_plan(
 
 
 def _first_failing_class(
-    plan: CodecPlan, trial_fuel: int, skip: set[tuple[str, IndexClass]]
+    plan: CodecPlan, trial_fuel: int, skip: set[tuple[str, IndexClass]], ctx: Lookups
 ) -> tuple[str, IndexClass] | None:
-    vsig, ctx = plan.vsig, Lookups()  # one lookup context for the plan's trials
+    vsig = plan.vsig  # ctx: one lookup context for the plan's trials
     for decl in vsig.decls:
         for cls, reps in vsig.class_reps(decl.name):
             key = (decl.name, cls)
@@ -207,8 +206,9 @@ def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
     candidates are its ordered pairs of infinite constructors at tags 0
     and 1, the rest in declaration order; the first is declaration order,
     and each is built when it is tried (_tag_order).
-    A class whose trial fails (_trial_ends) moves to its next candidate;
-    one that exhausts them fails.  A class may also fail through a later
+    A class whose trial fails (_trial_ends) moves to its next candidate, or
+    to its next tag-0 constructor if the round never read its tag 1; one
+    that exhausts them fails.  A class may also fail through a later
     class's loop, so failures start another round, keeping the other
     classes' orders, until a round fails no fewer classes than the last.
     """
@@ -222,10 +222,13 @@ def assign_tags(vsig: ValidatedSignature) -> CodecPlan:
     last_failed = len(names) + 1  # more than any round can fail
     while True:
         plan = build_plan(vsig, {key: _tag_order(names[key], i) for key, i in choice.items()})
-        offender = _first_failing_class(plan, _TRIAL_FUEL, set(failed))
+        ctx = Lookups()  # the round's class records (_class_record)
+        offender = _first_failing_class(plan, _TRIAL_FUEL, set(failed), ctx)
         if offender is not None:
-            n = len(names[offender])
-            choice[offender] = (choice[offender] + 1) % max(n * (n - 1), 1)
+            n, cp, i = len(names[offender]), plan.classes[offender], choice[offender] + 1
+            if n > 1 and all(r[3][1] is None for r in ctx.plans.values() if r[0] is cp):
+                i += -i % (n - 1)  # tag 1 was never read: on to the next tag-0 constructor
+            choice[offender] = i % max(n * (n - 1), 1)
             if choice[offender] == 0:
                 failed.append(offender)
         elif not failed:
@@ -255,9 +258,9 @@ def _encode(plan, type_name, index, counts, term, ctx):
     """term's code, in a loop over a stack of frames, one per Con whose
     arguments are being encoded: the node, its counts and their key,
     variable count, arguments' targets and their codes so far, its step
-    record and its memo key.  Nodes are tested by check_term's tests
-    (_check_var, _check_con), so encode fails where it does, with its
-    message.
+    record and its memo key.  Nodes are tested by _check_var and
+    _check_con; check_term is this walk under a plan with no class plans
+    (_encode_step), so the two fail alike, with one message.
 
     A Con costs one lookup: its step record in ctx.steps, keyed by
     (constructor, type, index, index arguments), which _encode_step fills
@@ -350,11 +353,15 @@ def _encode(plan, type_name, index, counts, term, ctx):
 def _encode_step(plan, ctx, type_name, index, term):
     """term's step record, after _check_con passes it in full: (targets,
     finite entry or None, tag or None, finite total, tag count, slot kinds
-    if any is finite or None), made the first time for its key."""
+    if any is finite or None), made the first time for its key; under a
+    plan with no class plans (check_term's), an empty entry: the code is v."""
     _check_con(plan.vsig, type_name, index, term)
     key = (term.ctor, type_name, index, term.index_args)
     step = ctx.steps.get(key)
     if step is None:
+        targets = ctx.targets_of(plan.vsig.arg_targets, term.ctor, index, term.index_args)
+        if not plan.classes:  # check_term's plan
+            return ctx.steps.setdefault(key, (targets, _NO_CODE, None, 0, 0, None))
         cp = (ctx.plans.get((type_name, index)) or _class_record(plan, ctx, type_name, index))[0]
         # a constructor that fits the class is in its finite block or its tags
         entry, tag, kinds = cp.finite.entry_for(term.ctor), None, None
@@ -363,7 +370,6 @@ def _encode_step(plan, ctx, type_name, index, term):
             kinds = cp.steps[tag][1]
             if not any(kinds):
                 kinds = None
-        targets = ctx.targets_of(plan.vsig.arg_targets, term.ctor, index, term.index_args)
         step = ctx.steps[key] = (targets, entry, tag, cp.finite.total, len(cp.tags), kinds)
     return step
 

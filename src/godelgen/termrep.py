@@ -32,6 +32,8 @@ from .sigmodel import (
     to_index_expr,
 )
 
+DEFAULT_FUEL = 100_000  # decode's default steps, and the most nodes a numeral's s chain has
+
 
 @dataclass(frozen=True, slots=True)
 class Var:
@@ -261,11 +263,7 @@ class Lookups:
       first use (operand count, finite slots if any, index-argument
       count, and the targets of a constructor without index arguments);
     - steps: per (constructor, type, index, index arguments), encode's
-      step record (targets, finite entry or tag, the class's total and
-      tag count, the finite slots if any), filled only once a node with
-      that key has passed every per-node test.  A hit still tests what
-      the key does not pin: the argument count, and that each index
-      argument is an int, since True and 1.0 hash and compare equal to 1.
+      and check_term's step record (see codec._encode).
     A walk carries a caller's CountVector as its map (never written) and
     key, so a binder it has met copies nothing.  It stores nothing on the
     signature, the plan or a CountVector."""
@@ -340,7 +338,10 @@ def _parse(vsig, type_name, index, text, ctx):
         try:
             return _read(vsig, p, type_name, index, ctx)
         except TermError:
-            p.whole()
+            try:
+                p.whole()
+            except ValueError:  # a numeral over int's digit limit: no syntax fault
+                pass
             raise
     except SigSyntaxError as exc:
         raise TermError(f"term syntax error: {exc}") from None
@@ -424,7 +425,7 @@ def _read(
             else:
                 if head == "type":
                     raise TermError("only constructors can be applied")
-                name = str(int(head)) if head.isdecimal() else head
+                name = _numeral(head)[0] if head.isdecimal() else head
                 if name in scope:
                     raise TermError(f"variable {name} cannot be applied")
                 if name in abbrevs:
@@ -469,16 +470,19 @@ def _read(
         elif start and (toks[i + 1] == "->" or toks[i + 1] == "<-"):
             raise TermError("invalid term")  # an arrow is no term
         elif tok.isdecimal():
-            name = str(int(tok))
+            name, value = _numeral(tok)
             if name in ctors:
                 term = _constant(vsig, ctors[name], want_type, want_index)
             elif lit is not None and want_type == lit.type_name:
+                if value is None:
+                    raise TermError(f"numeral over {DEFAULT_FUEL - 1}, the largest nat"
+                                    " code that the default fuel decodes")
                 term = _con("z", (), ())
-                for _ in range(int(tok)):
+                for _ in range(value):
                     term = _con("s", (), (_arg(0, term),))
             else:
                 raise TermError(
-                    f"numeral {int(tok)} is only a term when the signature declares"
+                    f"numeral {name} is only a term when the signature declares"
                     " nat with z and s"
                 )
             i += 1
@@ -556,6 +560,17 @@ def _read(
             if toks[i]:
                 raise TermError("invalid term")  # trailing input
             return term
+
+
+def _numeral(tok: str) -> tuple[str, int | None]:
+    """Decimal token tok as str(int(tok)) writes it, and its value, or None
+    from DEFAULT_FUEL up, whose s chain outgrows a default decode; int()
+    reads at most its last few digits, so a long token costs one pass."""
+    w = len(str(DEFAULT_FUEL))
+    if any(map(int, tok[:-w])):
+        return "".join([str(int(d)) for d in tok]).lstrip("0"), None
+    value = int(tok[-w:])
+    return str(value), value if value < DEFAULT_FUEL else None
 
 
 def _check_ctor(vsig: ValidatedSignature, ctor: Ctor, want_type: str, want_index: int | None):
@@ -680,8 +695,8 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
     ``namer(type, index, level, ordinal)`` supplies binder names; the
     default picks a letter per (type, index) and appends the level, so
     printing is deterministic and injective on alpha-classes.  A node whose
-    constructor is unknown, or whose index arguments check_term rejects,
-    raises check_term's TermError.
+    constructor is unknown, or whose index arguments or argument count
+    check_term rejects, raises check_term's TermError.
     """
     if index is _INFER:
         index = _infer_index(vsig, term)
@@ -731,7 +746,7 @@ def _print(vsig, term, index, namer, ctx) -> str:
             if ctor is None:
                 raise _unknown_ctor(t.ctor)
             emit(t.ctor)
-            if t.index_args != () or ctor.pi_args:
+            if t.index_args != () or ctor.pi_args or len(t.args) != len(ctor.args):
                 _check_con(vsig, ctor.family, None, t)  # as check_term, but not the fit
                 for (_, ptype, _), value in zip(ctor.pi_args, t.index_args):
                     emit(" " + index_value_text(ptype, value))
@@ -809,36 +824,13 @@ def check_term(
     term: Term,
 ) -> None:
     """Raise TermError unless term is well-typed at (type, index) under
-    counts.  A loop over a stack of frames, one per Con whose arguments
-    are being checked: the node, its remaining (target, argument) pairs
-    and its counts with their key.  Each node is tested as encode tests
-    it."""
+    counts.  It is encode's walk (codec._encode) under a plan with no class
+    plans, where a node's code is its variable count: each node is tested
+    as encode tests it, and no pairing runs."""
+    from .codec import CodecPlan, _encode  # codec imports this module
+
     vsig.class_of(type_name, index)
-    arg_targets, ctx, stack = vsig.arg_targets, Lookups(), []
-    counts, ck = counts._counts, counts.key()
-    while True:
-        if isinstance(term, Var):
-            _check_var(term, type_name, index, counts)
-        else:
-            _check_con(vsig, type_name, index, term)
-            targets = ctx.targets.get((term.ctor, index, term.index_args))
-            if targets is None:
-                targets = ctx.targets_of(arg_targets, term.ctor, index, term.index_args)
-            stack.append((term, zip(targets, term.args), counts, ck))
-        while stack:
-            node, todo, counts, ck = stack[-1]
-            step = next(todo, None)
-            if step is not None:
-                (type_name, index, keys), ta = step
-                if ta.binder_count != len(keys):
-                    raise binder_mismatch(node, len(keys), ta)
-                if keys:
-                    counts, ck = ctx.binds.get((ck, keys)) or ctx.bind(counts, ck, keys)
-                term = ta.body
-                break
-            stack.pop()
-        else:
-            return
+    _encode(CodecPlan(vsig, {}), type_name, index, counts, term, Lookups())
 
 
 def _check_var(term: Var, type_name: str, index: int | None, counts: dict) -> int:

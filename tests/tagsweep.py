@@ -9,8 +9,8 @@ the tag search is checked by diffing the output of two checkouts:
 
     PYTHONPATH=src python tests/tagsweep.py > tags.txt
 
-The signature count and the total time spent in assign_tags go to stderr.
-Pytest does not collect this file.
+The signature count, the total time spent in assign_tags and the number
+of plans it built go to stderr.  Pytest does not collect this file.
 """
 
 import random
@@ -18,6 +18,7 @@ import sys
 import time
 
 from corpus import corpus, digest, planned_tags, random_indexed_signature, random_signature
+from godelgen import codec
 from godelgen.errors import GodelgenError
 from godelgen.sigmodel import parse_signature, validate
 
@@ -32,7 +33,14 @@ def signatures():
 
 
 def main() -> None:
-    count, spent = 0, 0.0
+    count, spent, built = 0, 0.0, [0]
+    build_plan = codec.build_plan
+
+    def counted(*args):  # assign_tags builds each plan it tries through this name
+        built[0] += 1
+        return build_plan(*args)
+
+    codec.build_plan = counted
     for name, text in signatures():
         try:
             vsig = validate(parse_signature(text))
@@ -43,7 +51,8 @@ def main() -> None:
         spent += time.perf_counter() - start
         count += 1
         print(name, digest(lines))
-    print(f"{count} signatures, assign_tags {spent:.2f} s", file=sys.stderr)
+    print(f"{count} signatures, assign_tags {spent:.2f} s, {built[0]} plans built",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

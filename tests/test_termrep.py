@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SIG_NAMES, sig_text
-from godelgen import sigmodel, termrep
+from godelgen import codec, sigmodel, termrep
 from godelgen.codec import assign_tags, decode, decode_closed, encode, encode_closed
 from godelgen.errors import TermError
 from godelgen.sigmodel import (
@@ -160,6 +160,29 @@ def test_only_decimal_words_are_numerals(vsigs):
     assert parse_term(v, "nat", None, "s \u0663") == parse_term(v, "nat", None, "4")
     with pytest.raises(TermError, match="unbound name '\u00b2'"):
         parse_term(v, "nat", None, "s \u00b2")
+
+
+def test_numerals_are_bounded_by_the_default_fuel(vsigs):
+    # a numeral's s chain has one node more than its value, so 99,999, the
+    # largest nat code DEFAULT_FUEL decodes, is the largest numeral read
+    v = vsigs["nat"]
+    assert termrep.DEFAULT_FUEL is codec.DEFAULT_FUEL
+    assert term_size(parse_term(v, "nat", None, "99999")) == codec.DEFAULT_FUEL
+    assert parse_term(v, "nat", None, "0" * 6000 + "3") == parse_term(v, "nat", None, "3")
+    assert parse_term(v, "nat", None, "s \u0660\u0660\u0660\u0660\u0660\u0660\u0661") == (
+        parse_term(v, "nat", None, "2"))
+    texts = ["100000", "10000000000", "1" * 5000, "s " + "2" * 5000, "s (" + "9" * 200_000 + ")"]
+    for text in texts:
+        start = time.perf_counter()
+        with pytest.raises(TermError, match="^numeral over 99999, the largest nat code"):
+            parse_term(v, "nat", None, text)
+        assert time.perf_counter() - start < 1
+    # a numeral names a constructor first, at any length
+    name = "7" * 5000
+    digits = validate(parse_signature(f"b : type. {name} : b. 0 : b."))
+    assert parse_term(digits, "b", None, "0" + name) == Con(name)
+    with pytest.raises(TermError, match=f"^numeral {'8' * 5000} is only a term when"):
+        parse_term(digits, "b", None, "8" * 5000)
 
 
 def test_numerals_inside_terms(vsigs):
@@ -581,6 +604,37 @@ def test_print_rejects_the_index_arguments_check_term_rejects(vsigs, index_args)
         assert str(printed.value) == str(checked.value)
     with pytest.raises(TermError, match=r"^index arguments \[\] of unit are not a tuple$"):
         print_term(v, Con("unit", []), 0)
+
+
+def test_print_rejects_the_argument_counts_check_term_rejects(vsigs):
+    v = vsigs["lambda"]
+    ident = parse_term(v, "t", None, "lam [x] x")
+    for args in [(TermArg(0, ident),), (TermArg(0, ident),) * 3, ()]:
+        node = Con("app", (), args)
+        with pytest.raises(TermError) as checked:
+            check_term(v, "t", None, EMPTY_COUNTS, node)
+        assert str(checked.value) == f"constructor app takes 2 argument(s), got {len(args)}"
+        for term in (node, Con("lam", (), (TermArg(1, node),))):  # at the head, and inside
+            with pytest.raises(TermError) as printed:
+                print_term(v, term)
+            assert str(printed.value) == str(checked.value)
+
+
+def test_check_term_does_no_pairing_arithmetic(vsigs, monkeypatch):
+    # check_term is encode's walk under a plan with no class plans: each
+    # node's code is its variable count, so no operand is ever paired
+    v = vsigs["lambda"]
+    term = decode_closed(assign_tags(v), "t", None, 10**29999 + 12345)
+    assert term_size(term) > 10_000
+
+    def no_pairing(*args):
+        raise AssertionError("check_term paired operands")
+
+    for name in ("_spread", "_compact", "mingle_fold"):
+        monkeypatch.setattr(codec, name, no_pairing)
+    check_term(v, "t", None, EMPTY_COUNTS, term)
+    with pytest.raises(AssertionError, match="paired"):
+        encode_closed(assign_tags(v), "t", None, term)
 
 
 def test_deep_terms(vsigs):
