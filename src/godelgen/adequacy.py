@@ -8,11 +8,12 @@ round-trips), and one-to-one (no two terms share a code).
 
 Total, unique and one-to-one come from one pass over one enumeration
 per index (_enumerated), which encodes each term once; onto sweeps the
-codes.  Both call the codec's loops and termrep's print and read cores
-directly, with a lookup context per direction held for the whole pass
-or sweep; a _SweepMemo (a termrep.Lookups with a bounded memo of the
-nodes already done) where nodes recur.  Encode tests each node as
-check_term does.  Every decode spends at most the budget's fuel.
+codes, whose decodes re-encode each node as they build it.  Both call
+the codec's loops and termrep's print and read cores directly, with
+lookup contexts held for the whole pass or sweep; a _SweepMemo (a
+termrep.Lookups with a bounded memo of the nodes already done) where
+nodes recur.  Encode tests each node as check_term does.  Every decode
+spends at most the budget's fuel.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def _enumerated(plan, type_name, index, budget) -> tuple[Verdict, Verdict, Verdi
 
 
 class _SweepMemo(Lookups):
-    """A lookup context kept for a whole sweep (one direction of an onto
-    sweep, or the terms' encodes in _enumerated), since every code or term
+    """A lookup context kept for a whole sweep (an onto sweep's decodes,
+    or the terms' encodes in _enumerated), since every code or term
     looks the same things up again, plus a memo of the nodes already done.
     The memo is bounded, in two generations: a hit in the old one moves the
     entry to the young one, and a full young generation becomes the old
@@ -342,28 +343,26 @@ def verify_onto(
 ) -> Verdict:
     """Every code up to the budget decodes to a well-typed term that round-trips.
 
-    The first failing code is reported; a decode that does not terminate
-    is reported when it runs out of fuel, as public decode would, and an
-    ill-typed term with check_term's message, as encode tests each node.
-    Decode and encode each keep one lookup context (see _SweepMemo) for
-    the whole sweep.  Its bounded memo of the nodes already done means a
-    subterm shared by many codes, such as code n - 1 inside nat code n, is
-    done once per context rather than once per code: a chain sweep costs
-    linear, not quadratic, time.  Its lookups mean a code rebuilds no
-    class plan, Var, argument targets or bind.  Every code is still
-    decoded and re-encoded, and a memo hit charges the fuel the subterm's
-    own decode spent.  The contexts are dropped when the sweep returns.
-    """
+    The decodes share a _SweepMemo, which does a subterm shared by many
+    codes (code n - 1 in nat code n) once, and under which decode
+    re-encodes each node it builds (codec._decode).  A code that fails
+    there runs again as public decode, then encode, for the verdict: the
+    first failing code is reported."""
     cp = plan.class_plan(type_name, index)
     codes = cp.cardinality.codes_below(budget.code_for(type_name, cp.index_class.label))
-    decoded, encoded = _SweepMemo(), _SweepMemo()
+    ctx = _SweepMemo()
     for code in codes:
         try:
-            term = _decode(plan, type_name, index, EMPTY_COUNTS, code, [budget.fuel], decoded)
+            _decode(plan, type_name, index, EMPTY_COUNTS, code, [budget.fuel], ctx)
+            continue
+        except (FuelExhausted, TermError):
+            pass  # decode, then encode, may meet another fault first
+        try:
+            term = _decode(plan, type_name, index, EMPTY_COUNTS, code, [budget.fuel], Lookups())
         except FuelExhausted as exc:
             return Verdict(False, code, f"code {code} did not decode: {type(exc).__name__}: {exc}")
         try:  # encode tests each node as check_term does, with its messages
-            back = _encode(plan, type_name, index, EMPTY_COUNTS, term, encoded)
+            back = _encode(plan, type_name, index, EMPTY_COUNTS, term, Lookups())
         except TermError as exc:
             return Verdict(False, code, f"code {code} decoded to an ill-typed term: {exc}")
         if back != code:

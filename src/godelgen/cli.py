@@ -49,6 +49,10 @@ def _read(path: str) -> str:
         raise SigSyntaxError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _term_text(text: str) -> str:  # "-" reads the term from standard input
+    return sys.stdin.read() if text == "-" else text
+
+
 def _load(path: str):
     return validate(parse_signature(_read(path)))
 
@@ -117,7 +121,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
     type_name, index = _target(vsig, args)
-    term = parse_term(vsig, type_name, index, args.term)
+    term = parse_term(vsig, type_name, index, _term_text(args.term))
     print(encode(plan, type_name, index, EMPTY_COUNTS, term))
     return EXIT_OK
 
@@ -178,8 +182,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     vsig = _load(args.signature)
     plan = assign_tags(vsig)
     type_name, index = _target(vsig, args)
-    left = parse_term(vsig, type_name, index, args.left)
-    right = parse_term(vsig, type_name, index, args.right)
+    left = parse_term(vsig, type_name, index, _term_text(args.left))
+    right = parse_term(vsig, type_name, index, _term_text(args.right))
     order = compare(plan, type_name, index, left, right)
     print({-1: "LT", 0: "EQ", 1: "GT"}[order])
     return EXIT_OK

@@ -17,17 +17,13 @@ right.
 
 Each node costs one keyed lookup in the call's or onto sweep's lookup
 context (termrep.Lookups) plus its arithmetic.  Decode looks up the
-record of its (type, index): the class plan, its finite total and tag
-count, per tag a decode record made on first use (the pairing operand
-count, the finite slots if any, the index-argument count, and the
-arguments' targets of a constructor with no index arguments), and the
-finite entries' bases, which it bisects.
-Encode looks up a step record per (constructor, type, index, index
-arguments): the arguments' targets, the finite entry or tag, the class's
-finite total and tag count and the finite slots if any (see _encode).
-check_term is encode's walk without the arithmetic.  One or two pairing
-operands are mingled and unmingled by bignat's private helpers, without
-the public functions' checks on inputs the codec has just made itself.
+record of its (type, index) (see _decode), encode a step record per
+(constructor, type, index, index arguments) (see _encode), and both
+share encode's arithmetic (_node_code): the onto sweep's decode encodes
+each node it builds.  check_term is encode's walk without the
+arithmetic.  One or two pairing operands are mingled and unmingled by
+bignat's private helpers, without the public functions' checks on
+inputs the codec has just made itself.
 """
 
 from __future__ import annotations
@@ -270,10 +266,9 @@ def _encode(plan, type_name, index, counts, term, ctx):
     that fails either is tested by _check_con, for its message.
 
     ctx is the lookup context (termrep.Lookups) of the public call or of
-    an onto sweep (adequacy._SweepMemo), whose memo also maps (id(node),
-    type, index, counts key) to (node, code) for Con nodes already
-    encoded, the node in the value keeping its id from being reused while
-    the key is held."""
+    the verifier's enumerated terms (adequacy._SweepMemo), whose memo also
+    maps (id(node), type, index, counts key) to (node, code) for Con nodes
+    already encoded, the node keeping its id from being reused."""
     stack, counts, ck = [], counts._counts, counts.key()
     steps, binds = ctx.steps, ctx.binds
     memo = ctx if ctx.memoizes else None
@@ -319,35 +314,39 @@ def _encode(plan, type_name, index, counts, term, ctx):
                 term = ta.body
                 break
             stack.pop()
-            _, entry, tag, total, width, kinds = step
-            if entry is not None:
-                offset = 0
-                for radix, c in zip(entry.radices, codes):
-                    offset = offset * radix + c
-                code = v + entry.base + offset
-            else:
-                # the pairing operands: the index arguments, then the
-                # infinite arguments' codes; finite ones fold in by radix
-                ia = node.index_args
-                if kinds is None:
-                    ops = [*ia, *codes] if ia else codes
-                else:
-                    ops = [*ia, *[c for r, c in zip(kinds, codes) if not r]]
-                if len(ops) == 1:
-                    payload = ops[0]
-                elif len(ops) == 2:  # mingle, without its checks on codes made here
-                    payload = _spread(ops[0]) << 1 | _spread(ops[1])
-                else:
-                    payload = mingle_fold(ops)
-                if kinds is not None:
-                    for r, c in zip(kinds, codes):
-                        if r:
-                            payload = payload * r + c
-                code = v + total + width * payload + tag
+            code = _node_code(step, v, node.index_args, codes)
             if memo is not None:
                 memo[key] = (node, code)
         else:
             return code
+
+
+def _node_code(step, v, index_args, codes):
+    """The code of a node from its step record (_encode_step), the v
+    variables of its (type, index) in scope, and its arguments' codes."""
+    _, entry, tag, total, width, kinds = step
+    if entry is not None:
+        offset = 0
+        for radix, c in zip(entry.radices, codes):
+            offset = offset * radix + c
+        return v + entry.base + offset
+    # the pairing operands: the index arguments, then the infinite
+    # arguments' codes; finite ones fold in by radix
+    if kinds is None:
+        ops = [*index_args, *codes] if index_args else codes
+    else:
+        ops = [*index_args, *[c for r, c in zip(kinds, codes) if not r]]
+    if len(ops) == 1:
+        payload = ops[0]
+    elif len(ops) == 2:  # mingle, without its checks on codes made here
+        payload = _spread(ops[0]) << 1 | _spread(ops[1])
+    else:
+        payload = mingle_fold(ops)
+    if kinds is not None:
+        for r, c in zip(kinds, codes):
+            if r:
+                payload = payload * r + c
+    return v + total + width * payload + tag
 
 
 def _encode_step(plan, ctx, type_name, index, term):
@@ -428,10 +427,12 @@ def _decode(plan, type_name, index, counts, code, cell, ctx):
     an onto sweep (adequacy._SweepMemo), whose memo also maps (type, index,
     counts key, code) to (term, steps), steps being the fuel the term's
     decode spent; a hit is taken only if that much fuel is left, so fuel
-    runs out at the same node as without a memo."""
+    runs out at the same node as without a memo.  Under a memo, each Con
+    is encoded as it ends, tested as an encode hit is, and must give the
+    code decoded, else TermError: so a term that decodes encodes back."""
     stack, counts, ck = [], counts._counts, counts.key()
     plans, variables, targets_seen, binds = ctx.plans, ctx.variables, ctx.targets, ctx.binds
-    memo = ctx if ctx.memoizes else None
+    steps, memo = ctx.steps, ctx if ctx.memoizes else None
     while True:
         term = key = start = None
         if memo is not None:
@@ -521,7 +522,15 @@ def _decode(plan, type_name, index, counts, code, cell, ctx):
                 break
             stack.pop()
             term = _con(name, index_args, tuple(args))
-            if memo is not None:
+            if memo is not None:  # the node's encode, on its arguments' codes
+                step = steps.get((name, key[0], key[1], index_args))
+                if step is None or len(args) != len(step[0]) or index_args and not all(
+                        [type(x) is int for x in index_args]):
+                    step = _encode_step(plan, ctx, key[0], key[1], term)
+                # decode walked the arguments at targets, and gave them its binders
+                if step[0] is not targets and step[0] != targets or key[3] != _node_code(
+                        step, node_counts.get(key[:2], 0), index_args, sub_codes):
+                    raise TermError(f"code {key[3]} decoded to a node that re-encodes elsewhere")
                 memo[key] = (term, start - cell[0])
         else:
             return term

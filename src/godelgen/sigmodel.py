@@ -160,6 +160,10 @@ class SType:
 SExpr = SName | SNum | SApp | SArrow | SBind | SPi | SType
 
 
+class _NumeralTooLong(SigSyntaxError):
+    """A numeral has more digits than int reads: no fault of the syntax."""
+
+
 class _Parser:
     """A parser over the tokens of text, or over toks, tokens already read
     and checked from a text (an abbreviation's body).  Positions are worked
@@ -226,7 +230,7 @@ class _Parser:
         while True:
             tok = toks[self.i]
             if tok not in _NOT_NAME:
-                atoms.append(_word(tok, self.i))
+                atoms.append(self.word(tok, self.i))
                 self.i += 1
                 continue
             if tok == "(" or tok == "[" or (tok == "{" and not atoms):
@@ -287,7 +291,19 @@ class _Parser:
             var = self.name("[")
             self.expect("]")
             return SBind(var, self.expr())
-        return _word(tok, self.i - 1)
+        return self.word(tok, self.i - 1)
+
+    def word(self, tok: str, at: int) -> SExpr:
+        """The leaf that word tok, token at, spells."""
+        if tok == "type":
+            return SType(at)
+        if tok.isdecimal():
+            try:
+                return SNum(int(tok), at)
+            except ValueError:  # over int's digit limit (sys.set_int_max_str_digits)
+                raise _NumeralTooLong(f"numeral of {len(tok)} digits is over Python's"
+                                     " limit on digits read as an int", *self.where(at)) from None
+        return SName(tok, at)
 
     def whole(self) -> SExpr:
         """The whole text as one expression, as term text is read."""
@@ -320,15 +336,6 @@ def _build_arrows(parts: list[tuple[str | None, SExpr]]) -> SExpr:
     for premise in groups[1:]:
         result = SArrow(rfold(premise), result)
     return result
-
-
-def _word(tok: str, at: int) -> SExpr:
-    """The leaf that word tok, token at, spells."""
-    if tok == "type":
-        return SType(at)
-    if tok.isdecimal():
-        return SNum(int(tok), at)
-    return SName(tok, at)
 
 
 # ----------------------------------------------------------------------

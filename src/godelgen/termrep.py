@@ -27,6 +27,7 @@ from .sigmodel import (
     Ctor,
     SExpr,
     ValidatedSignature,
+    _NumeralTooLong,
     _Parser,
     applies,
     to_index_expr,
@@ -340,7 +341,7 @@ def _parse(vsig, type_name, index, text, ctx):
         except TermError:
             try:
                 p.whole()
-            except ValueError:  # a numeral over int's digit limit: no syntax fault
+            except _NumeralTooLong:  # no syntax fault
                 pass
             raise
     except SigSyntaxError as exc:
@@ -425,7 +426,7 @@ def _read(
             else:
                 if head == "type":
                     raise TermError("only constructors can be applied")
-                name = _numeral(head)[0] if head.isdecimal() else head
+                name = _numeral(head)[0] if head.isdecimal() and head not in ctors else head
                 if name in scope:
                     raise TermError(f"variable {name} cannot be applied")
                 if name in abbrevs:
@@ -470,7 +471,7 @@ def _read(
         elif start and (toks[i + 1] == "->" or toks[i + 1] == "<-"):
             raise TermError("invalid term")  # an arrow is no term
         elif tok.isdecimal():
-            name, value = _numeral(tok)
+            name, value = (tok, None) if tok in ctors else _numeral(tok)
             if name in ctors:
                 term = _constant(vsig, ctors[name], want_type, want_index)
             elif lit is not None and want_type == lit.type_name:

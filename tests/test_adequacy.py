@@ -10,7 +10,7 @@ import pytest
 
 from conftest import SIG_NAMES, sig_text
 from corpus import load_contract, report_digest
-from godelgen import adequacy
+from godelgen import adequacy, codec
 from godelgen.adequacy import (
     MEMO_GENERATION,
     EnumBudget,
@@ -336,7 +336,9 @@ def _counter():
 # the term-side verdicts, each reached through an encode, a decode or a
 # read that misbehaves (a factory makes a fresh fake per run); bool's terms
 # are true (code 0) and then false (code 1).  Every verifier encodes and
-# decodes through _encode and _decode, and reads through _parse
+# decodes through _encode and _decode, and reads through _parse; the onto
+# sweep's decode re-encodes each node by codec's _node_code, which encode's
+# walk calls too
 TERM_FAULTS = {
     "fails-to-encode": (
         "_encode", lambda: _refuse, verify_total_unique,
@@ -363,7 +365,7 @@ TERM_FAULTS = {
         Verdict(False, 0, "term 'true' did not round-trip"),
     ),
     "re-encodes-elsewhere": (
-        "_encode", lambda: lambda *_: 7, verify_onto,
+        "_node_code", lambda: lambda *_: 7, verify_onto,
         Verdict(False, 0, "code 0 decoded to a term that re-encodes to 7"),
     ),
     "variant-fails-to-read-back": (
@@ -373,10 +375,15 @@ TERM_FAULTS = {
 }
 
 
+def _owner(name):
+    """The module whose function name a fault replaces."""
+    return adequacy if hasattr(adequacy, name) else codec
+
+
 @pytest.mark.parametrize("fault", sorted(TERM_FAULTS))
 def test_term_side_failure_verdicts(plans, monkeypatch, fault):
     name, fake, verifier, expected = TERM_FAULTS[fault]
-    monkeypatch.setattr(adequacy, name, fake())
+    monkeypatch.setattr(_owner(name), name, fake())
     assert verifier(plans["bool"], "bool", None, EnumBudget()) == expected
 
 
@@ -529,7 +536,8 @@ def _pass_and_reference(plan, type_name, index, budget):
     )
 
 
-# each fault's target in the pass, and the public call the references make
+# each fault's target in the pass, and the public call the references make;
+# a fault in codec's arithmetic reaches the references through public encode
 REFERENCE_TARGETS = {"_encode": "encode", "_decode": "decode", "_parse": "parse_term"}
 
 
@@ -538,10 +546,11 @@ class TestEnumeratedPass:
     def test_each_fault_gives_the_references_verdict(self, plans, monkeypatch, fault):
         name, fake, verifier, expected = TERM_FAULTS[fault]
         budget = EnumBudget()
-        monkeypatch.setattr(adequacy, name, fake())
+        monkeypatch.setattr(_owner(name), name, fake())
         got = verifier(plans["bool"], "bool", None, budget)
-        monkeypatch.undo()
-        monkeypatch.setattr(sys.modules[__name__], REFERENCE_TARGETS[name], fake())
+        if name in REFERENCE_TARGETS:
+            monkeypatch.undo()
+            monkeypatch.setattr(sys.modules[__name__], REFERENCE_TARGETS[name], fake())
         reference = {verify_total_unique: reference_total_unique,
                      verify_one_to_one: reference_one_to_one, verify_onto: reference_onto}[verifier]
         assert got == reference(plans["bool"], "bool", None, budget) == expected
@@ -701,6 +710,82 @@ class TestSweepMemo:
         assert len(memo.young) + len(memo.old) <= 2 * MEMO_GENERATION
         assert memo.get(2) is None  # dropped with its generation
         assert memo.get(1) == 2  # was promoted, so it survived one rotation
+
+
+# The onto sweep re-encodes each node as decode builds it; planted faults
+# that first show below the top node give the sweep without a memo's verdict.
+
+
+def _replan(plan, type_name, **fields):
+    """plan with the class plan of type_name (unindexed) changed."""
+    key = (type_name, plan.vsig.class_of(type_name, None))
+    return CodecPlan(plan.vsig, {**plan.classes, key: replace(plan.classes[key], **fields)})
+
+
+def _reversed_steps(plan):
+    """Per class with two tags or more, plan with that class's steps reversed:
+    each tag decodes as another constructor while encode keeps the tags."""
+    return [CodecPlan(plan.vsig, {**plan.classes, key: replace(cp, steps=cp.steps[::-1])})
+            for key, cp in plan.classes.items() if len(cp.tags) > 1]
+
+
+def _off_by_one_where(test):
+    """A _node_code that adds 1 to the code of each node test picks by its
+    step record and variable count."""
+    real = codec._node_code
+    return lambda step, v, ia, codes: real(step, v, ia, codes) + bool(test(step, v))
+
+
+class TestPlantedFaults:
+    BUDGET = EnumBudget(max_code=300, fuel=1000)
+
+    def sweeps(self, plan):
+        verdicts = []
+        for type_name, index in _every_index(plan):
+            verdict = verify_onto(plan, type_name, index, self.BUDGET)
+            assert verdict == reference_onto(plan, type_name, index, self.BUDGET)
+            verdicts.append(verdict)
+        return verdicts
+
+    @pytest.mark.parametrize("name", ["lambda", "termfam", "exists", "rat"])
+    def test_reversed_steps(self, plans, name):
+        faults = [v for bad in _reversed_steps(plans[name]) for v in self.sweeps(bad)
+                  if not v.passed]
+        # lambda's and rat's code 0 then loop; termfam's and exists' codes
+        # also decode to terms that re-encode elsewhere
+        assert faults and any("re-encodes to" in v.counterexample for v in faults) == (
+            name in ("termfam", "exists"))
+
+    def test_a_nat_tag_that_builds_a_natlist(self, plans):
+        bad = _replan(plans["natlist"], "nat", tags=("natlist/+",),
+                      steps=(("natlist/+", (0, 0), 0),))
+        # natlist code 3 is natlist/+ holding nat code 1, built as a natlist
+        with pytest.raises(TermError, match="^constructor natlist/.*, expected nat$"):
+            _decode(bad, "natlist", None, EMPTY_COUNTS, 3, [DEFAULT_FUEL], _SweepMemo())
+        assert self.sweeps(bad)[1] == Verdict(
+            False, 3, "code 3 decoded to an ill-typed term:"
+            " constructor natlist/+ constructs natlist, expected nat")
+
+    def test_a_natlist_tag_that_builds_a_nat(self, plans):
+        bad = _replan(plans["natlist"], "natlist", tags=("s",), steps=(("s", (0,), 0),))
+        assert [v.passed for v in self.sweeps(bad)] == [True, False]
+
+    def test_a_wrong_code_for_z(self, plans, monkeypatch):
+        monkeypatch.setattr(codec, "_node_code", _off_by_one_where(
+            lambda step, v: step[1] is not None and step[1].ctor_name == "z"))
+        # natlist code 1 is natlist/+ z natlist/0: z, code 0, fails first
+        with pytest.raises(TermError, match="^code 0 decoded to a node"):
+            _decode(plans["natlist"], "natlist", None, EMPTY_COUNTS, 1, [DEFAULT_FUEL],
+                    _SweepMemo())
+        assert self.sweeps(plans["natlist"])[1] == Verdict(
+            False, 1, "code 1 decoded to a term that re-encodes to 3")
+
+    def test_a_wrong_code_for_app_under_a_binder(self, plans, monkeypatch):
+        # every top node is closed, so only a subterm's code is wrong
+        monkeypatch.setattr(codec, "_node_code", _off_by_one_where(
+            lambda step, v: step[2] == 1 and v))
+        assert self.sweeps(plans["lambda"]) == [
+            Verdict(False, 4, "code 4 decoded to a term that re-encodes to 6")]
 
 
 # The sweep's lookup context lives for one sweep and changes nothing it reads.

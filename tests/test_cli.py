@@ -222,6 +222,29 @@ class TestDecode:
         assert (status, out, err) == (0, code_text + "\n", "")
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_a_term_given_as_dash_is_read_from_standard_input(self, capsys):
+        # the text of a 30,000-digit code is longer than one command-line
+        # argument may be, so the command reads it from its standard input
+        code_text = "1" + "0" * 29_994 + "12345"
+        status, term, _ = run(capsys, ["decode", LAMBDA, "--type", "t", code_text])
+        assert status == 0 and len(term.encode()) > 128 * 1024
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run_with_input(text, *argv):
+            proc = subprocess.run([sys.executable, "-m", "godelgen", *argv], input=text,
+                                  env=env, capture_output=True, text=True, timeout=60)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        assert run_with_input(term, "encode", LAMBDA, "--type", "t", "-") == (
+            0, code_text + "\n", "")
+        for argv in (["-", "lam [y] app y y"], ["lam [y] app y y", "-"]):
+            assert run_with_input("lam [x]\n  app x x\n", "compare", LAMBDA, "--type", "t",
+                                  *argv) == (0, "EQ\n", "")
+        assert run_with_input("lam [x] x", "compare", LAMBDA, "--type", "t", "-",
+                              "app (lam [x] x) (lam [x] x)") == (0, "LT\n", "")
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
     def test_run_restores_the_callers_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits()

@@ -13,7 +13,7 @@ import pytest
 from conftest import SIG_NAMES, sig_text
 from godelgen import codec, sigmodel, termrep
 from godelgen.codec import assign_tags, decode, decode_closed, encode, encode_closed
-from godelgen.errors import TermError
+from godelgen.errors import SigSyntaxError, TermError
 from godelgen.sigmodel import (
     SApp,
     SArrow,
@@ -183,6 +183,43 @@ def test_numerals_are_bounded_by_the_default_fuel(vsigs):
     assert parse_term(digits, "b", None, "0" + name) == Con(name)
     with pytest.raises(TermError, match=f"^numeral {'8' * 5000} is only a term when"):
         parse_term(digits, "b", None, "8" * 5000)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_a_numeral_past_ints_digit_limit_is_a_term_or_syntax_error(vsigs):
+    # an index atom in term text, and a numeral in a signature, of more
+    # digits than int reads; with the limit lifted, as the CLI lifts it,
+    # both read as they always did
+    term_text = "exists " + "2" * 5000 + " [x] unit"
+    sig = sig_text("nat") + " t : nat -> type. c : t " + "1" * 5000 + "."
+    reads = [(lambda: parse_term(vsigs["exists"], "term", 0, term_text), TermError),
+             (lambda: parse_signature(sig), SigSyntaxError)]
+    for read, error in reads:
+        start = time.perf_counter()
+        with pytest.raises(error, match="numeral of 5000 digits is over Python's limit"):
+            read()
+        assert time.perf_counter() - start < 1
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert parse_term(vsigs["exists"], "term", 0, term_text).index_args == (int("2" * 5000),)
+        assert "c" in parse_signature(sig).ctors
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_constructor_named_by_digits_reads_back():
+    # a declared name is read as written, before it is read as a numeral
+    vsig = validate(parse_signature("bit : type. 0 : bit. 007 : bit. w : type."
+                                    " 01 : bit -> w -> w. 7 : w."))
+    plan = assign_tags(vsig)
+    assert parse_term(vsig, "bit", None, "007") == Con("007")
+    for type_name in ("bit", "w"):
+        for code in plan.class_plan(type_name, None).cardinality.codes_below(40):
+            term = decode_closed(plan, type_name, None, code)
+            back = parse_term(vsig, type_name, None, print_term(vsig, term))
+            assert back == term and encode_closed(plan, type_name, None, back) == code
+    assert parse_term(vsig, "w", None, "01 007 (01 0 7)") == decode_closed(plan, "w", None, 4)
 
 
 def test_numerals_inside_terms(vsigs):
