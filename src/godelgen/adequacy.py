@@ -319,9 +319,6 @@ class _SweepMemo(Lookups):
         super().__init__()
         self.young, self.old = {}, {}
 
-    def get(self, key):
-        return self.young.get(key) or self.promote(key)
-
     def promote(self, key):
         """key's value in the old generation, moved to the young one, or None."""
         value = self.old.pop(key, None)

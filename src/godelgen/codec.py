@@ -15,15 +15,16 @@ term of any depth needs no interpreter frames.  A frame resumes at its
 next argument, so arguments are visited, and errors raised, left to
 right.
 
-Each node costs one keyed lookup in the call's or onto sweep's lookup
-context (termrep.Lookups) plus its arithmetic.  Decode looks up the
-record of its (type, index) (see _decode), encode a step record per
-(constructor, type, index, index arguments) (see _encode), and both
-share encode's arithmetic (_node_code): the onto sweep's decode encodes
-each node it builds.  check_term is encode's walk without the
-arithmetic.  One or two pairing operands are mingled and unmingled by
-bignat's private helpers, without the public functions' checks on
-inputs the codec has just made itself.
+Each node costs one keyed lookup in a lookup context (termrep.Lookups)
+plus its arithmetic: the plan's, which its public calls share and drop
+past termrep.LOOKUPS_BOUND entries (termrep._in_context), or an onto
+sweep's.  Decode looks up the record of its (type, index) (see
+_decode), encode a step record per (constructor, type, index, index
+arguments) (see _encode), and both share encode's arithmetic
+(_node_code): the onto sweep's decode encodes each node it builds.
+check_term is encode's walk without the arithmetic.  One or two pairing
+operands are mingled and unmingled by bignat's private helpers, without
+the public functions' checks on inputs the codec has just made itself.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .sigmodel import (
     IndexClass,
     UNIT_CLASS,
     ValidatedSignature,
+    _without_lookups,
 )
 from .termrep import (
     DEFAULT_FUEL,
@@ -52,6 +54,7 @@ from .termrep import (
     _check_con,
     _check_var,
     _con,
+    _in_context,
     binder_mismatch,
 )
 
@@ -87,6 +90,8 @@ class CodecPlan:
 
     vsig: ValidatedSignature
     classes: dict[tuple[str, IndexClass], ClassPlan]
+
+    __getstate__ = _without_lookups
 
     def class_plan(self, type_name: str, index: int | None) -> ClassPlan:
         """The plan of the class of (type, index); TermError for a bad
@@ -247,7 +252,7 @@ def encode(
 ) -> int:
     """Code of a well-typed term under the given free-variable counts."""
     plan.vsig.class_of(type_name, index)
-    return _encode(plan, type_name, index, counts, term, Lookups())
+    return _in_context(plan, _encode, plan, type_name, index, counts, term)
 
 
 def _encode(plan, type_name, index, counts, term, ctx):
@@ -265,8 +270,8 @@ def _encode(plan, type_name, index, counts, term, ctx):
     and that each index argument is an int (True and 1.0 equal 1).  A node
     that fails either is tested by _check_con, for its message.
 
-    ctx is the lookup context (termrep.Lookups) of the public call or of
-    the verifier's enumerated terms (adequacy._SweepMemo), whose memo also
+    ctx is the lookup context (termrep.Lookups) of the plan's public calls
+    or of the verifier's enumerated terms (adequacy._SweepMemo), whose memo also
     maps (id(node), type, index, counts key) to (node, code) for Con nodes
     already encoded, the node keeping its id from being reused."""
     stack, counts, ck = [], counts._counts, counts.key()
@@ -407,7 +412,7 @@ def decode(
     whose decode is not well founded at this code.
     """
     plan.vsig.class_of(type_name, index)
-    return _decode(plan, type_name, index, counts, code, [fuel], Lookups())
+    return _in_context(plan, _decode, plan, type_name, index, counts, code, [fuel])
 
 
 def _decode(plan, type_name, index, counts, code, cell, ctx):
@@ -423,8 +428,8 @@ def _decode(plan, type_name, index, counts, code, cell, ctx):
     plan implies for every node, so a node with no finite argument builds
     no digit list, and one with no index argument slices nothing.
 
-    ctx is the lookup context (termrep.Lookups) of the public call or of
-    an onto sweep (adequacy._SweepMemo), whose memo also maps (type, index,
+    ctx is the lookup context (termrep.Lookups) of the plan's public calls
+    or of an onto sweep (adequacy._SweepMemo), whose memo also maps (type, index,
     counts key, code) to (term, steps), steps being the fuel the term's
     decode spent; a hit is taken only if that much fuel is left, so fuel
     runs out at the same node as without a memo.  Under a memo, each Con

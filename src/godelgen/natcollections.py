@@ -17,7 +17,7 @@ from operator import sub
 from typing import Any, Iterable
 
 from .codec import DEFAULT_FUEL, CodecPlan, _decode, encode_closed
-from .termrep import EMPTY_COUNTS, Lookups, Term
+from .termrep import EMPTY_COUNTS, Term, _in_context
 
 
 def _naturals(xs: Iterable, what: str) -> tuple[int, ...]:
@@ -235,10 +235,11 @@ class TermSet:
         return self.codes.size()
 
     def elements(self) -> tuple[Term, ...]:
-        """The members, decoded in one lookup context, each with DEFAULT_FUEL."""
-        plan, type_name, index, ctx = self.plan, self.type_name, self.index, Lookups()
-        return tuple([_decode(plan, type_name, index, EMPTY_COUNTS, code, [DEFAULT_FUEL], ctx)
-                      for code in self.codes.elements()])
+        """The members, decoded in the plan's lookup context, each with DEFAULT_FUEL."""
+        plan, type_name, index = self.plan, self.type_name, self.index
+        return _in_context(plan, lambda ctx: tuple([
+            _decode(plan, type_name, index, EMPTY_COUNTS, code, [DEFAULT_FUEL], ctx)
+            for code in self.codes.elements()]))
 
 
 @dataclass(frozen=True)

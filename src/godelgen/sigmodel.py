@@ -1241,12 +1241,20 @@ def compute_cardinality(sig: Signature) -> Signature:
 # Validation.
 
 
+def _without_lookups(owner) -> dict:
+    """owner's state for pickle and copy: its attributes but its lookup
+    context (termrep._in_context), whose tables key Vars by id()."""
+    return {k: v for k, v in owner.__dict__.items() if k != "_lookups"}
+
+
 @dataclass
 class ValidatedSignature:
     sig: Signature
     analysis: Analysis
     layouts: dict[str, tuple]  # per constructor; see _layout
     abbrev_index: dict[str, int | None]  # per abbreviation, its type's index
+
+    __getstate__ = _without_lookups
 
     @property
     def decls(self) -> list[TypeDecl]:

@@ -13,7 +13,9 @@ visited, and errors raised, left to right, and a term of any depth works
 at the default recursion limit.  Term text is read straight from its
 tokens into the term, with no surface tree in between (see _read).
 Every walk, here and in codec, has one lookup context (Lookups) and
-builds nodes without the frozen __init__ (_var, _arg, _con).
+builds nodes without the frozen __init__ (_var, _arg, _con).  A public
+call walks in its owner's context (_in_context): the signature's for
+print_term, parse_term and check_term, the plan's for the codec's calls.
 """
 
 from __future__ import annotations
@@ -253,21 +255,24 @@ EMPTY_COUNTS = CountVector()
 
 
 class Lookups:
-    """The lookup context of term walks, made for one public call or for
-    one caller's many walks (see adequacy, TermSet.elements), and dropped
-    with it.  It holds one Var per (type, index, level) and one TermArg per
-    (binder count, id of such a Var); the argument targets of each
-    (constructor, index, index arguments); each bind; the reader's head
-    records (reads, see _read); and two tables that codec fills in:
+    """The lookup context of term walks: one per validated signature and
+    one per codec plan for their public calls (_in_context), one for a
+    caller's many walks (see adequacy, assign_tags).  It holds one Var per
+    (type, index, level) and one TermArg per (binder count, id of such a
+    Var); the argument targets of each (constructor, index, index
+    arguments); each bind; the reader's head records (reads, see _read);
+    and two tables that codec fills in:
     - plans: per (type, index), its class plan, finite total, tag count
       and finite entries' bases, and each tag's decode record, made on
       first use (operand count, finite slots if any, index-argument
       count, and the targets of a constructor without index arguments);
     - steps: per (constructor, type, index, index arguments), encode's
       and check_term's step record (see codec._encode).
-    A walk carries a caller's CountVector as its map (never written) and
-    key, so a binder it has met copies nothing.  It stores nothing on the
-    signature, the plan or a CountVector."""
+    Each table's value depends only on its key and its owner, and an entry
+    is never changed once made but by filling in a tag's decode record, so
+    walks on several threads may share a context: a race makes an entry
+    twice, and both are right.  A walk carries a caller's CountVector as its
+    map (never written) and key, so a binder it has met copies nothing."""
 
     __slots__ = ("plans", "steps", "variables", "var_args", "targets", "binds", "reads")
     memoizes = False  # whether it also memoizes whole nodes (see adequacy)
@@ -305,6 +310,27 @@ class Lookups:
         return found
 
 
+# entries a public call may leave in its owner's lookup context; past them
+# the context is dropped, so a deep term's walk keeps nothing afterwards
+LOOKUPS_BOUND = 1024
+
+
+def _in_context(owner, walk, *args):
+    """walk(*args, ctx) in owner's lookup context, made on first use and held
+    in its __dict__, outside its fields, so ==, repr, fields() and replace()
+    ignore it; pickle and copy leave it out (sigmodel._without_lookups), since
+    var_args is keyed by id().  A call that leaves the context over
+    LOOKUPS_BOUND entries drops it from owner; a walk that holds it still
+    finishes in it."""
+    ctx = owner.__dict__.get("_lookups") or owner.__dict__.setdefault("_lookups", Lookups())
+    try:
+        return walk(*args, ctx)
+    finally:
+        if sum(map(len, (ctx.plans, ctx.steps, ctx.variables, ctx.var_args, ctx.targets,
+                         ctx.binds, ctx.reads))) > LOOKUPS_BOUND:
+            owner.__dict__.pop("_lookups", None)
+
+
 def _not_an_index(message: str):
     """Term text reports every argument that is no index expression alike."""
     raise TermError("invalid index value")
@@ -329,7 +355,7 @@ def parse_term(
     term (see _read).  Only a text with a fault is also parsed by the
     grammar, so that a syntax fault anywhere in it is the one reported."""
     vsig.class_of(type_name, index)
-    return _parse(vsig, type_name, index, text, Lookups())
+    return _in_context(vsig, _parse, vsig, type_name, index, text)
 
 
 def _parse(vsig, type_name, index, text, ctx):
@@ -701,7 +727,7 @@ def print_term(vsig: ValidatedSignature, term: Term, index=_INFER, namer=None) -
     """
     if index is _INFER:
         index = _infer_index(vsig, term)
-    return _print(vsig, term, index, namer, Lookups())
+    return _in_context(vsig, _print, vsig, term, index, namer)
 
 
 def _print(vsig, term, index, namer, ctx) -> str:
@@ -831,7 +857,7 @@ def check_term(
     from .codec import CodecPlan, _encode  # codec imports this module
 
     vsig.class_of(type_name, index)
-    _encode(CodecPlan(vsig, {}), type_name, index, counts, term, Lookups())
+    _in_context(vsig, _encode, CodecPlan(vsig, {}), type_name, index, counts, term)
 
 
 def _check_var(term: Var, type_name: str, index: int | None, counts: dict) -> int:

@@ -1010,9 +1010,10 @@ CLOSED_TEXT = "lam [x] app (lam [y] app y x) x"
 
 
 class TestCallContext:
-    """Each public walk makes one lookup context for its call and leaves
-    nothing behind: not on the plan, the signature, its analysis and
-    layouts, EMPTY_COUNTS or a CountVector the caller passed."""
+    """Each public walk runs in its owner's one lookup context, the plan's
+    for the codec and the signature's for termrep, and leaves nothing else
+    behind: nothing more on the plan or the signature, nothing on its
+    analysis and layouts, EMPTY_COUNTS or a CountVector the caller passed."""
 
     WALKS = {
         "decode": lambda p, c: decode(p, "t", None, c, 987_654_321),
@@ -1028,17 +1029,28 @@ class TestCallContext:
         vsig = plan.vsig
         counts = EMPTY_COUNTS.extend(*T).extend(*T)
         owners = (plan, vsig, vsig.analysis)
+        owner = plan if walk in ("decode", "encode") else vsig
 
         def state():
-            return ([_attributes(o) for o in owners]
+            return ([{k: v for k, v in _attributes(o).items() if k != "_lookups"}
+                     for o in owners]
                     + [dict(plan.classes), dict(vsig.layouts)]
                     + [_counts_state(EMPTY_COUNTS), _counts_state(counts)])
 
-        before = state()
+        def contexts():
+            return [vars(o).get("_lookups") for o in owners]
+
+        before, held = state(), contexts()
         first = self.WALKS[walk](plan, counts)
+        kept = contexts()
         second = self.WALKS[walk](plan, counts)
         assert first == second
         assert state() == before
+        # the owner gains at most its one context, kept across both calls
+        i = owners.index(owner)
+        assert isinstance(kept[i], termrep.Lookups) and held[i] in (None, kept[i])
+        assert [c is k for c, k in zip(contexts(), kept)] == [True] * 3
+        assert [h is k for j, (h, k) in enumerate(zip(held, kept)) if j != i] == [True] * 2
         assert counts == CountVector({T: 2}) and EMPTY_COUNTS == CountVector()
         assert EMPTY_COUNTS._counts == {} and EMPTY_COUNTS.key() == frozenset()
 
